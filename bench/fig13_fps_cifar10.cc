@@ -6,10 +6,11 @@
  * zero-skipping, FORMS-8/16 with zero-skipping. Calibrated and
  * raw-physics speedups are both printed.
  *
- * A second section measures the functional InferenceRuntime on a
- * CIFAR-10-geometry conv net: serial vs parallel host wall-time for
- * the same batch (bit-identical outputs), written to
- * BENCH_runtime.json so the perf trajectory is machine-trackable.
+ * A second section compiles a CIFAR-10-geometry conv net
+ * (compile::lowerNetwork) and measures it on the functional
+ * GraphRuntime: serial vs parallel host wall-time for the same batch
+ * (bit-identical outputs), written to BENCH_runtime.json so the perf
+ * trajectory is machine-trackable.
  */
 
 #include <cstdio>
@@ -17,10 +18,11 @@
 #include "common/logging.hh"
 #include "common/simd.hh"
 #include "common/table.hh"
+#include "compile/passes.hh"
 #include "nn/layers.hh"
 #include "obs/run_manifest.hh"
+#include "sim/graph_runtime.hh"
 #include "sim/perf_model.hh"
-#include "sim/runtime.hh"
 
 using namespace forms;
 using namespace forms::sim;
@@ -49,6 +51,8 @@ runtimeBench()
     net.emplace<nn::Flatten>("flat");
     net.emplace<nn::Dense>("fc", 32 * 4 * 4, 10, rng);
 
+    auto graph = compile::lowerNetwork(net);
+    graph.inferShapes({3, 16, 16});
     auto states = snapshotCompress(net, 8, 8);
 
     const int64_t images = 8;
@@ -64,9 +68,9 @@ runtimeBench()
     ThreadPool parallel_pool(ThreadPool::defaultThreads());
 
     rcfg.pool = &serial_pool;
-    InferenceRuntime serial_rt(net, states, rcfg);
+    GraphRuntime serial_rt(graph, states, rcfg);
     rcfg.pool = &parallel_pool;
-    InferenceRuntime parallel_rt(net, states, rcfg);
+    GraphRuntime parallel_rt(graph, states, rcfg);
 
     // Warm-up (page in the programmed arrays), then take the best of
     // three timed runs per configuration — a single sample on a busy

@@ -298,14 +298,8 @@ benchEngine()
         static_cast<int64_t>(s_ref.adcSamples * sizeof(double));
     KernelRow row{"engine_mvmBatch",
                   static_cast<int64_t>(batch.size()), bytes, 0.0, 0.0};
-    row.scalarNs = nsPerCall([&] {
-        scalar_eng.resetPresentationStream();
-        scalar_eng.mvmBatch(batch);
-    });
-    row.dispatchNs = nsPerCall([&] {
-        dispatch_eng.resetPresentationStream();
-        dispatch_eng.mvmBatch(batch);
-    });
+    row.scalarNs = nsPerCall([&] { scalar_eng.mvmBatch(batch); });
+    row.dispatchNs = nsPerCall([&] { dispatch_eng.mvmBatch(batch); });
     report(row);
 }
 

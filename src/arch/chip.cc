@@ -40,11 +40,4 @@ EnginePool::totalCrossbars() const
     return n;
 }
 
-void
-EnginePool::resetPresentationStreams()
-{
-    for (auto &s : slots_)
-        s->engine->resetPresentationStream();
-}
-
 } // namespace forms::arch

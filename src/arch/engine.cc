@@ -166,11 +166,11 @@ CrossbarEngine::CrossbarEngine(const MappedLayer &layer, EngineConfig cfg)
 }
 
 uint64_t
-CrossbarEngine::presentationSeed(uint64_t seed, uint64_t index)
+CrossbarEngine::presentationSeed(uint64_t seed, uint64_t key)
 {
     // splitmix64 finalizer over a golden-ratio combination: adjacent
-    // indices land in statistically independent streams.
-    uint64_t x = seed + 0x9e3779b97f4a7c15ULL * (index + 1);
+    // keys land in statistically independent streams.
+    uint64_t x = seed + 0x9e3779b97f4a7c15ULL * (key + 1);
     x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
     x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
     return x ^ (x >> 31);
@@ -178,7 +178,7 @@ CrossbarEngine::presentationSeed(uint64_t seed, uint64_t index)
 
 void
 CrossbarEngine::mvmOne(const std::vector<uint32_t> &inputs,
-                       uint64_t pres_index, std::vector<double> &out,
+                       uint64_t key, std::vector<double> &out,
                        EngineStats &stats) const
 {
     out.assign(static_cast<size_t>(outputExtent_), 0.0);
@@ -192,7 +192,7 @@ CrossbarEngine::mvmOne(const std::vector<uint32_t> &inputs,
     // hoisting the division out of the column loop is bitwise neutral.
     const int adc_top = adc_.config().codes() - 1;
     const double adc_step = fullScale_ / static_cast<double>(adc_top);
-    Rng pres_rng(presentationSeed(cfg_.variationSeed, pres_index));
+    Rng pres_rng(presentationSeed(cfg_.variationSeed, key));
     const simd::Kernels &k = *kern_;
 
     // Per-thread scratch: mvmOne runs concurrently on pool workers and
@@ -304,13 +304,13 @@ CrossbarEngine::mvmOne(const std::vector<uint32_t> &inputs,
 
 std::vector<double>
 CrossbarEngine::mvm(const std::vector<uint32_t> &inputs,
-                    EngineStats *stats)
+                    EngineStats *stats, uint64_t key)
 {
-    // Semantically a batch of one — same presentation stream, same
-    // stats merge — without mvmBatch's batch-container scaffolding.
+    // Semantically a keyed batch of one, without mvmKeyed's
+    // batch-container scaffolding.
     std::vector<double> out;
     EngineStats local;
-    mvmOne(inputs, nextPresentation_++, out, local);
+    mvmOne(inputs, key, out, local);
     if (stats)
         stats->merge(local);
     return out;
@@ -320,40 +320,11 @@ std::vector<std::vector<double>>
 CrossbarEngine::mvmBatch(const std::vector<std::vector<uint32_t>> &batch,
                          EngineStats *stats, ThreadPool *pool)
 {
-    return mvmRange(batch, 0, batch.size(), stats, pool);
-}
-
-std::vector<std::vector<double>>
-CrossbarEngine::mvmRange(const std::vector<std::vector<uint32_t>> &batch,
-                         size_t lo, size_t hi, EngineStats *stats,
-                         ThreadPool *pool)
-{
-    FORMS_ASSERT(lo <= hi && hi <= batch.size(),
-                 "mvmRange: slice [%zu, %zu) outside batch of %zu", lo,
-                 hi, batch.size());
-    const size_t count = hi - lo;
-    std::vector<std::vector<double>> outs(count);
-    std::vector<EngineStats> per(count);
-    const uint64_t base = nextPresentation_;
-    nextPresentation_ += count;
-    if (count == 0)
-        return outs;
-
-    ThreadPool &tp = pool ? *pool : ThreadPool::global();
-    tp.parallelFor(
-        0, static_cast<int64_t>(count), 1,
-        [&](int64_t i, int) {
-            const size_t s = static_cast<size_t>(i);
-            mvmOne(batch[lo + s], base + static_cast<uint64_t>(i),
-                   outs[s], per[s]);
-        });
-
-    // Merge per-presentation stats in presentation order: identical
-    // floating-point accumulation order to the serial loop.
-    if (stats)
-        for (const auto &s : per)
-            stats->merge(s);
-    return outs;
+    std::vector<uint64_t> keys(batch.size());
+    for (size_t j = 0; j < keys.size(); ++j)
+        keys[j] = j;
+    return mvmKeyed(batch, 0, batch.size(), keys.data(), stats, nullptr,
+                    pool);
 }
 
 std::vector<std::vector<double>>
@@ -379,9 +350,8 @@ CrossbarEngine::mvmKeyed(const std::vector<std::vector<uint32_t>> &batch,
             mvmOne(batch[lo + s], keys[lo + s], outs[s], per[s]);
         });
 
-    // Same fold order as mvmRange: per-presentation stats merge in
-    // ascending presentation order, so a keyed run whose keys equal
-    // the engine-lifetime indices is bit-identical to mvmRange.
+    // Merge per-presentation stats in presentation order: identical
+    // floating-point accumulation order to the serial mvm() loop.
     if (stats)
         for (const auto &s : per)
             stats->merge(s);

@@ -60,7 +60,7 @@ struct EngineConfig
      * every analog column sum at read time (0 = noiseless reads).
      * Unlike device variation (drawn once at program time), this is
      * per-presentation randomness; its stream is keyed by
-     * (variationSeed, presentation index) so batched execution is
+     * (variationSeed, presentation key) so batched execution is
      * bit-identical to serial regardless of thread count.
      */
     double readNoiseSigma = 0.0;
@@ -140,93 +140,53 @@ class CrossbarEngine
 
     /**
      * One matrix-vector product. `inputs` is indexed by the layer's
-     * natural input indices and quantized to cfg.inputBits.
-     * Equivalent to mvmBatch() with a batch of one: it consumes the
-     * same presentation stream and merges stats the same way (both
-     * call the mvmOne() core), asserted by tests/test_runtime.cc.
+     * natural input indices and quantized to cfg.inputBits; its
+     * read-noise RNG is keyed by (variationSeed, `key`). Equivalent to
+     * mvmKeyed() on a batch of one with that key: both call the
+     * mvmOne() core and merge stats the same way, asserted by
+     * tests/test_runtime.cc.
      *
      * @return signed outputs in integer level units, indexed by the
      *         natural output index (same convention as referenceMvm).
      */
     std::vector<double> mvm(const std::vector<uint32_t> &inputs,
-                            EngineStats *stats = nullptr);
+                            EngineStats *stats = nullptr,
+                            uint64_t key = 0);
 
     /**
      * Batched matrix-vector products: run every presentation in
      * `batch`, sharding them across `pool` (null = the process-wide
-     * pool). Per-presentation statistics are merged into `stats` in
-     * presentation order via EngineStats::merge, and each
-     * presentation's RNG stream is keyed by (variationSeed, global
-     * presentation index), so the outputs AND the merged stats are
-     * bit-identical to calling mvm() in a serial loop — for any
-     * thread count.
-     *
-     * Presentation indices are consecutive across calls on one
-     * engine (an engine-lifetime stream); see
-     * resetPresentationStream().
+     * pool). Presentation j is keyed by j, so the call equals
+     * mvmKeyed() over the whole batch with keys 0..n-1 — and the
+     * outputs AND the merged stats are bit-identical to a serial
+     * loop of mvm(batch[j], stats, j), for any thread count.
      */
     std::vector<std::vector<double>>
     mvmBatch(const std::vector<std::vector<uint32_t>> &batch,
              EngineStats *stats = nullptr, ThreadPool *pool = nullptr);
 
     /**
-     * Batched matrix-vector products over the contiguous slice
-     * [lo, hi) of `batch`: identical to mvmBatch() on just that
-     * slice. The replicated-stage path (sim/stage_kernels.hh) hands
-     * each replica engine its own slice without copying the batch;
-     * the slice consumes stream positions [pos, pos + (hi - lo)) of
-     * this engine's presentation stream, so callers seek first when
-     * the slice's global presentation indices do not start at the
-     * engine's current position.
-     */
-    std::vector<std::vector<double>>
-    mvmRange(const std::vector<std::vector<uint32_t>> &batch, size_t lo,
-             size_t hi, EngineStats *stats = nullptr,
-             ThreadPool *pool = nullptr);
-
-    /**
      * Batched matrix-vector products over the slice [lo, hi) of
      * `batch` with explicit per-presentation stream keys: presentation
-     * batch[j] draws its read-noise RNG from stream index keys[j] —
-     * the same (variationSeed, index) mix the implicit engine-lifetime
-     * stream uses — and the engine's presentation counter is neither
-     * read nor advanced. Two engines programmed from the same config
-     * therefore produce bit-identical outputs for the same key,
-     * regardless of what either engine executed before: the mechanism
-     * behind the serving layer's batch-invariance contract
-     * (docs/SERVING.md).
+     * batch[j] draws its read-noise RNG from stream key keys[j]. The
+     * engine holds no presentation state, so two engines programmed
+     * from the same config produce bit-identical outputs for the same
+     * key, regardless of what either engine executed before: the
+     * mechanism behind replica slicing (sim/stage_kernels.hh) and the
+     * serving layer's batch-invariance contract (docs/SERVING.md).
      *
-     * Per-presentation stats merge into `stats` in ascending j order,
-     * exactly like mvmRange. When `per` is non-null it is an
-     * accumulator array parallel to `batch`: presentation j's stats
-     * additionally merge into per[j] — the per-request stats channel.
+     * Per-presentation stats merge into `stats` in ascending j order.
+     * When `per` is non-null it is an accumulator array parallel to
+     * `batch`: presentation j's stats additionally merge into per[j]
+     * — the per-request stats channel.
      */
     std::vector<std::vector<double>>
     mvmKeyed(const std::vector<std::vector<uint32_t>> &batch, size_t lo,
              size_t hi, const uint64_t *keys, EngineStats *stats = nullptr,
              EngineStats *per = nullptr, ThreadPool *pool = nullptr);
 
-    /** Restart the per-presentation RNG stream at index 0. */
-    void resetPresentationStream() { nextPresentation_ = 0; }
-
-    /** Next index of the engine-lifetime presentation stream. */
-    uint64_t presentationStreamPos() const { return nextPresentation_; }
-
-    /**
-     * Seek the presentation stream to `index`. Replica engines of one
-     * replicated stage process presentation-index-keyed slices of
-     * each micro-batch; seeking keeps every replica's per-presentation
-     * RNG keyed by the same global index the single-engine run would
-     * use — the mechanism behind the replication bit-identity
-     * contract (DESIGN.md §5).
-     */
-    void seekPresentationStream(uint64_t index)
-    {
-        nextPresentation_ = index;
-    }
-
-    /** Mix (seed, presentation index) into one RNG stream seed. */
-    static uint64_t presentationSeed(uint64_t seed, uint64_t index);
+    /** Mix (seed, presentation key) into one RNG stream seed. */
+    static uint64_t presentationSeed(uint64_t seed, uint64_t key);
 
     /** Effective ADC resolution in use (lossless when cfg was 0). */
     int adcBitsInUse() const { return adc_.config().bits; }
@@ -248,7 +208,7 @@ class CrossbarEngine
      * is local, the programmed arrays are only read), so concurrent
      * calls from pool workers are safe.
      */
-    void mvmOne(const std::vector<uint32_t> &inputs, uint64_t pres_index,
+    void mvmOne(const std::vector<uint32_t> &inputs, uint64_t key,
                 std::vector<double> &out, EngineStats &stats) const;
 
     /**
@@ -277,7 +237,6 @@ class CrossbarEngine
     Rng rng_;                      //!< program-time variation source
     int outputExtent_ = 0;         //!< 1 + max natural output index
     double worstStepNs_ = 0.0;     //!< slowest crossbar's per-step time
-    uint64_t nextPresentation_ = 0;
     int64_t faultyCrossbars_ = 0;  //!< tiles overlaid with any fault
     int64_t faultyCells_ = 0;      //!< stuck/drifted cells (used window)
 };

@@ -95,8 +95,8 @@ class ThreadPool
 
 /**
  * RAII override of the pool that free parallelFor() calls dispatch to
- * on the current thread. Lets a subsystem (e.g. InferenceRuntime)
- * route the shared tensor kernels through its own pool for the scope
+ * on the current thread. Lets a subsystem (e.g. GraphRuntime) route
+ * the shared tensor kernels through its own pool for the scope
  * of an operation. Nestable; restores the previous pool on exit.
  */
 class PoolScope

@@ -189,6 +189,12 @@ Server::runBatch(std::vector<Pending> batch)
         // Status::Requeued for requests out of retry budget).
         requeueBatch(std::move(batch), f.chip());
         return;
+    } catch (const std::exception &e) {
+        // Any other backend failure is terminal for this batch only:
+        // resolve its requests with a typed error and keep the
+        // batcher serving.
+        failBatch(std::move(batch), dispatched, e.what());
+        return;
     }
     FORMS_ASSERT(out.dim(0) == static_cast<int64_t>(n) &&
                      per_request.size() == n,
@@ -225,6 +231,28 @@ Server::runBatch(std::vector<Pending> batch)
         cfg_.metrics->histObserve("serve.batch_size",
                                   static_cast<double>(n));
     }
+}
+
+void
+Server::failBatch(std::vector<Pending> batch,
+                  std::chrono::steady_clock::time_point dispatched,
+                  const char *what)
+{
+    const auto done = std::chrono::steady_clock::now();
+    for (Pending &p : batch) {
+        Response r;
+        r.status = Status::BackendError;
+        r.requestId = p.id;
+        r.batchSize = static_cast<int>(batch.size());
+        r.queueUs = usSince(p.enqueued, dispatched);
+        r.totalUs = usSince(p.enqueued, done);
+        r.requeues = p.requeues;
+        p.promise.set_value(std::move(r));
+    }
+    if (cfg_.metrics)
+        cfg_.metrics->counterAdd("serve.backend_errors", 1);
+    warn("serve: backend error (%s); failed %zu request(s)", what,
+         batch.size());
 }
 
 void

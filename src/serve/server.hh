@@ -24,7 +24,9 @@
  * ServerConfig::queueCapacity; a submit() that finds it full resolves
  * immediately with Status::Rejected (load shedding — the request is
  * never queued). A submit() after shutdown() resolves with
- * Status::ShutDown.
+ * Status::ShutDown. A backend exception other than ChipFailure fails
+ * only the batch it hit: those requests resolve with
+ * Status::BackendError and the batcher keeps serving.
  *
  * Thread-safety: submit() and shutdown() are safe from any thread,
  * concurrently. One internal batcher thread owns the backend, so the
@@ -67,6 +69,14 @@ enum class Status
      * no healthy fleet left to retry on within budget.
      */
     Requeued,
+
+    /**
+     * The backend threw something other than ChipFailure while
+     * running the batch serving this request. Every request of that
+     * batch resolves with this status (no logits); the server keeps
+     * serving later batches.
+     */
+    BackendError,
 };
 
 /**
@@ -211,6 +221,9 @@ class Server
     void batcherLoop();
     void runBatch(std::vector<Pending> batch);
     void requeueBatch(std::vector<Pending> batch, int chip);
+    void failBatch(std::vector<Pending> batch,
+                   std::chrono::steady_clock::time_point dispatched,
+                   const char *what);
 
     Backend &backend_;
     ServerConfig cfg_;

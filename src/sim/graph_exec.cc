@@ -158,8 +158,7 @@ runGraph(const compile::Graph &g, std::vector<NodeExec> &execs,
 {
     FORMS_ASSERT(stats.size() == execs.size(),
                  "runGraph: stats accumulators must parallel execs");
-    FORMS_ASSERT(!per_image || image_ids,
-                 "runGraph: per-image stats require image ids");
+    FORMS_ASSERT(image_ids, "runGraph: image stream ids are required");
 
     // Reference-counted value slots, indexed by node id. The input
     // node aliases the caller's batch; every other node owns its
@@ -175,6 +174,21 @@ runGraph(const compile::Graph &g, std::vector<NodeExec> &execs,
         for (int in : e.inputs)
             ++slots[static_cast<size_t>(in)].remaining;
     ++slots[static_cast<size_t>(g.output())].remaining;
+
+    // The engine set of matrix exec `idx`, wired to this call's stream
+    // ids, per-image accumulators and phase sink.
+    auto stageEngines = [&](size_t idx) {
+        StageEngines se{execs[idx].replicas, {}};
+        se.imageIds = image_ids;
+        if (per_image)
+            se.perImage =
+                per_image + static_cast<int64_t>(idx) * per_image_stride;
+        if (on_phase)
+            se.onPhase = [&on_phase, idx](int r, const PhaseSample &ps) {
+                on_phase(idx, r, ps);
+            };
+        return se;
+    };
 
     for (size_t idx = 0; idx < execs.size(); ++idx) {
         NodeExec &e = execs[idx];
@@ -192,39 +206,17 @@ runGraph(const compile::Graph &g, std::vector<NodeExec> &execs,
         case compile::Op::Input:
             out.ref = &batch;
             break;
-        case compile::Op::Conv: {
-            StageEngines se{e.replicas, {}};
-            se.imageIds = image_ids;
-            if (per_image)
-                se.perImage =
-                    per_image + static_cast<int64_t>(idx) * per_image_stride;
-            if (on_phase)
-                se.onPhase = [&on_phase, idx](int r,
-                                              const PhaseSample &ps) {
-                    on_phase(idx, r, ps);
-                };
-            out.owned = convStage(in(0), se, *e.mapped, e.bias,
-                                  e.chanScale, e.outC, e.k, e.stride,
-                                  e.pad, input_bits, e.scale, tp,
-                                  &stats[idx], &e.im2colScratch);
+        case compile::Op::Conv:
+            out.owned = convStage(in(0), stageEngines(idx), *e.mapped,
+                                  e.bias, e.chanScale, e.outC, e.k,
+                                  e.stride, e.pad, input_bits, e.scale,
+                                  tp, &stats[idx], &e.im2colScratch);
             break;
-        }
-        case compile::Op::Dense: {
-            StageEngines se{e.replicas, {}};
-            se.imageIds = image_ids;
-            if (per_image)
-                se.perImage =
-                    per_image + static_cast<int64_t>(idx) * per_image_stride;
-            if (on_phase)
-                se.onPhase = [&on_phase, idx](int r,
-                                              const PhaseSample &ps) {
-                    on_phase(idx, r, ps);
-                };
-            out.owned = denseStage(in(0), se, *e.mapped, e.bias,
-                                   e.outC, input_bits, e.scale, tp,
-                                   &stats[idx]);
+        case compile::Op::Dense:
+            out.owned = denseStage(in(0), stageEngines(idx), *e.mapped,
+                                   e.bias, e.outC, input_bits, e.scale,
+                                   tp, &stats[idx]);
             break;
-        }
         case compile::Op::BatchNorm:
             out.owned = batchNormStage(in(0), e.bnScale, e.bnShift, tp);
             break;

@@ -12,8 +12,10 @@
  * tests/test_pipeline_runtime.cc and bench_fig15_multichip).
  *
  * Thread-safety: buildNodeExecs() and runGraph() must be called from
- * one thread per engine set (engines advance mutable presentation
- * streams); runGraph() shards its work across the given ThreadPool.
+ * one thread per exec list (each NodeExec carries its conv im2col
+ * scratch); runGraph() shards its work across the given ThreadPool.
+ * The engines themselves hold no presentation state: every
+ * presentation's randomness is keyed by its image's stream id.
  */
 
 #ifndef FORMS_SIM_GRAPH_EXEC_HH
@@ -116,33 +118,29 @@ buildNodeExecs(const compile::Graph &g, const std::vector<int> &topo,
  *        slot in presentation order — replicated nodes fold their
  *        replica slices in ascending replica (= presentation) order
  *        into the same slot — so reusing the same vector across
- *        calls reproduces one engine-lifetime serial fold
- * @param on_phase optional per-(node, replica) timing sink; see
+ *        calls reproduces one serial fold over all the calls
+ * @param on_phase per-(node, replica) timing sink (may be empty); see
  *        PhaseSink
- * @param image_ids optional stable per-image presentation-stream ids
- *        (one per batch image). When set, every programmed node keys
- *        its per-presentation RNG streams by image id instead of the
- *        engine-lifetime counters (sim::StageEngines::imageIds): the
- *        request-keyed path that makes serving batch-invariant. The
- *        offline runtimes pass consecutive ids, which reproduces the
- *        counter-keyed behavior bit for bit.
- * @param per_image optional per-(exec, image) stats accumulators
- *        (requires image_ids): exec `idx`'s stats for batch image i
- *        fold into per_image[idx * per_image_stride + i], each group
+ * @param image_ids stable per-image stream ids, one per batch image
+ *        (required): every programmed node keys its per-presentation
+ *        RNG streams by image id (sim::StageEngines::imageIds). The
+ *        offline runtimes pass consecutive ids from a per-runtime
+ *        counter; the serving layer passes per-request ids, which
+ *        makes serving batch-invariant.
+ * @param per_image optional per-(exec, image) stats accumulators:
+ *        exec `idx`'s stats for batch image i fold into
+ *        per_image[idx * per_image_stride + i], each group
  *        bitwise-identical to a single-image forward's node
  *        accumulator. The flat per-node fold into `stats` is
  *        unchanged. The stride lets the pipeline runtime aim
  *        micro-batch slices into one full-batch array.
  *
- * `execs` is mutable for the same reason it was already
- * one-caller-at-a-time: programmed nodes carry per-node execution
- * state (engine presentation streams, the conv im2col scratch).
+ * `execs` is mutable because conv nodes carry their im2col scratch.
  */
 Tensor runGraph(const compile::Graph &g, std::vector<NodeExec> &execs,
                 const Tensor &batch, ThreadPool &tp, int input_bits,
                 std::vector<arch::EngineStats> &stats,
-                const PhaseSink &on_phase = {},
-                const uint64_t *image_ids = nullptr,
+                const PhaseSink &on_phase, const uint64_t *image_ids,
                 arch::EngineStats *per_image = nullptr,
                 int64_t per_image_stride = 0);
 

@@ -63,17 +63,16 @@ GraphRuntime::allocation() const
 void
 GraphRuntime::resetPresentationStreams()
 {
-    pools_[0].resetPresentationStreams();
     nextImageId_ = 0;
 }
 
 Tensor
 GraphRuntime::forward(const Tensor &batch, RuntimeReport *report)
 {
-    // Consecutive ids from the runtime-lifetime counter make every
-    // node's stream keys equal the engine-lifetime presentation
-    // indices the unkeyed path would have used — forward() stays
-    // bit-identical to its pre-keyed behavior.
+    // Consecutive ids from the runtime-lifetime counter: image k of
+    // the runtime's forward() history keys its presentations
+    // k*ppi .. k*ppi + ppi - 1 at every node, however the history was
+    // split into batches.
     const int64_t n = batch.dim(0);
     std::vector<uint64_t> ids(static_cast<size_t>(n));
     for (int64_t i = 0; i < n; ++i)

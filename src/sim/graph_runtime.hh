@@ -15,12 +15,12 @@
  * schedule is the deterministic topological order — independent of
  * the pool — every stage kernel parallelizes only over disjoint-write
  * axes, join nodes accumulate operands in fixed order, and each
- * engine's presentation RNG stream is keyed by (variationSeed, global
- * presentation index).
+ * presentation's RNG stream is keyed by (variationSeed, its image's
+ * stream id and within-image index).
  *
  * Thread-safety: one forward()/accuracy() call at a time per runtime
- * (engines advance mutable presentation streams); the call itself
- * shards across the configured ThreadPool internally. Distinct
+ * (the image-id counter and per-node scratch are mutable); the call
+ * itself shards across the configured ThreadPool internally. Distinct
  * GraphRuntime instances are independent. The borrowed graph and
  * layer states must not be mutated while the runtime is alive.
  *
@@ -102,9 +102,8 @@ class GraphRuntime
                     RuntimeReport *report = nullptr);
 
     /**
-     * Restart every programmed engine's presentation RNG stream and
-     * the forward() image-id counter, so the next forward() replays
-     * the same randomness as a fresh runtime.
+     * Restart the forward() image-id counter at 0, so the next
+     * forward() replays the same randomness as a fresh runtime.
      */
     void resetPresentationStreams();
 

@@ -53,18 +53,16 @@ PipelineRuntime::totalCrossbars() const
 void
 PipelineRuntime::resetPresentationStreams()
 {
-    for (auto &p : pools_)
-        p.resetPresentationStreams();
     nextImageId_ = 0;
 }
 
 Tensor
 PipelineRuntime::forward(const Tensor &batch, PipelineReport *report)
 {
-    // Consecutive ids from the runtime-lifetime counter make every
-    // node's stream keys equal the engine-lifetime presentation
-    // indices the unkeyed path would have used — forward() stays
-    // bit-identical to its pre-keyed behavior.
+    // Consecutive ids from the runtime-lifetime counter: image k of
+    // the runtime's forward() history keys its presentations
+    // k*ppi .. k*ppi + ppi - 1 at every node, however the history was
+    // split into batches.
     const int64_t n = batch.dim(0);
     std::vector<uint64_t> ids(static_cast<size_t>(n));
     for (int64_t i = 0; i < n; ++i)
@@ -94,7 +92,7 @@ PipelineRuntime::forwardRequests(const Tensor &batch, const uint64_t *ids,
     const int n_chips = sched_.chips();
     const int n_stages = sched_.stages();
 
-    // Engine-lifetime stat accumulators, one per node. Every
+    // Forward-lifetime stat accumulators, one per node. Every
     // micro-batch's stage call merges into the same accumulator — a
     // replicated node's replica slices fold in ascending replica
     // (= presentation) order — so the final fold has the exact

@@ -24,9 +24,9 @@
  *     replication factor (chips shard work in the model, not in the
  *     arithmetic; replica r of R processes the contiguous
  *     presentation-index slice [floor(P*r/R), floor(P*(r+1)/R)) of
- *     each micro-batch with its engine stream seeked to the slice's
- *     global presentation index), and
- *   - per-node EngineStats accumulate through one engine-lifetime
+ *     each micro-batch, every presentation keyed by its image's
+ *     stream id), and
+ *   - per-node EngineStats accumulate through one runtime-lifetime
  *     fold in presentation order — each micro-batch's stage call
  *     merges into the same per-node accumulator, and a replicated
  *     node's replica slices fold in ascending replica (= global
@@ -50,7 +50,8 @@
  * where busy[s][m] is the max over the stage's (replica) chips.
  *
  * Thread-safety: construction and forward() must be called from one
- * thread at a time (the runtime owns mutable engine streams); the
+ * thread at a time (the image-id counter and per-node scratch are
+ * mutable); the
  * internal work shards on the configured ThreadPool. Distinct
  * PipelineRuntime instances are independent.
  *
@@ -251,9 +252,8 @@ class PipelineRuntime
                     PipelineReport *report = nullptr);
 
     /**
-     * Restart every chip's presentation RNG streams and the forward()
-     * image-id counter, so the next forward() replays the same
-     * randomness as a fresh runtime.
+     * Restart the forward() image-id counter at 0, so the next
+     * forward() replays the same randomness as a fresh runtime.
      */
     void resetPresentationStreams();
 

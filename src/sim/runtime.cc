@@ -1,13 +1,5 @@
 #include "sim/runtime.hh"
 
-#include <chrono>
-
-#include "nn/layers.hh"
-#include "obs/trace.hh"
-#include "sim/obs_glue.hh"
-#include "sim/stage_kernels.hh"
-#include "tensor/ops.hh"
-
 namespace forms::sim {
 
 double
@@ -26,258 +18,6 @@ RuntimeReport::modelEnergyPj() const
     for (const auto &l : layers)
         pj += l.stats.adcEnergyPj + l.stats.crossbarEnergyPj;
     return pj;
-}
-
-/** One executable step of the layer graph. */
-struct InferenceRuntime::Stage
-{
-    enum class Kind { Conv, Dense, Relu, MaxPool, AvgPool, Flatten };
-
-    Kind kind;
-    std::string name;
-
-    // Conv / Dense: the programmed hardware. `engine` references
-    // `mapped`, which is why stages live behind unique_ptr and never
-    // move after construction.
-    arch::MappedLayer mapped;
-    std::unique_ptr<arch::CrossbarEngine> engine;
-    int outC = 0, k = 0, stride = 0, pad = 0;
-    std::vector<float> bias;
-    StageScale scale;   //!< resolved quantization mode for this stage
-
-    // Pooling geometry.
-    int poolK = 0, poolStride = 0;
-
-    // Conv: reused im2col buffer (see convStage).
-    Tensor im2colScratch;
-};
-
-
-InferenceRuntime::InferenceRuntime(nn::Network &net,
-                                   std::vector<admm::LayerState> &layers,
-                                   RuntimeConfig cfg)
-    : cfg_(cfg)
-{
-    // Fault identity in the straight-line runtime is the layer index;
-    // the graph runtimes use graph node ids instead, so fault studies
-    // meant to compare runtimes should go through those.
-    auto programStage = [&](Stage &stage, admm::LayerState &st,
-                            size_t layer_index, const char *name) {
-        stage.mapped = arch::mapLayer(st, cfg_.mapping);
-        arch::EngineConfig ecfg = cfg_.engine;
-        if (cfg_.faults) {
-            ecfg.faults = cfg_.faults;
-            ecfg.faultKey = static_cast<uint64_t>(layer_index);
-            if (cfg_.remapFaults)
-                arch::remapFaultyCrossbars(stage.mapped, *cfg_.faults,
-                                           ecfg.faultKey, name);
-        }
-        stage.engine = std::make_unique<arch::CrossbarEngine>(
-            stage.mapped, ecfg);
-    };
-
-    for (size_t i = 0; i < net.size(); ++i) {
-        nn::Layer &l = net.layer(i);
-        auto stage = std::make_unique<Stage>();
-        stage->name = l.name();
-
-        if (auto *conv = dynamic_cast<nn::Conv2D *>(&l)) {
-            admm::LayerState *st = findLayerState(layers, &conv->weight());
-            if (!st) {
-                fatal("runtime: no compression state for conv layer '%s'",
-                      l.name().c_str());
-            }
-            stage->kind = Stage::Kind::Conv;
-            programStage(*stage, *st, i, l.name().c_str());
-            stage->outC = conv->outChannels();
-            stage->k = conv->kernel();
-            stage->stride = conv->stride();
-            stage->pad = conv->pad();
-            stage->bias = tensorToVector(conv->bias());
-            stage->scale = resolveStageScale(cfg_, l.name());
-        } else if (auto *dense = dynamic_cast<nn::Dense *>(&l)) {
-            admm::LayerState *st = findLayerState(layers, &dense->weight());
-            if (!st) {
-                fatal("runtime: no compression state for dense layer '%s'",
-                      l.name().c_str());
-            }
-            stage->kind = Stage::Kind::Dense;
-            programStage(*stage, *st, i, l.name().c_str());
-            stage->outC = dense->outDim();
-            stage->bias = tensorToVector(dense->bias());
-            stage->scale = resolveStageScale(cfg_, l.name());
-        } else if (dynamic_cast<nn::ReLU *>(&l)) {
-            stage->kind = Stage::Kind::Relu;
-        } else if (auto *mp = dynamic_cast<nn::MaxPool2D *>(&l)) {
-            stage->kind = Stage::Kind::MaxPool;
-            stage->poolK = mp->kernel();
-            stage->poolStride = mp->stride();
-        } else if (auto *ap = dynamic_cast<nn::AvgPool2D *>(&l)) {
-            stage->kind = Stage::Kind::AvgPool;
-            stage->poolK = ap->kernel();
-            stage->poolStride = ap->stride();
-        } else if (dynamic_cast<nn::Flatten *>(&l)) {
-            stage->kind = Stage::Kind::Flatten;
-        } else {
-            const char *kind = "unknown layer type";
-            if (dynamic_cast<nn::BatchNorm2D *>(&l))
-                kind = "BatchNorm2D";
-            else if (dynamic_cast<nn::ResidualBlock *>(&l))
-                kind = "ResidualBlock";
-            fatal("runtime: layer '%s' (%s) is outside the sequential "
-                  "InferenceRuntime's Conv/Dense/ReLU/Pool/Flatten "
-                  "coverage — lower the network with "
-                  "compile::lowerNetwork + compile::foldBatchNorm and "
-                  "execute it on sim::GraphRuntime instead",
-                  l.name().c_str(), kind);
-        }
-        stages_.push_back(std::move(stage));
-    }
-}
-
-InferenceRuntime::~InferenceRuntime() = default;
-
-ThreadPool &
-InferenceRuntime::pool() const
-{
-    return cfg_.pool ? *cfg_.pool : ThreadPool::global();
-}
-
-size_t
-InferenceRuntime::stages() const
-{
-    return stages_.size();
-}
-
-size_t
-InferenceRuntime::programmedStages() const
-{
-    size_t n = 0;
-    for (const auto &s : stages_)
-        n += s->engine != nullptr;
-    return n;
-}
-
-int64_t
-InferenceRuntime::totalCrossbars() const
-{
-    int64_t n = 0;
-    for (const auto &s : stages_)
-        if (s->engine)
-            n += s->mapped.numCrossbars();
-    return n;
-}
-
-void
-InferenceRuntime::resetPresentationStreams()
-{
-    for (auto &s : stages_)
-        if (s->engine)
-            s->engine->resetPresentationStream();
-    nextImageId_ = 0;
-}
-
-Tensor
-InferenceRuntime::forward(const Tensor &batch, RuntimeReport *report)
-{
-    FORMS_TRACE_SCOPE("InferenceRuntime::forward");
-    const auto t0 = std::chrono::steady_clock::now();
-    ThreadPool &tp = pool();
-    // Route the shared tensor kernels (relu, pooling, im2col) through
-    // this runtime's pool too: every stage shards on one pool.
-    PoolScope scope(tp);
-    const int in_bits = cfg_.mapping.inputBits;
-    size_t programmed_idx = 0;
-
-    // Key every stage's presentation streams by consecutive
-    // runtime-lifetime image ids — equal to the engine-lifetime
-    // presentation indices the unkeyed path would have used, so
-    // forward() stays bit-identical to its pre-keyed behavior while
-    // sharing the request-keyed kernels (docs/SERVING.md).
-    const int64_t n_images = batch.dim(0);
-    std::vector<uint64_t> ids(static_cast<size_t>(n_images));
-    for (int64_t i = 0; i < n_images; ++i)
-        ids[static_cast<size_t>(i)] =
-            nextImageId_ + static_cast<uint64_t>(i);
-    nextImageId_ += static_cast<uint64_t>(n_images);
-
-    // When only the metrics sink wants the per-layer rows, collect
-    // them into a local report — a pure observer on top of the same
-    // execution.
-    RuntimeReport local_report;
-    RuntimeReport *rep =
-        report ? report : (cfg_.metrics ? &local_report : nullptr);
-
-    // The current activation is tracked by pointer until the first
-    // stage produces its own tensor: stages only read their input, so
-    // deep-copying the caller's batch up front would be wasted work.
-    Tensor cur;
-    const Tensor *act = &batch;
-    for (auto &sp : stages_) {
-        Stage &s = *sp;
-        switch (s.kind) {
-        case Stage::Kind::Relu:
-            cur = relu(*act);
-            break;
-        case Stage::Kind::MaxPool:
-            cur = maxPool2d(*act, s.poolK, s.poolStride, nullptr);
-            break;
-        case Stage::Kind::AvgPool:
-            cur = avgPool2d(*act, s.poolK, s.poolStride);
-            break;
-        case Stage::Kind::Flatten: {
-            const int64_t n = act->dim(0);
-            cur = act->reshaped({n, act->numel() / n});
-            break;
-        }
-        case Stage::Kind::Conv: {
-            arch::EngineStats st;
-            StageEngines se{{s.engine.get()}, {}};
-            se.imageIds = ids.data();
-            cur = convStage(*act, se, s.mapped, s.bias, {}, s.outC, s.k,
-                            s.stride, s.pad, in_bits, s.scale, tp, &st,
-                            &s.im2colScratch);
-            if (rep) {
-                recordLayer(*rep, programmed_idx, s.name, st,
-                            s.mapped.numCrossbars(), st.presentations);
-            }
-            ++programmed_idx;
-            break;
-        }
-        case Stage::Kind::Dense: {
-            arch::EngineStats st;
-            StageEngines se{{s.engine.get()}, {}};
-            se.imageIds = ids.data();
-            cur = denseStage(*act, se, s.mapped, s.bias, s.outC, in_bits,
-                             s.scale, tp, &st);
-            if (rep) {
-                recordLayer(*rep, programmed_idx, s.name, st,
-                            s.mapped.numCrossbars(), st.presentations);
-            }
-            ++programmed_idx;
-            break;
-        }
-        }
-        act = &cur;
-    }
-    if (act != &cur)
-        cur = *act;   // no stages at all: pass the batch through
-
-    if (rep) {
-        rep->wallMs += std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - t0).count();
-    }
-    if (cfg_.metrics)
-        recordRuntimeMetrics(*cfg_.metrics, *rep);
-    return cur;
-}
-
-double
-InferenceRuntime::accuracy(const Tensor &images,
-                           const std::vector<int> &labels,
-                           RuntimeReport *report)
-{
-    return logitsAccuracy(forward(images, report), labels);
 }
 
 std::vector<admm::LayerState>

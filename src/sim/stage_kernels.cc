@@ -153,7 +153,7 @@ channelValue(const std::vector<float> &deq, int oc)
  * bit-identity contract). `rows` is the quantized values per
  * presentation, reported through onPhase for the timing model; `ppi`
  * is presentations per image, used to expand per-image stream ids
- * into per-presentation keys on the request-keyed path.
+ * into per-presentation keys.
  */
 std::vector<std::vector<double>>
 replicatedMvm(const StageEngines &eng,
@@ -163,94 +163,47 @@ replicatedMvm(const StageEngines &eng,
     const size_t p = q.size();
     const size_t r_count = eng.replicas.size();
     FORMS_ASSERT(r_count >= 1, "matrix stage with no engine");
-    FORMS_ASSERT(!eng.perImage || eng.imageIds,
-                 "per-image stats need per-image stream ids");
+    FORMS_ASSERT(eng.imageIds, "matrix stage needs per-image stream ids");
     // The per-phase sink needs model-time deltas even when the caller
     // passes no accumulator.
     arch::EngineStats scratch;
     arch::EngineStats *acc =
         stats ? stats : (eng.onPhase ? &scratch : nullptr);
 
-    // Request-keyed streams: presentation j's RNG key is
-    // imageIds[j/ppi]*ppi + j%ppi instead of the engine-lifetime
-    // counter, so an image's draws depend only on its own id — not on
-    // batch position, batch composition, or what ran before. With the
-    // offline runtimes' consecutive ids the keys equal the counter
-    // values bit for bit.
-    std::vector<uint64_t> keys;
-    std::vector<arch::EngineStats> per;
-    if (eng.imageIds) {
-        const size_t u_ppi = static_cast<size_t>(ppi);
-        keys.resize(p);
-        for (size_t j = 0; j < p; ++j)
-            keys[j] = eng.imageIds[j / u_ppi] * static_cast<uint64_t>(ppi)
-                + static_cast<uint64_t>(j % u_ppi);
-        if (eng.perImage)
-            per.resize(p);
-    }
-    arch::EngineStats *per_out = per.empty() ? nullptr : per.data();
+    // Presentation j's RNG key is imageIds[j/ppi]*ppi + j%ppi, so an
+    // image's draws depend only on its own id — not on batch
+    // position, batch composition, replica, or what ran before.
+    const size_t u_ppi = static_cast<size_t>(ppi);
+    std::vector<uint64_t> keys(p);
+    for (size_t j = 0; j < p; ++j)
+        keys[j] = eng.imageIds[j / u_ppi] * static_cast<uint64_t>(ppi) +
+            static_cast<uint64_t>(j % u_ppi);
+    std::vector<arch::EngineStats> per(eng.perImage ? p : 0);
+    arch::EngineStats *per_out = eng.perImage ? per.data() : nullptr;
 
+    // Replica r takes the contiguous presentation slice
+    // [floor(p*r/R), floor(p*(r+1)/R)). Slices run (and fold their
+    // per-presentation stats into `acc`) in ascending replica order
+    // and carry their global keys, which reproduces the exact outputs
+    // and stat fold of one engine running the whole batch.
     std::vector<std::vector<double>> outs;
-    if (r_count == 1) {
+    outs.reserve(p);
+    for (size_t r = 0; r < r_count; ++r) {
+        const size_t lo = p * r / r_count;
+        const size_t hi = p * (r + 1) / r_count;
         const arch::EngineStats before = acc ? *acc : arch::EngineStats{};
-        outs = eng.imageIds
-            ? eng.replicas[0]->mvmKeyed(q, 0, p, keys.data(), acc,
-                                        per_out, &tp)
-            : eng.replicas[0]->mvmBatch(q, acc, &tp);
+        auto part = eng.replicas[r]->mvmKeyed(q, lo, hi, keys.data(), acc,
+                                              per_out, &tp);
         if (eng.onPhase) {
             PhaseSample ps;
             ps.adcNs = acc->timeNs - before.timeNs;
-            ps.quantValues = p * static_cast<uint64_t>(rows);
+            ps.quantValues = (hi - lo) * static_cast<uint64_t>(rows);
             ps.bitCycles = acc->bitCycles - before.bitCycles;
             ps.skippedCycles = acc->skippedCycles - before.skippedCycles;
-            eng.onPhase(0, ps);
+            eng.onPhase(static_cast<int>(r), ps);
         }
-    } else {
-        // Replica r takes the contiguous presentation slice
-        // [floor(p*r/R), floor(p*(r+1)/R)). Slices run (and fold
-        // their per-presentation stats into `acc`) in ascending
-        // replica order; on the engine-lifetime path each replica's
-        // stream is seeked to its slice's global presentation index
-        // first, on the keyed path the explicit keys carry the same
-        // information — either way this reproduces the exact outputs
-        // and stat fold of one engine running the whole stream.
-        const uint64_t base = eng.imageIds
-            ? 0 : eng.replicas[0]->presentationStreamPos();
-        outs.reserve(p);
-        for (size_t r = 0; r < r_count; ++r) {
-            const size_t lo = p * r / r_count;
-            const size_t hi = p * (r + 1) / r_count;
-            arch::CrossbarEngine &e = *eng.replicas[r];
-            const arch::EngineStats before =
-                acc ? *acc : arch::EngineStats{};
-            std::vector<std::vector<double>> part;
-            if (eng.imageIds) {
-                part = e.mvmKeyed(q, lo, hi, keys.data(), acc, per_out,
-                                  &tp);
-            } else {
-                e.seekPresentationStream(base + lo);
-                part = e.mvmRange(q, lo, hi, acc, &tp);
-            }
-            if (eng.onPhase) {
-                PhaseSample ps;
-                ps.adcNs = acc->timeNs - before.timeNs;
-                ps.quantValues =
-                    (hi - lo) * static_cast<uint64_t>(rows);
-                ps.bitCycles = acc->bitCycles - before.bitCycles;
-                ps.skippedCycles =
-                    acc->skippedCycles - before.skippedCycles;
-                eng.onPhase(static_cast<int>(r), ps);
-            }
-            for (auto &v : part)
-                outs.push_back(std::move(v));
-        }
-        // Leave every replica at the stage's lifetime presentation
-        // count so the next micro-batch (and resetPresentationStreams)
-        // see the same stream position a single engine would. Keyed
-        // execution never reads the counters, so they stay untouched.
-        if (!eng.imageIds)
-            for (arch::CrossbarEngine *e : eng.replicas)
-                e->seekPresentationStream(base + p);
+        for (auto &v : part)
+            outs.push_back(std::move(v));
     }
 
     // Per-image fold: image i's accumulator merges its own
@@ -258,7 +211,7 @@ replicatedMvm(const StageEngines &eng,
     // sequence a single-image batch would have produced.
     if (eng.perImage)
         for (size_t j = 0; j < p; ++j)
-            eng.perImage[j / static_cast<size_t>(ppi)].merge(per[j]);
+            eng.perImage[j / u_ppi].merge(per[j]);
     return outs;
 }
 

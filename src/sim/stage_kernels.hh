@@ -2,16 +2,17 @@
  * @file
  * Shared per-stage execution kernels of the batched crossbar runtimes.
  *
- * Both executors — the sequential InferenceRuntime (sim/runtime.hh)
- * and the DAG GraphRuntime (sim/graph_runtime.hh) — stream a batch
- * through one programmed matrix stage the same way:
+ * Both graph executors — GraphRuntime (sim/graph_runtime.hh) and
+ * PipelineRuntime (sim/pipeline_runtime.hh), through the shared core
+ * in sim/graph_exec.hh — stream a batch through one programmed matrix
+ * stage the same way:
  *
- *     (im2col) -> quantize -> mvmBatch -> dequantize(+bias)
+ *     (im2col) -> quantize -> mvmKeyed -> dequantize(+bias)
  *
  * The kernels here carry the DESIGN.md §3 determinism contract: all
- * parallel loops write disjoint elements, the engine's presentation
- * stream supplies any per-presentation randomness, and per-batch
- * EngineStats come back merged in presentation order.
+ * parallel loops write disjoint elements, per-presentation randomness
+ * is keyed by each image's stream id (StageEngines::imageIds), and
+ * per-batch EngineStats come back merged in presentation order.
  */
 
 #ifndef FORMS_SIM_STAGE_KERNELS_HH
@@ -28,9 +29,8 @@ struct RuntimeReport;
 
 /**
  * How one programmed stage quantizes its input presentations — the
- * single place the arch::ScaleMode switch reaches the kernels. All
- * three executors resolve their mode/table into one of these per
- * stage, so the per-presentation scale assumption cannot fork again
+ * single place the arch::ScaleMode switch reaches the kernels. Both
+ * executors resolve their mode/table into one of these per stage, so the per-presentation scale assumption cannot fork again
  * between runtimes.
  */
 struct StageScale
@@ -114,19 +114,17 @@ struct PhaseSample
  * (so their programmed conductances are identical — device variation
  * draws from a stream seeded only by cfg.variationSeed).
  *
- * Replica r of R processes the contiguous, presentation-index-keyed
- * slice [floor(P*r/R), floor(P*(r+1)/R)) of each micro-batch's P
- * presentations. Before each slice runs, the replica's engine stream
- * is seek()ed to the slice's global presentation index, and replica
- * slices execute (and fold stats) in ascending replica order — so
- * outputs AND the per-presentation stat fold are bit-identical to one
- * engine processing the whole stream serially, for any replica count
- * (DESIGN.md §5). After the stage, every replica's stream is left at
- * the stage's lifetime presentation count, so resetting/replaying
- * behaves exactly like the single-engine case.
+ * Replica r of R processes the contiguous presentation-index slice
+ * [floor(P*r/R), floor(P*(r+1)/R)) of each micro-batch's P
+ * presentations, each presentation carrying its global stream key
+ * (see imageIds), and replica slices execute (and fold stats) in
+ * ascending replica order — so outputs AND the per-presentation stat
+ * fold are bit-identical to one engine processing the whole batch,
+ * for any replica count (DESIGN.md §5).
  *
- * Thread-safety: borrowed engines; one stage call at a time (streams
- * advance), work shards internally on the caller's pool.
+ * Thread-safety: the borrowed engines hold no presentation state;
+ * the caller owns the stat accumulators and scratch a stage call
+ * writes, and work shards internally on the caller's pool.
  */
 struct StageEngines
 {
@@ -142,23 +140,20 @@ struct StageEngines
     std::function<void(int, const PhaseSample &)> onPhase;
 
     /**
-     * Stable per-image presentation-stream ids, one per image of the
-     * incoming batch — or null for the engine-lifetime stream. When
-     * set, the stage's presentation j (image j/ppi, within-image
-     * index j%ppi, for ppi presentations per image — the conv im2col
-     * plane, 1 for dense) draws its RNG from stream key
-     * imageIds[j/ppi] * ppi + j%ppi and the engines' stream counters
-     * are untouched. Offline runtimes pass consecutive ids, making
-     * the keys equal the engine-lifetime indices bit for bit; the
-     * serving layer passes stable per-request ids, making a request's
-     * logits invariant to batch composition and arrival order
-     * (docs/SERVING.md).
+     * Stable per-image stream ids, one per image of the incoming batch
+     * (required). The stage's presentation j (image j/ppi,
+     * within-image index j%ppi, for ppi presentations per image — the
+     * conv im2col plane, 1 for dense) draws its RNG from stream key
+     * imageIds[j/ppi] * ppi + j%ppi. Offline runtimes pass consecutive
+     * ids from a per-runtime counter; the serving layer passes stable
+     * per-request ids, making a request's logits invariant to batch
+     * composition and arrival order (docs/SERVING.md).
      */
     const uint64_t *imageIds = nullptr;
 
     /**
-     * Optional per-image stat accumulators, parallel to imageIds
-     * (requires imageIds). Image i's accumulator folds only its own
+     * Optional per-image stat accumulators, parallel to imageIds.
+     * Image i's accumulator folds only its own
      * presentations, in within-image order from zero — bitwise what a
      * single-image run of the same stage would have accumulated. The
      * flat batch fold into the `stats` argument is unchanged.

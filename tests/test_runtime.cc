@@ -1,16 +1,16 @@
 /**
  * @file
- * Batched runtime tests: the determinism contract. mvmBatch across
+ * Batched engine tests: the determinism contract. mvmBatch across
  * N threads must be bit-identical (outputs AND merged stats) to a
- * serial mvm loop — including with ADC quantization, device variation
- * and transient read noise enabled — and a whole-network forward must
- * be bit-identical across thread counts.
+ * serial loop of mvm() calls keyed 0..n-1 — including with ADC
+ * quantization, device variation and transient read noise enabled —
+ * and, because the engine holds no presentation state, repeating a
+ * batch on one engine must reproduce it exactly. Whole-network
+ * forwards are covered by tests/test_graph_runtime.cc.
  */
 
 #include <gtest/gtest.h>
 
-#include "nn/dataset.hh"
-#include "nn/zoo.hh"
 #include "sim/activation_model.hh"
 #include "sim/runtime.hh"
 #include "stats_testutil.hh"
@@ -57,7 +57,10 @@ samplePresentations(size_t count, size_t rows, uint64_t seed)
     return batch;
 }
 
-/** Serial mvm loop vs mvmBatch on `threads` threads: bit-identical. */
+/**
+ * Serial mvm loop keyed 0..n-1 vs mvmBatch on `threads` threads:
+ * bit-identical.
+ */
 void
 checkBatchMatchesSerial(arch::EngineConfig ecfg, int threads)
 {
@@ -73,8 +76,9 @@ checkBatchMatchesSerial(arch::EngineConfig ecfg, int threads)
 
     arch::EngineStats serial_stats;
     std::vector<std::vector<double>> serial_out;
-    for (const auto &p : batch)
-        serial_out.push_back(serial_engine.mvm(p, &serial_stats));
+    for (size_t j = 0; j < batch.size(); ++j)
+        serial_out.push_back(
+            serial_engine.mvm(batch[j], &serial_stats, j));
 
     ThreadPool pool(threads);
     arch::EngineStats batch_stats;
@@ -117,7 +121,7 @@ TEST(MvmBatch, BitIdenticalToSerialWithDeviceVariation)
 TEST(MvmBatch, BitIdenticalToSerialWithReadNoise)
 {
     // Read noise is the per-presentation stochastic path: its streams
-    // are keyed by (seed, presentation index), not by thread.
+    // are keyed by (seed, presentation key), not by thread.
     arch::EngineConfig ecfg;
     ecfg.adcBits = 5;
     ecfg.cell.variationSigma = 0.1;
@@ -164,145 +168,28 @@ TEST(MvmBatch, ReadNoisePerturbsButPreservesDeterminism)
     EXPECT_NE(first, clean);    // the noise actually does something
 }
 
-TEST(InferenceRuntime, ForwardBitIdenticalAcrossThreadCounts)
+TEST(MvmBatch, RepeatedBatchOnOneNoisyEngineIsBitIdentical)
 {
-    Rng rng(31);
-    auto net = nn::buildTinyConvNet(rng, 4, 8, 1, 12);
-    auto states = sim::snapshotCompress(*net, 4, 8);
-    ASSERT_EQ(states.size(), 3u);   // conv1, conv2, fc
+    // The engine holds no presentation state: a second mvmBatch on the
+    // same engine draws the same keyed read-noise streams as the first.
+    static Tensor weight({16, 16, 3, 3}), grad({16, 16, 3, 3});
+    const arch::MappedLayer mapped =
+        buildMappedLayer(8, weight, grad, 13);
+    const auto batch = samplePresentations(9, 16 * 9, 10);
 
-    nn::DatasetConfig dcfg;
-    dcfg.classes = 4;
-    dcfg.channels = 1;
-    dcfg.height = 12;
-    dcfg.width = 12;
-    dcfg.trainPerClass = 2;
-    dcfg.testPerClass = 4;
-    dcfg.seed = 77;
-    nn::SyntheticImageDataset data(dcfg);
+    arch::EngineConfig noisy;
+    noisy.adcBits = 4;
+    noisy.cell.variationSigma = 0.1;
+    noisy.readNoiseSigma = 0.1;
+    arch::CrossbarEngine engine(mapped, noisy);
 
-    sim::RuntimeConfig rcfg;
-    rcfg.mapping.xbarRows = 16;
-    rcfg.mapping.xbarCols = 16;
-    rcfg.mapping.fragSize = 4;
-    rcfg.mapping.inputBits = 12;
-    rcfg.engine.adcBits = 3;
-    rcfg.engine.cell.variationSigma = 0.1;
-    rcfg.engine.readNoiseSigma = 0.02;
-
-    ThreadPool serial_pool(1), parallel_pool(4);
-
-    rcfg.pool = &serial_pool;
-    sim::InferenceRuntime serial_rt(*net, states, rcfg);
-    rcfg.pool = &parallel_pool;
-    sim::InferenceRuntime parallel_rt(*net, states, rcfg);
-
-    EXPECT_EQ(serial_rt.stages(), net->size());
-    EXPECT_EQ(serial_rt.programmedStages(), 3u);
-    EXPECT_GT(serial_rt.totalCrossbars(), 0);
-
-    sim::RuntimeReport serial_rep, parallel_rep;
-    const Tensor serial_logits =
-        serial_rt.forward(data.test().images, &serial_rep);
-    const Tensor parallel_logits =
-        parallel_rt.forward(data.test().images, &parallel_rep);
-
-    EXPECT_TRUE(serial_logits.equals(parallel_logits));
-
-    ASSERT_EQ(serial_rep.layers.size(), parallel_rep.layers.size());
-    for (size_t i = 0; i < serial_rep.layers.size(); ++i) {
-        expectStatsIdentical(serial_rep.layers[i].stats,
-                             parallel_rep.layers[i].stats);
-    }
-    EXPECT_EQ(serial_rep.presentations, parallel_rep.presentations);
-    EXPECT_GT(serial_rep.presentations, 64u);
-    EXPECT_GT(serial_rep.modelTimeNs(), 0.0);
-    EXPECT_GT(serial_rep.modelEnergyPj(), 0.0);
-}
-
-TEST(InferenceRuntime, ResetPresentationStreamsReproducesNoisyRuns)
-{
-    Rng rng(34);
-    auto net = nn::buildTinyConvNet(rng, 4, 8, 1, 12);
-    auto states = sim::snapshotCompress(*net, 4, 8);
-
-    sim::RuntimeConfig rcfg;
-    rcfg.mapping.xbarRows = 16;
-    rcfg.mapping.xbarCols = 16;
-    rcfg.mapping.fragSize = 4;
-    rcfg.mapping.inputBits = 12;
-    rcfg.engine.readNoiseSigma = 0.05;
-    sim::InferenceRuntime rt(*net, states, rcfg);
-
-    Tensor batch({2, 1, 12, 12});
-    batch.fillUniform(rng, 0.0f, 1.0f);
-
-    // With read noise, presentation indices continue across calls, so
-    // a repeat differs — until the streams are reset.
-    const Tensor first = rt.forward(batch);
-    const Tensor drifted = rt.forward(batch);
-    EXPECT_FALSE(first.equals(drifted));
-    rt.resetPresentationStreams();
-    const Tensor replay = rt.forward(batch);
-    EXPECT_TRUE(first.equals(replay));
-}
-
-TEST(InferenceRuntime, ReportAccumulatesAcrossForwards)
-{
-    Rng rng(33);
-    auto net = nn::buildTinyConvNet(rng, 4, 8, 1, 12);
-    auto states = sim::snapshotCompress(*net, 4, 8);
-
-    sim::RuntimeConfig rcfg;
-    rcfg.mapping.xbarRows = 16;
-    rcfg.mapping.xbarCols = 16;
-    rcfg.mapping.fragSize = 4;
-    rcfg.mapping.inputBits = 12;
-    sim::InferenceRuntime rt(*net, states, rcfg);
-
-    Tensor batch({2, 1, 12, 12});
-    batch.fillUniform(rng, 0.0f, 1.0f);
-
-    // One report over two minibatches: per-layer rows merge in place
-    // instead of duplicating, and the counters accumulate.
-    sim::RuntimeReport rep;
-    rt.forward(batch, &rep);
-    const size_t rows = rep.layers.size();
-    const uint64_t pres = rep.presentations;
-    const uint64_t first_layer_pres = rep.layers[0].stats.presentations;
-    rt.forward(batch, &rep);
-    EXPECT_EQ(rep.layers.size(), rows);
-    EXPECT_EQ(rep.presentations, 2 * pres);
-    EXPECT_EQ(rep.layers[0].stats.presentations, 2 * first_layer_pres);
-}
-
-TEST(InferenceRuntime, AccuracyRunsAndIsBounded)
-{
-    Rng rng(32);
-    auto net = nn::buildTinyConvNet(rng, 4, 8, 1, 12);
-    auto states = sim::snapshotCompress(*net, 4, 8);
-
-    nn::DatasetConfig dcfg;
-    dcfg.classes = 4;
-    dcfg.channels = 1;
-    dcfg.height = 12;
-    dcfg.width = 12;
-    dcfg.trainPerClass = 2;
-    dcfg.testPerClass = 3;
-    dcfg.seed = 78;
-    nn::SyntheticImageDataset data(dcfg);
-
-    sim::RuntimeConfig rcfg;
-    rcfg.mapping.xbarRows = 16;
-    rcfg.mapping.xbarCols = 16;
-    rcfg.mapping.fragSize = 4;
-    rcfg.mapping.inputBits = 12;
-
-    sim::InferenceRuntime rt(*net, states, rcfg);
-    const double acc =
-        rt.accuracy(data.test().images, data.test().labels);
-    EXPECT_GE(acc, 0.0);
-    EXPECT_LE(acc, 1.0);
+    ThreadPool pool(3);
+    arch::EngineStats first_stats, second_stats;
+    const auto first = engine.mvmBatch(batch, &first_stats, &pool);
+    const auto second = engine.mvmBatch(batch, &second_stats, &pool);
+    EXPECT_EQ(first, second);
+    expectStatsIdentical(first_stats, second_stats);
+    EXPECT_EQ(first_stats.presentations, batch.size());
 }
 
 } // namespace

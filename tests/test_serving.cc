@@ -259,7 +259,7 @@ TEST(Serving, OfflineForwardUnchangedByKeyedStreams)
     // forward() keys streams by consecutive runtime-lifetime ids —
     // which must replay exactly after resetPresentationStreams(),
     // and two consecutive single-image forwards must equal one
-    // two-image forward (the legacy engine-lifetime stream behavior).
+    // two-image forward (ids continue across forward() calls).
     TinyModel m;
     ThreadPool pool(2);
     sim::RuntimeConfig cfg = noisyCfg(&pool);

@@ -17,11 +17,13 @@
 #include <atomic>
 #include <cstring>
 #include <set>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "compile/passes.hh"
 #include "nn/layers.hh"
+#include "obs/metrics.hh"
 #include "serve/backends.hh"
 #include "serve/server.hh"
 #include "sim/graph_runtime.hh"
@@ -270,6 +272,80 @@ TEST(ServingStress, RequeueBudgetExhaustionIsTypedNotSilent)
         EXPECT_EQ(r.requeues, sc.maxRequeues);
     }
     EXPECT_EQ(backend.served.load(), 0u);
+}
+
+/**
+ * Throws a plain std::runtime_error (not ChipFailure) on its first
+ * batch, remembering that batch's ids, then echoes.
+ */
+class ThrowOnceBackend : public EchoBackend
+{
+  public:
+    std::set<uint64_t> failedIds;   // written by the batcher only
+
+    Tensor run(const Tensor &batch, const uint64_t *ids,
+               std::vector<sim::RuntimeReport> &per) override
+    {
+        if (!thrown_.exchange(true)) {
+            for (int64_t i = 0; i < batch.dim(0); ++i)
+                failedIds.insert(ids[static_cast<size_t>(i)]);
+            throw std::runtime_error("simulated backend fault");
+        }
+        return EchoBackend::run(batch, ids, per);
+    }
+
+  private:
+    std::atomic<bool> thrown_{false};
+};
+
+TEST(ServingStress, BackendErrorFailsOnlyItsBatchAndServingContinues)
+{
+    // A non-ChipFailure exception must not escape the batcher thread:
+    // the batch it hit resolves with the typed Status::BackendError,
+    // and requests submitted afterwards are still served Ok.
+    ThrowOnceBackend backend;
+    obs::MetricsRegistry metrics;
+    serve::ServerConfig sc;
+    sc.maxBatch = 3;
+    sc.maxDelayUs = 2000000;   // flush on a full batch
+    sc.metrics = &metrics;
+    serve::Server server(backend, sc);
+
+    std::vector<std::future<serve::Response>> first;
+    for (uint64_t id = 0; id < 3; ++id)
+        first.push_back(server.submit(Tensor({2}, 0.0f), id));
+    std::vector<serve::Response> first_rs;
+    for (auto &f : first)
+        first_rs.push_back(f.get());
+
+    // Every future is resolved, so the batcher has finished writing
+    // failedIds.
+    ASSERT_FALSE(backend.failedIds.empty());
+    for (const serve::Response &r : first_rs) {
+        if (backend.failedIds.count(r.requestId)) {
+            EXPECT_EQ(r.status, serve::Status::BackendError)
+                << "id " << r.requestId;
+            EXPECT_EQ(r.logits.numel(), 0);
+        } else {
+            EXPECT_EQ(r.status, serve::Status::Ok) << "id " << r.requestId;
+        }
+    }
+
+    std::vector<std::future<serve::Response>> later;
+    for (uint64_t id = 10; id < 13; ++id)
+        later.push_back(server.submit(Tensor({2}, 0.0f), id));
+    for (uint64_t i = 0; i < later.size(); ++i) {
+        serve::Response r = later[i].get();
+        ASSERT_EQ(r.status, serve::Status::Ok) << "id " << 10 + i;
+        EXPECT_EQ(r.logits.data()[0], static_cast<float>(10 + i));
+    }
+    server.shutdown();
+
+    uint64_t backend_errors = 0;
+    for (const auto &[name, v] : metrics.snapshot().counters)
+        if (name == "serve.backend_errors")
+            backend_errors = v;
+    EXPECT_EQ(backend_errors, 1u);
 }
 
 /** Small compiled conv net shared by the failover fleet tests. */
