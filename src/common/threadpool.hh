@@ -95,7 +95,7 @@ class ThreadPool
 
 /**
  * RAII override of the pool that free parallelFor() calls dispatch to
- * on the current thread. Lets a subsystem (e.g. GraphRuntime) route
+ * on the current thread. Lets a subsystem (e.g. PipelineRuntime) route
  * the shared tensor kernels through its own pool for the scope
  * of an operation. Nestable; restores the previous pool on exit.
  */

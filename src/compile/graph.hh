@@ -8,7 +8,7 @@
  * inside composite layers. Matrix nodes (Conv/Dense) and BatchNorm
  * nodes borrow their parameters from the backing nn::Network, which
  * must outlive the graph — compiler passes (compile/passes.hh) mutate
- * those parameters in place, and the executor (sim/graph_runtime.hh)
+ * those parameters in place, and the executor (sim/pipeline_runtime.hh)
  * maps them onto crossbars.
  *
  * Thread-safety: a Graph has no internal synchronization. Build and

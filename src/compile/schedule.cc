@@ -172,23 +172,13 @@ Schedule::partition(const Graph &g, const ScheduleConfig &cfg)
     const int chips = std::min(
         requested, n + eligible * (max_width - 1));
 
-    // Resolve per-chip cost vectors: explicit cfg.chipSpecs wins,
-    // then the legacy scalar capacity vector, then a homogeneous
-    // fleet. The DP only sees the model-dependent *effective*
-    // capacity — compute throughput for Macs, throughput x ADC rate
-    // for the ADC-latency models — and the inverse link weight.
+    // Resolve per-chip cost vectors: explicit cfg.chipSpecs, else a
+    // homogeneous fleet. The DP only sees the model-dependent
+    // *effective* capacity — compute throughput for Macs, throughput
+    // x ADC rate for the ADC-latency models — and the inverse link
+    // weight.
     std::vector<ChipSpec> specs = cfg.chipSpecs;
-    if (specs.empty()) {
-        if (!cfg.capacity.empty() &&
-            static_cast<int>(cfg.capacity.size()) != cfg.chips) {
-            fatal("partition: capacity vector has %zu entries for %d "
-                  "chips", cfg.capacity.size(), cfg.chips);
-        }
-        specs.assign(static_cast<size_t>(chips), ChipSpec{});
-        for (size_t s = 0;
-             s < cfg.capacity.size() && s < specs.size(); ++s)
-            specs[s].capacity = cfg.capacity[s];
-    } else if (static_cast<int>(specs.size()) != cfg.chips) {
+    if (!specs.empty() && static_cast<int>(specs.size()) != cfg.chips) {
         fatal("partition: chipSpecs vector has %zu entries for %d "
               "chips", specs.size(), cfg.chips);
     }
@@ -419,6 +409,35 @@ Schedule::partition(const Graph &g, const ScheduleConfig &cfg)
             }
         }
     }
+    return sched;
+}
+
+Schedule
+Schedule::singleChip(const Graph &g)
+{
+    const std::vector<int> topo = g.topoOrder();
+    FORMS_ASSERT(!topo.empty(), "singleChip: empty graph");
+    bool shaped = true;
+    for (int id : topo)
+        shaped = shaped && !g.node(id).outShape.empty();
+    double work = 0.0;
+    if (shaped) {
+        for (int id : topo)
+            work += nodeWork(g.node(id));
+    }
+
+    Schedule sched;
+    sched.chips_ = 1;
+    sched.chipSpecs_.assign(1, ChipSpec{});
+    sched.stageOf_.assign(static_cast<size_t>(g.capacity()), -1);
+    for (int id : topo)
+        sched.stageOf_[static_cast<size_t>(id)] = 0;
+    sched.stageNodes_ = {topo};
+    sched.chipNodes_ = {topo};
+    sched.stageFirstChip_ = {0};
+    sched.stageWidth_ = {1};
+    sched.work_ = {work};
+    sched.chipWork_ = {work};
     return sched;
 }
 

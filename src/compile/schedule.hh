@@ -135,22 +135,12 @@ struct ScheduleConfig
     int chips = 1;
 
     /**
-     * Relative compute capacity per chip (empty = all equal). The
-     * balance objective divides each chip's work by its capacity, so
-     * a chip with capacity 2.0 is assigned roughly twice the work.
-     * When non-empty it must have exactly `chips` positive entries
-     * (partition() fatal()s otherwise); if the chip count is clamped
-     * to a smaller live node count, trailing entries are ignored.
-     */
-    std::vector<double> capacity;
-
-    /**
      * Heterogeneous per-chip cost vectors (empty = homogeneous fleet).
-     * Takes precedence over the legacy `capacity` vector when both
-     * are set; must have exactly `chips` entries otherwise
-     * (partition() fatal()s). An all-default vector reproduces the
-     * homogeneous partitions bit-for-bit (tests/test_schedule.cc pins
-     * this).
+     * When non-empty it must have exactly `chips` entries
+     * (partition() fatal()s otherwise); if the chip count is clamped
+     * to a smaller live node count, trailing entries are ignored. An
+     * all-default vector reproduces the homogeneous partitions
+     * bit-for-bit (tests/test_schedule.cc pins this).
      */
     std::vector<ChipSpec> chipSpecs;
 
@@ -212,9 +202,18 @@ class Schedule
     /**
      * Partition `g` into pipeline stages over cfg.chips chips (see
      * file header for the objective). Requires inferShapes() to have
-     * run; fatal()s on empty shapes or a malformed capacity vector.
+     * run; fatal()s on empty shapes or a malformed chipSpecs vector.
      */
     static Schedule partition(const Graph &g, const ScheduleConfig &cfg);
+
+    /**
+     * The one-stage, one-chip schedule of `g`: every live node on
+     * chip 0, no transfers, a default ChipSpec. Equal to partition()
+     * with chips = 1, but does not need inferShapes(): the Macs stage
+     * work is summed only when every shape is known, and is 0
+     * otherwise.
+     */
+    static Schedule singleChip(const Graph &g);
 
     /** Number of chips actually used (<= cfg.chips). */
     int chips() const { return chips_; }
@@ -280,9 +279,8 @@ class Schedule
 
     /**
      * Resolved per-chip cost vectors, one per used chip: the
-     * validated cfg.chipSpecs, or specs synthesized from the legacy
-     * capacity vector (defaults elsewhere). The pipeline runtime
-     * scales its per-chip timing by these.
+     * validated cfg.chipSpecs, or defaults for a homogeneous fleet.
+     * The pipeline runtime scales its per-chip timing by these.
      */
     const std::vector<ChipSpec> &chipSpecs() const { return chipSpecs_; }
 

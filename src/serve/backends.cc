@@ -3,14 +3,6 @@
 namespace forms::serve {
 
 Tensor
-GraphBackend::run(const Tensor &batch, const uint64_t *ids,
-                  std::vector<sim::RuntimeReport> &per_request)
-{
-    per_request.clear();
-    return rt_.forwardRequests(batch, ids, &per_request);
-}
-
-Tensor
 PipelineBackend::run(const Tensor &batch, const uint64_t *ids,
                      std::vector<sim::RuntimeReport> &per_request)
 {
@@ -36,19 +28,16 @@ void
 FailoverBackend::rebuild()
 {
     // Surviving cost vectors follow the surviving chips: kill chip k
-    // and its ChipSpec / capacity entry disappears with it.
+    // and its ChipSpec disappears with it.
     int n_alive = 0;
     compile::ScheduleConfig scfg = sched_;
     scfg.chipSpecs.clear();
-    scfg.capacity.clear();
     for (size_t c = 0; c < alive_.size(); ++c) {
         if (!alive_[c])
             continue;
         ++n_alive;
         if (!sched_.chipSpecs.empty())
             scfg.chipSpecs.push_back(sched_.chipSpecs[c]);
-        if (sched_.chipSpecs.empty() && !sched_.capacity.empty())
-            scfg.capacity.push_back(sched_.capacity[c]);
     }
     if (n_alive == 0) {
         rt_.reset();

@@ -1,14 +1,14 @@
 /**
  * @file
- * serve::Backend adapters over the offline executors.
+ * serve::Backend adapters over sim::PipelineRuntime.
  *
- * Both adapters borrow a constructed runtime and forward coalesced
- * micro-batches through its request-keyed entry point
- * (forwardRequests), which keys every per-presentation RNG stream by
- * the stable request id — the mechanism behind the serving
- * determinism contract (docs/SERVING.md). They are called only from
- * the server's single batcher thread, matching the runtimes'
- * one-forward-at-a-time requirement.
+ * Both adapters forward coalesced micro-batches through the runtime's
+ * request-keyed entry point (forwardRequests), which keys every
+ * per-presentation RNG stream by the stable request id — the
+ * mechanism behind the serving determinism contract
+ * (docs/SERVING.md). They are called only from the server's single
+ * batcher thread, matching the runtime's one-forward-at-a-time
+ * requirement.
  */
 
 #ifndef FORMS_SERVE_BACKENDS_HH
@@ -19,25 +19,11 @@
 #include <vector>
 
 #include "serve/server.hh"
-#include "sim/graph_runtime.hh"
 #include "sim/pipeline_runtime.hh"
 
 namespace forms::serve {
 
-/** Serves batches on a single-chip sim::GraphRuntime. */
-class GraphBackend : public Backend
-{
-  public:
-    explicit GraphBackend(sim::GraphRuntime &rt) : rt_(rt) {}
-
-    Tensor run(const Tensor &batch, const uint64_t *ids,
-               std::vector<sim::RuntimeReport> &per_request) override;
-
-  private:
-    sim::GraphRuntime &rt_;
-};
-
-/** Serves batches on a multi-chip sim::PipelineRuntime. */
+/** Serves batches on a borrowed sim::PipelineRuntime (any schedule). */
 class PipelineBackend : public Backend
 {
   public:
@@ -49,6 +35,9 @@ class PipelineBackend : public Backend
   private:
     sim::PipelineRuntime &rt_;
 };
+
+/** For benchmark/ only, whose sources name the former backend. */
+using GraphBackend = PipelineBackend;
 
 /**
  * Chip-failure-tolerant pipeline backend: owns its PipelineRuntime
@@ -69,9 +58,8 @@ class PipelineBackend : public Backend
  * server then drains each request's retry budget and resolves it with
  * Status::Requeued.
  *
- * Heterogeneous fleets: a killed chip's ChipSpec (or legacy capacity
- * entry) leaves with it — the surviving fleet re-partitions under the
- * surviving cost vectors.
+ * Heterogeneous fleets: a killed chip's ChipSpec leaves with it — the
+ * surviving fleet re-partitions under the surviving cost vectors.
  */
 class FailoverBackend : public Backend
 {

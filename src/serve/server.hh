@@ -8,8 +8,8 @@
  * deadline — a batch flushes when it reaches ServerConfig::maxBatch
  * images or when the oldest queued request has waited
  * ServerConfig::maxDelayUs, whichever comes first — and runs each
- * batch on a serve::Backend (a GraphRuntime or PipelineRuntime
- * adapter, serve/backends.hh). Each request's result comes back
+ * batch on a serve::Backend (a sim::PipelineRuntime adapter,
+ * serve/backends.hh). Each request's result comes back
  * through the std::future returned by submit().
  *
  * Determinism contract (docs/SERVING.md): a request's logits and
@@ -17,7 +17,7 @@
  * programmed network) — NOT on which batch the request lands in, what
  * else is in that batch, or the order requests arrived. The backend
  * keys every per-presentation RNG stream by the stable request id
- * (sim::GraphRuntime::forwardRequests), so dynamically batched
+ * (sim::PipelineRuntime::forwardRequests), so dynamically batched
  * results are bit-identical to a single-request run with the same id.
  *
  * Admission control: the pending queue is bounded by

@@ -31,7 +31,7 @@ Calibrator::Calibrator(const compile::Graph &graph,
     rcfg.scaleMode = arch::ScaleMode::PerPresentation;
     rcfg.calibration = nullptr;
     rcfg.recorder = &recorder_;
-    runtime_ = std::make_unique<GraphRuntime>(graph, layers, rcfg);
+    runtime_ = std::make_unique<PipelineRuntime>(graph, layers, rcfg);
 }
 
 Calibrator::~Calibrator() = default;

@@ -32,7 +32,7 @@
  *     auto table = cal.table();
  *     table.attachTo(graph);                 // or rcfg.calibration = &table
  *     rcfg.scaleMode = arch::ScaleMode::Static;
- *     sim::GraphRuntime rt(graph, states, rcfg);
+ *     sim::PipelineRuntime rt(graph, states, rcfg);
  */
 
 #ifndef FORMS_SIM_CALIBRATOR_HH
@@ -41,7 +41,7 @@
 #include <memory>
 
 #include "compile/calibration.hh"
-#include "sim/graph_runtime.hh"
+#include "sim/pipeline_runtime.hh"
 
 namespace forms::sim {
 
@@ -71,7 +71,7 @@ struct CalibratorConfig
  * Runs calibration batches through a compiled graph and reduces the
  * observed per-node input ranges into a CalibrationTable.
  *
- * Borrows the graph and layer states (like GraphRuntime — both must
+ * Borrows the graph and layer states (like PipelineRuntime — both must
  * outlive the calibrator); owns its observation buffers and internal
  * runtime. One observe() call at a time.
  */
@@ -80,7 +80,7 @@ class Calibrator
   public:
     /**
      * @param graph compiled (and BN-folded) DAG to calibrate
-     * @param layers per-layer compression state, as for GraphRuntime
+     * @param layers per-layer compression state, as for PipelineRuntime
      * @param rcfg the deployment runtime config: calibration observes
      *        through the same engines/geometry it will deploy on
      *        (scaleMode/recorder fields are overridden internally)
@@ -111,7 +111,7 @@ class Calibrator
     CalibratorConfig ccfg_;
     int inputBits_;
     RangeRecorder recorder_;
-    std::unique_ptr<GraphRuntime> runtime_;
+    std::unique_ptr<PipelineRuntime> runtime_;
     int64_t images_ = 0;
 };
 

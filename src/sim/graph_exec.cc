@@ -55,7 +55,7 @@ buildNodeExecs(const compile::Graph &g, const std::vector<int> &topo,
                std::vector<admm::LayerState> &layers,
                const RuntimeConfig &cfg,
                std::vector<arch::EnginePool> &pools,
-               const std::function<std::vector<int>(int)> &chips_of)
+               const compile::Schedule &sched)
 {
     FORMS_TRACE_SCOPE("sim::buildNodeExecs");
     std::vector<NodeExec> execs;
@@ -67,17 +67,16 @@ buildNodeExecs(const compile::Graph &g, const std::vector<int> &topo,
         e.nodeId = id;
         e.name = n.name;
         e.inputs = n.inputs;
-        e.replicaChips = chips_of(id);
-        FORMS_ASSERT(!e.replicaChips.empty(),
-                     "graph exec: node hosted by no chip");
-        for (int chip : e.replicaChips) {
-            FORMS_ASSERT(chip >= 0 &&
-                             static_cast<size_t>(chip) < pools.size(),
-                         "graph exec: node assigned outside the chip "
-                         "pools — was the schedule built from this "
-                         "graph?");
-        }
-        e.chip = e.replicaChips.front();
+        // Every chip of the node's stage hosts it: one chip for
+        // ordinary stages, R consecutive chips for a replicated stage
+        // (which holds exactly one matrix node).
+        const int s = sched.stageOf(id);
+        FORMS_ASSERT(s >= 0, "graph exec: node %d missing from the "
+                             "schedule — was it built from this graph?",
+                     id);
+        e.chip = sched.stageFirstChip(s);
+        for (int c = 0; c < sched.stageWidth(s); ++c)
+            e.replicaChips.push_back(e.chip + c);
 
         switch (n.op) {
         case compile::Op::Conv: {
@@ -266,7 +265,7 @@ runGraph(const compile::Graph &g, std::vector<NodeExec> &execs,
 
 void
 recordNodeRows(const std::vector<NodeExec> &execs,
-               const std::vector<arch::EngineStats> &stats,
+               const arch::EngineStats *stats, int64_t stride,
                RuntimeReport &report)
 {
     size_t programmed_idx = 0;
@@ -274,32 +273,11 @@ recordNodeRows(const std::vector<NodeExec> &execs,
         const NodeExec &e = execs[idx];
         if (!e.engine)
             continue;
-        recordLayer(report, programmed_idx, e.name, stats[idx],
-                    e.mapped->numCrossbars(), stats[idx].presentations);
+        const arch::EngineStats &s =
+            stats[static_cast<int64_t>(idx) * stride];
+        recordLayer(report, programmed_idx, e.name, s,
+                    e.mapped->numCrossbars(), s.presentations);
         ++programmed_idx;
-    }
-}
-
-void
-recordPerImageRows(const std::vector<NodeExec> &execs,
-                   const arch::EngineStats *per_image, int64_t stride,
-                   int64_t images, std::vector<RuntimeReport> &reports)
-{
-    if (reports.size() < static_cast<size_t>(images))
-        reports.resize(static_cast<size_t>(images));
-    for (int64_t i = 0; i < images; ++i) {
-        size_t programmed_idx = 0;
-        for (size_t idx = 0; idx < execs.size(); ++idx) {
-            const NodeExec &e = execs[idx];
-            if (!e.engine)
-                continue;
-            const arch::EngineStats &s =
-                per_image[static_cast<int64_t>(idx) * stride + i];
-            recordLayer(reports[static_cast<size_t>(i)], programmed_idx,
-                        e.name, s, e.mapped->numCrossbars(),
-                        s.presentations);
-            ++programmed_idx;
-        }
     }
 }
 

@@ -1,15 +1,16 @@
 /**
  * @file
- * Shared DAG-execution core of the graph-based runtimes.
+ * DAG-execution core of sim::PipelineRuntime.
  *
- * GraphRuntime (one engine set) and PipelineRuntime (per-chip engine
- * pools) execute a compiled graph identically — the pipeline only
- * adds a partition and a timing model on top. Both build their node
- * list with buildNodeExecs() and stream batches with runGraph(), so
- * the op dispatch, the refcounted buffer walk and the Add-join
- * accumulation order live in exactly one place and the two runtimes
- * cannot drift apart numerically (their bit-identity is asserted by
- * tests/test_pipeline_runtime.cc and bench_fig15_multichip).
+ * buildNodeExecs() programs every node of a compiled graph into the
+ * engine pools of the chips a compile::Schedule assigns it, and
+ * runGraph() streams one (micro-)batch through the DAG: the op
+ * dispatch, the refcounted buffer walk and the Add-join accumulation
+ * order live here, apart from the pipeline's partition and timing
+ * model. Because every micro-batch of every schedule takes this one
+ * walk, the single-chip whole-batch run and any multi-chip pipeline
+ * are bit-identical (tests/test_pipeline_runtime.cc,
+ * bench_fig15_multichip).
  *
  * Thread-safety: buildNodeExecs() and runGraph() must be called from
  * one thread per exec list (each NodeExec carries its conv im2col
@@ -25,7 +26,7 @@
 
 #include "arch/chip.hh"
 #include "arch/remap.hh"
-#include "compile/graph.hh"
+#include "compile/schedule.hh"
 #include "sim/runtime.hh"
 #include "sim/stage_kernels.hh"
 
@@ -40,7 +41,7 @@ struct NodeExec
 {
     compile::Op op = compile::Op::Input;
     int nodeId = -1;
-    int chip = 0;              //!< primary chip (0 for single-chip runtimes)
+    int chip = 0;              //!< primary chip (first of its stage)
     std::string name;
     std::vector<int> inputs;   //!< producer node ids
 
@@ -84,9 +85,11 @@ using PhaseSink =
 
 /**
  * Build the executable form of every node in `topo`: map and program
- * matrix nodes into the pools of every chip chips_of(id) names
- * (device variation draws at program time from a stream seeded only
- * by the engine config, so replicas program identical conductances),
+ * matrix nodes into the pools of every chip of the node's `sched`
+ * stage — one chip for ordinary stages, R consecutive chips for a
+ * replicated stage, primary first (device variation draws at program
+ * time from a stream seeded only by the engine config, so replicas
+ * program identical conductances),
  * snapshot eval-mode BN affines, copy conv/pool geometry and the
  * digital output stage, and resolve each matrix node's
  * input-quantization scale (in arch::ScaleMode::Static, from
@@ -95,17 +98,15 @@ using PhaseSink =
  *
  * @param layers per-layer compression state, matched to matrix nodes
  *        by weight-tensor identity; fatal()s when a node has none
- * @param chips_of node id -> hosting chip indices in
- *        [0, pools.size()), primary first; single-chip runtimes
- *        return {0}, the pipeline runtime returns the node's stage
- *        chips (several for a replicated stage)
+ * @param sched stage partition of `g`; `pools` holds one pool per
+ *        sched.chips()
  */
 std::vector<NodeExec>
 buildNodeExecs(const compile::Graph &g, const std::vector<int> &topo,
                std::vector<admm::LayerState> &layers,
                const RuntimeConfig &cfg,
                std::vector<arch::EnginePool> &pools,
-               const std::function<std::vector<int>(int)> &chips_of);
+               const compile::Schedule &sched);
 
 /**
  * Stream one NCHW batch through the DAG in `execs` order (a
@@ -123,8 +124,8 @@ buildNodeExecs(const compile::Graph &g, const std::vector<int> &topo,
  *        PhaseSink
  * @param image_ids stable per-image stream ids, one per batch image
  *        (required): every programmed node keys its per-presentation
- *        RNG streams by image id (sim::StageEngines::imageIds). The
- *        offline runtimes pass consecutive ids from a per-runtime
+ *        RNG streams by image id (sim::StageEngines::imageIds).
+ *        Offline forwards pass consecutive ids from a per-runtime
  *        counter; the serving layer passes per-request ids, which
  *        makes serving batch-invariant.
  * @param per_image optional per-(exec, image) stats accumulators:
@@ -145,28 +146,17 @@ Tensor runGraph(const compile::Graph &g, std::vector<NodeExec> &execs,
                 int64_t per_image_stride = 0);
 
 /**
- * Merge every programmed exec's accumulated stats into `report` rows
- * (one row per programmed node, topological order) — the row
- * semantics both graph runtimes expose, kept in one place so their
- * reports stay interchangeable.
+ * Merge every programmed exec's stats into `report` rows (one row per
+ * programmed node, topological order; existing rows merge, as
+ * recordLayer does). Exec `idx`'s stats are stats[idx * stride]:
+ * stride 1 reads a flat per-exec accumulator vector, and stride
+ * `images` at offset i reads image i of runGraph's `per_image`
+ * channel — bitwise-identical to a single-image forward's rows under
+ * the same stream ids.
  */
 void recordNodeRows(const std::vector<NodeExec> &execs,
-                    const std::vector<arch::EngineStats> &stats,
+                    const arch::EngineStats *stats, int64_t stride,
                     RuntimeReport &report);
-
-/**
- * Expand per-(exec, image) accumulators (runGraph's `per_image`
- * channel, laid out [idx * stride + i]) into one RuntimeReport per
- * image: image i's rows carry the same names, order and crossbar
- * counts as recordNodeRows, with stats covering only that image's
- * presentations — bitwise-identical to the report of a single-image
- * forward under the same stream ids. `reports` is resized to
- * `images`; existing rows merge (recordLayer semantics).
- */
-void recordPerImageRows(const std::vector<NodeExec> &execs,
-                        const arch::EngineStats *per_image,
-                        int64_t stride, int64_t images,
-                        std::vector<RuntimeReport> &reports);
 
 } // namespace forms::sim
 

@@ -3,27 +3,10 @@
 namespace forms::sim {
 
 void
-recordEngineMetrics(obs::MetricsRegistry &m, const arch::EngineStats &s,
-                    const std::string &prefix)
-{
-    m.counterAdd(prefix + ".presentations", s.presentations);
-    m.counterAdd(prefix + ".bit_cycles", s.bitCycles);
-    m.counterAdd(prefix + ".skipped_cycles", s.skippedCycles);
-    m.counterAdd(prefix + ".adc_samples", s.adcSamples);
-    m.counterAdd(prefix + ".quant_values", s.quantValues);
-    m.counterAdd(prefix + ".quant_clipped", s.quantClipped);
-    m.gaugeSet(prefix + ".skip_fraction", s.skipFraction());
-    m.gaugeSet(prefix + ".clip_fraction", s.clipFraction());
-    m.gaugeSet(prefix + ".adc_energy_pj", s.adcEnergyPj);
-    m.gaugeSet(prefix + ".crossbar_energy_pj", s.crossbarEnergyPj);
-    m.gaugeSet(prefix + ".time_ns", s.timeNs);
-}
-
-void
-recordRuntimeMetrics(obs::MetricsRegistry &m, const RuntimeReport &r)
+recordPipelineMetrics(obs::MetricsRegistry &m, const PipelineReport &r)
 {
     arch::EngineStats total;
-    for (const RuntimeLayerReport &layer : r.layers) {
+    for (const RuntimeLayerReport &layer : r.nodes.layers) {
         total.merge(layer.stats);
         m.histObserve("layer.time_ns", layer.stats.timeNs);
         m.histObserve("layer.skip_fraction",
@@ -31,16 +14,20 @@ recordRuntimeMetrics(obs::MetricsRegistry &m, const RuntimeReport &r)
         m.histObserve("layer.clip_fraction",
                       layer.stats.clipFraction());
     }
-    recordEngineMetrics(m, total);
-    m.gaugeSet("model.time_ns", r.modelTimeNs());
-    m.gaugeSet("model.energy_pj", r.modelEnergyPj());
-    m.gaugeSet("host.wall_ms", r.wallMs);
-}
-
-void
-recordPipelineMetrics(obs::MetricsRegistry &m, const PipelineReport &r)
-{
-    recordRuntimeMetrics(m, r.nodes);
+    m.counterAdd("engine.presentations", total.presentations);
+    m.counterAdd("engine.bit_cycles", total.bitCycles);
+    m.counterAdd("engine.skipped_cycles", total.skippedCycles);
+    m.counterAdd("engine.adc_samples", total.adcSamples);
+    m.counterAdd("engine.quant_values", total.quantValues);
+    m.counterAdd("engine.quant_clipped", total.quantClipped);
+    m.gaugeSet("engine.skip_fraction", total.skipFraction());
+    m.gaugeSet("engine.clip_fraction", total.clipFraction());
+    m.gaugeSet("engine.adc_energy_pj", total.adcEnergyPj);
+    m.gaugeSet("engine.crossbar_energy_pj", total.crossbarEnergyPj);
+    m.gaugeSet("engine.time_ns", total.timeNs);
+    m.gaugeSet("model.time_ns", r.nodes.modelTimeNs());
+    m.gaugeSet("model.energy_pj", r.nodes.modelEnergyPj());
+    m.gaugeSet("host.wall_ms", r.nodes.wallMs);
     m.gaugeSet("pipeline.chips", static_cast<double>(r.chips.size()));
     m.gaugeSet("pipeline.stages", static_cast<double>(r.stages));
     m.gaugeSet("pipeline.micro_batches",

@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <cstring>
+#include <limits>
 
 #include "obs/trace.hh"
 #include "sim/obs_glue.hh"
@@ -16,21 +17,16 @@ PipelineRuntime::PipelineRuntime(const compile::Graph &graph,
     : graph_(graph), sched_(std::move(sched)), topo_(graph.topoOrder()),
       pools_(static_cast<size_t>(sched_.chips())), cfg_(cfg)
 {
-    execs_ = buildNodeExecs(
-        graph_, topo_, layers, cfg_.runtime, pools_, [this](int id) {
-            // Every chip of the node's stage hosts it: one chip for
-            // ordinary stages, R consecutive chips for a replicated
-            // stage (which holds exactly one matrix node).
-            const int s = sched_.stageOf(id);
-            FORMS_ASSERT(s >= 0, "pipeline: node %d missing from the "
-                                 "schedule — was it built from this "
-                                 "graph?", id);
-            std::vector<int> chips;
-            const int first = sched_.stageFirstChip(s);
-            for (int c = 0; c < sched_.stageWidth(s); ++c)
-                chips.push_back(first + c);
-            return chips;
-        });
+    execs_ = buildNodeExecs(graph_, topo_, layers, cfg_.runtime, pools_,
+                            sched_);
+}
+
+PipelineRuntime::PipelineRuntime(const compile::Graph &graph,
+                                 std::vector<admm::LayerState> &layers,
+                                 RuntimeConfig cfg)
+    : PipelineRuntime(graph, compile::Schedule::singleChip(graph), layers,
+                      {cfg, std::numeric_limits<int>::max(), {}, {}, nullptr})
+{
 }
 
 PipelineRuntime::~PipelineRuntime() = default;
@@ -50,27 +46,55 @@ PipelineRuntime::totalCrossbars() const
     return n;
 }
 
+std::vector<GraphNodeAlloc>
+PipelineRuntime::allocation() const
+{
+    std::vector<GraphNodeAlloc> out;
+    for (const NodeExec &e : execs_) {
+        if (!e.engine)
+            continue;
+        GraphNodeAlloc a;
+        a.nodeId = e.nodeId;
+        a.name = e.name;
+        a.outShape = graph_.node(e.nodeId).outShape;
+        a.crossbars = e.mapped->numCrossbars();
+        out.push_back(std::move(a));
+    }
+    return out;
+}
+
 void
 PipelineRuntime::resetPresentationStreams()
 {
     nextImageId_ = 0;
 }
 
-Tensor
-PipelineRuntime::forward(const Tensor &batch, PipelineReport *report)
+std::vector<uint64_t>
+PipelineRuntime::takeIds(int64_t n)
 {
     // Consecutive ids from the runtime-lifetime counter: image k of
     // the runtime's forward() history keys its presentations
     // k*ppi .. k*ppi + ppi - 1 at every node, however the history was
     // split into batches.
-    const int64_t n = batch.dim(0);
     std::vector<uint64_t> ids(static_cast<size_t>(n));
-    for (int64_t i = 0; i < n; ++i)
-        ids[static_cast<size_t>(i)] =
-            nextImageId_ + static_cast<uint64_t>(i);
-    Tensor result = forwardRequests(batch, ids.data(), nullptr, report);
-    nextImageId_ += static_cast<uint64_t>(n);
-    return result;
+    for (size_t i = 0; i < ids.size(); ++i)
+        ids[i] = nextImageId_++;
+    return ids;
+}
+
+Tensor
+PipelineRuntime::forward(const Tensor &batch, PipelineReport *report)
+{
+    const std::vector<uint64_t> ids = takeIds(batch.dim(0));
+    return run(batch, ids.data(), nullptr,
+               report ? &report->nodes : nullptr, report);
+}
+
+Tensor
+PipelineRuntime::forward(const Tensor &batch, RuntimeReport *rows)
+{
+    const std::vector<uint64_t> ids = takeIds(batch.dim(0));
+    return run(batch, ids.data(), nullptr, rows, nullptr);
 }
 
 Tensor
@@ -78,9 +102,28 @@ PipelineRuntime::forwardRequests(const Tensor &batch, const uint64_t *ids,
                                  std::vector<RuntimeReport> *per_request,
                                  PipelineReport *report)
 {
+    return run(batch, ids, per_request, report ? &report->nodes : nullptr,
+               report);
+}
+
+Tensor
+PipelineRuntime::forwardRequests(const Tensor &batch, const uint64_t *ids,
+                                 std::vector<RuntimeReport> *per_request,
+                                 RuntimeReport *rows)
+{
+    return run(batch, ids, per_request, rows, nullptr);
+}
+
+Tensor
+PipelineRuntime::run(const Tensor &batch, const uint64_t *ids,
+                     std::vector<RuntimeReport> *per_request,
+                     RuntimeReport *rows, PipelineReport *report)
+{
     FORMS_TRACE_SCOPE("PipelineRuntime::forward");
     const auto t0 = std::chrono::steady_clock::now();
     ThreadPool &tp = pool();
+    // Route the shared tensor kernels (relu, pooling, im2col) through
+    // this runtime's pool too: every node shards on one pool.
     PoolScope scope(tp);
 
     const int64_t images = batch.dim(0);
@@ -97,7 +140,7 @@ PipelineRuntime::forwardRequests(const Tensor &batch, const uint64_t *ids,
     // replicated node's replica slices fold in ascending replica
     // (= presentation) order — so the final fold has the exact
     // presentation order (and floating-point grouping) of one
-    // full-batch GraphRuntime forward: the bit-identical contract
+    // whole-batch single-chip forward: the bit-identical contract
     // across micro-batch sizes and replication factors.
     std::vector<arch::EngineStats> node_stats(execs_.size());
 
@@ -154,9 +197,14 @@ PipelineRuntime::forwardRequests(const Tensor &batch, const uint64_t *ids,
             ids + lo,
             per_request ? per_image.data() + lo : nullptr, images);
     }
-    if (per_request)
-        recordPerImageRows(execs_, per_image.data(), images, images,
-                           *per_request);
+    if (per_request) {
+        // One report per image, resized/merged in batch order.
+        if (per_request->size() < static_cast<size_t>(images))
+            per_request->resize(static_cast<size_t>(images));
+        for (int64_t i = 0; i < images; ++i)
+            recordNodeRows(execs_, per_image.data() + i, images,
+                           (*per_request)[static_cast<size_t>(i)]);
+    }
 
     // Stitch the micro-batch outputs back into one batch tensor.
     Shape out_shape = mb_out[0].shape();
@@ -170,24 +218,20 @@ PipelineRuntime::forwardRequests(const Tensor &batch, const uint64_t *ids,
         row += part.dim(0);
     }
 
+    const double wall_ms = std::chrono::duration<double, std::milli>(
+        std::chrono::steady_clock::now() - t0).count();
+    if (rows) {
+        // Per-node rows in topological order, whatever the schedule.
+        recordNodeRows(execs_, node_stats.data(), 1, *rows);
+        rows->wallMs += wall_ms;
+    }
+
     // The modeled timeline feeds three consumers: the caller's
     // report, the trace session (per-chip slices) and the metrics
-    // sink. Build it into a local report when only an observer asked
-    // — observers are pure, so skipping all of this when nobody is
-    // looking changes nothing about the computation above.
-    PipelineReport local_report;
-    PipelineReport *rep = report;
-    if (!rep && (cfg_.trace || cfg_.runtime.metrics))
-        rep = &local_report;
-
-    if (rep) {
-        // Per-node rows in topological order — same names, order and
-        // merged stats as a GraphRuntime forward of the whole batch.
-        recordNodeRows(execs_, node_stats, rep->nodes);
-        rep->nodes.wallMs +=
-            std::chrono::duration<double, std::milli>(
-                std::chrono::steady_clock::now() - t0).count();
-
+    // sink. Observers are pure, so skipping all of this when nobody
+    // is looking changes nothing about the computation above.
+    if (report || cfg_.trace || cfg_.runtime.metrics) {
+        PipelineReport fwd;   // this forward alone
         // Per-chip busy intervals under the intra-chip tile pipeline
         // model, and the serial (no-overlap) reference for the
         // overlap-savings accounting.
@@ -271,9 +315,6 @@ PipelineRuntime::forwardRequests(const Tensor &batch, const uint64_t *ids,
             done[static_cast<size_t>(n_stages) - 1]
                 [static_cast<size_t>(num_mb) - 1];
 
-        rep->chips.clear();
-        rep->faultyCrossbars = 0;
-        rep->remappedCrossbars = 0;
         double total_busy = 0.0, total_xfer_ns = 0.0, total_xfer_pj = 0.0;
         for (int s = 0; s < n_stages; ++s) {
             const int first = sched_.stageFirstChip(s);
@@ -338,28 +379,37 @@ PipelineRuntime::forwardRequests(const Tensor &batch, const uint64_t *ids,
                 total_busy += c.busyNs;
                 total_xfer_ns += c.transferInNs;
                 total_xfer_pj += c.transferInPj;
-                rep->faultyCrossbars += c.faultyCrossbars;
-                rep->remappedCrossbars += c.remappedCrossbars;
-                rep->chips.push_back(std::move(c));
+                fwd.faultyCrossbars += c.faultyCrossbars;
+                fwd.remappedCrossbars += c.remappedCrossbars;
+                fwd.chips.push_back(std::move(c));
             }
         }
-        rep->stages = n_stages;
-        rep->microBatches = num_mb;
-        rep->images = images;
-        rep->makespanNs = makespan;
-        rep->bubbleFraction = makespan > 0.0
+        fwd.stages = n_stages;
+        fwd.microBatches = num_mb;
+        fwd.images = images;
+        fwd.makespanNs = makespan;
+        fwd.bubbleFraction = makespan > 0.0
             ? 1.0 - total_busy / (static_cast<double>(n_chips) * makespan)
             : 0.0;
-        rep->transferNs = total_xfer_ns;
-        rep->transferPj = total_xfer_pj;
-        rep->overlapSavedNs = overlap_saved;
+        fwd.transferNs = total_xfer_ns;
+        fwd.transferPj = total_xfer_pj;
+        fwd.overlapSavedNs = overlap_saved;
 
         if (cfg_.trace) {
-            emitTrace(*cfg_.trace, phases, busy, stage_busy_sm, done,
+            emitTrace(*cfg_.trace, fwd, phases, busy, stage_busy_sm, done,
                       mb, images);
         }
-        if (cfg_.runtime.metrics)
-            recordPipelineMetrics(*cfg_.runtime.metrics, *rep);
+        if (cfg_.runtime.metrics) {
+            // Counters accumulate per-call deltas, so they read this
+            // forward's rows, never a report the caller reuses.
+            recordNodeRows(execs_, node_stats.data(), 1, fwd.nodes);
+            fwd.nodes.wallMs = wall_ms;
+            recordPipelineMetrics(*cfg_.runtime.metrics, fwd);
+        }
+        if (report) {
+            fwd.nodes = std::move(report->nodes);
+            *report = std::move(fwd);
+        }
     }
     return result;
 }
@@ -383,7 +433,7 @@ PipelineRuntime::forwardRequests(const Tensor &batch, const uint64_t *ids,
  */
 void
 PipelineRuntime::emitTrace(
-    obs::TraceSession &tr,
+    obs::TraceSession &tr, const PipelineReport &rep,
     const std::vector<std::vector<std::vector<PhaseInterval>>> &phases,
     const std::vector<std::vector<double>> &busy,
     const std::vector<std::vector<double>> &stage_busy_sm,
@@ -407,26 +457,15 @@ PipelineRuntime::emitTrace(
     // chip carrying programmed engines with overlaid faults, so the
     // fleet's fault/remap coverage is visible next to the timeline it
     // degrades.
-    if (cfg_.runtime.faults) {
-        for (int c = 0; c < n_chips; ++c) {
-            int64_t faulty = 0, remapped = 0;
-            for (const NodeExec &e : execs_) {
-                for (size_t ri = 0; ri < e.replicas.size(); ++ri) {
-                    if (e.replicaChips[ri] != c)
-                        continue;
-                    faulty += e.replicas[ri]->faultyCrossbars();
-                    remapped += e.remap.remappedCrossbars;
-                }
-            }
-            if (faulty == 0 && remapped == 0)
-                continue;
-            tr.slice(c + 1, 1, "fault-map", "fault", 0.0, 0.0,
-                     {{"chip", c},
-                      {"faulty_crossbars",
-                       static_cast<uint64_t>(faulty)},
-                      {"remapped_crossbars",
-                       static_cast<uint64_t>(remapped)}});
-        }
+    for (const ChipReport &c : rep.chips) {
+        if (c.faultyCrossbars == 0 && c.remappedCrossbars == 0)
+            continue;
+        tr.slice(c.chip + 1, 1, "fault-map", "fault", 0.0, 0.0,
+                 {{"chip", c.chip},
+                  {"faulty_crossbars",
+                   static_cast<uint64_t>(c.faultyCrossbars)},
+                  {"remapped_crossbars",
+                   static_cast<uint64_t>(c.remappedCrossbars)}});
     }
 
     // Hosted programmed-node names per chip, in the order the
@@ -536,6 +575,14 @@ PipelineRuntime::accuracy(const Tensor &images,
                           PipelineReport *report)
 {
     return logitsAccuracy(forward(images, report), labels);
+}
+
+double
+PipelineRuntime::accuracy(const Tensor &images,
+                          const std::vector<int> &labels,
+                          RuntimeReport *rows)
+{
+    return logitsAccuracy(forward(images, rows), labels);
 }
 
 } // namespace forms::sim

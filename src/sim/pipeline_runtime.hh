@@ -1,7 +1,9 @@
 /**
  * @file
- * Multi-chip pipelined executor for partitioned layer graphs, with
+ * The executor for compiled layer graphs: a multi-chip pipeline with
  * replicated stages and an intra-chip tile pipeline timing model.
+ * Its single-chip form (one stage, one whole-batch micro-batch per
+ * forward) is the plain DAG executor.
  *
  * PipelineRuntime takes a compile::Graph plus a compile::Schedule
  * (the stage partition), programs each matrix node's engine into the
@@ -9,20 +11,24 @@
  * stages, R consecutive chips for a replicated stage — and streams
  * batches through the DAG as a micro-batch pipeline: while stage k
  * computes its nodes on micro-batch b, stage k-1 computes micro-batch
- * b+1. Inter-stage edges are the schedule's explicit Transfer
- * records, charged with a sim::InterChipLink latency/energy cost on
- * the receiving stage; a `mergeReplicas` record marks where a
- * replicated producer's presentation slices rejoin.
+ * b+1. The DAG walk (sim/graph_exec) releases a node's output as
+ * soon as its last consumer has run, joins residual branches with
+ * fixed-order elementwise adds, and runs unfolded BatchNorm nodes
+ * functionally in eval mode. Inter-stage edges are the schedule's
+ * explicit Transfer records, charged with a sim::InterChipLink
+ * latency/energy cost on the receiving stage; a `mergeReplicas`
+ * record marks where a replicated producer's presentation slices
+ * rejoin.
  *
  * The pipeline overlap is a *timing model* layered on a functionally
  * exact execution: numerically, every micro-batch flows through the
  * identical kernels (sim/stage_kernels.hh) in the graph's
  * deterministic topological order, so
  *
- *   - logits are bit-identical to sim::GraphRuntime on the same
- *     graph, for ANY chip count, micro-batch size, thread count AND
- *     replication factor (chips shard work in the model, not in the
- *     arithmetic; replica r of R processes the contiguous
+ *   - logits equal the single-chip whole-batch run's bit for bit on
+ *     the same graph, for ANY chip count, micro-batch size, thread
+ *     count AND replication factor (chips shard work in the model,
+ *     not in the arithmetic; replica r of R processes the contiguous
  *     presentation-index slice [floor(P*r/R), floor(P*(r+1)/R)) of
  *     each micro-batch, every presentation keyed by its image's
  *     stream id), and
@@ -51,22 +57,26 @@
  *
  * Thread-safety: construction and forward() must be called from one
  * thread at a time (the image-id counter and per-node scratch are
- * mutable); the
- * internal work shards on the configured ThreadPool. Distinct
- * PipelineRuntime instances are independent.
+ * mutable); the internal work shards on the configured ThreadPool.
+ * Distinct PipelineRuntime instances are independent. The borrowed
+ * graph and layer states must not be mutated while the runtime is
+ * alive.
  *
  * Typical flow:
  *
  *     auto graph = compile::lowerNetwork(net);
  *     compile::foldBatchNorm(graph);
- *     graph.inferShapes({3, 32, 32});
+ *     auto states = sim::snapshotCompress(net, frag, bits);
+ *     sim::PipelineRuntime one(graph, states, rcfg);   // single chip
+ *     Tensor logits = one.forward(batch, &rows);       // RuntimeReport
+ *
+ *     graph.inferShapes({3, 32, 32});                  // to partition
  *     compile::ScheduleConfig scfg;
  *     scfg.chips = 4;
  *     scfg.replicateThreshold = 1.05;   // replicate pipeline hogs
  *     auto sched = compile::Schedule::partition(graph, scfg);
- *     auto states = sim::snapshotCompress(net, frag, bits);
  *     sim::PipelineRuntime rt(graph, sched, states, cfg);
- *     Tensor logits = rt.forward(batch, &report);
+ *     logits = rt.forward(batch, &report);             // PipelineReport
  */
 
 #ifndef FORMS_SIM_PIPELINE_RUNTIME_HH
@@ -159,13 +169,12 @@ struct ChipReport
 
 /**
  * Pipeline execution report. `nodes` carries the same per-node rows
- * (names, order, merged stats) a GraphRuntime forward of the same
- * batch would produce; the pipeline-level fields summarize the
- * modeled multi-chip schedule.
+ * (names, order, merged stats) whatever the schedule; the
+ * pipeline-level fields summarize the modeled multi-chip schedule.
  */
 struct PipelineReport
 {
-    RuntimeReport nodes;          //!< per-node rows, GraphRuntime-compatible
+    RuntimeReport nodes;          //!< per-node rows, any schedule
     std::vector<ChipReport> chips;
     int stages = 0;               //!< pipeline stages (< chips when replicated)
     int microBatches = 0;
@@ -193,10 +202,29 @@ struct PipelineReport
     }
 };
 
+/** Crossbar allocation of one programmed graph node. */
+struct GraphNodeAlloc
+{
+    int nodeId = -1;
+    std::string name;
+    Shape outShape;        //!< per-sample shape (from inferShapes)
+    int64_t crossbars = 0; //!< per replica
+};
+
 /** Executes a partitioned, folded, compressed layer graph. */
 class PipelineRuntime
 {
   public:
+    /**
+     * Single-chip runtime: program every Conv/Dense node of `graph`
+     * onto one chip (compile::Schedule::singleChip) and run each
+     * forward as one whole-batch micro-batch. The graph needs no
+     * inferShapes(); `graph` and `layers` are as below.
+     */
+    PipelineRuntime(const compile::Graph &graph,
+                    std::vector<admm::LayerState> &layers,
+                    RuntimeConfig cfg);
+
     /**
      * Map and program every Conv/Dense node of `graph` into the
      * engine pool of each chip hosting it (replicated stages program
@@ -224,13 +252,17 @@ class PipelineRuntime
     /**
      * Stream a whole NCHW batch through the pipeline in micro-batches.
      * Returns the graph output (batch x classes for a classifier),
-     * bit-identical to GraphRuntime::forward on the same graph and
-     * batch for any chip count, micro-batch size, thread count and
-     * replication factor. Per-node stats merge into `report->nodes`
-     * rows in topological order; chip/pipeline fields are overwritten
-     * (they describe this forward, not an accumulation).
+     * bit-identical to the single-chip whole-batch forward on the
+     * same graph and batch for any chip count, micro-batch size,
+     * thread count and replication factor. Per-node stats merge into
+     * `report->nodes` rows in topological order; chip/pipeline fields
+     * are overwritten (they describe this forward, not an
+     * accumulation).
      */
     Tensor forward(const Tensor &batch, PipelineReport *report = nullptr);
+
+    /** forward() reporting only the per-node rows (merged into `rows`). */
+    Tensor forward(const Tensor &batch, RuntimeReport *rows);
 
     /**
      * Stream a batch of independently-identified images: image i keys
@@ -247,9 +279,18 @@ class PipelineRuntime
                            std::vector<RuntimeReport> *per_request = nullptr,
                            PipelineReport *report = nullptr);
 
+    /** forwardRequests() reporting only the per-node rows. */
+    Tensor forwardRequests(const Tensor &batch, const uint64_t *ids,
+                           std::vector<RuntimeReport> *per_request,
+                           RuntimeReport *rows);
+
     /** Fraction of argmax(logits) == label over a labelled batch. */
     double accuracy(const Tensor &images, const std::vector<int> &labels,
                     PipelineReport *report = nullptr);
+
+    /** accuracy() reporting only the per-node rows. */
+    double accuracy(const Tensor &images, const std::vector<int> &labels,
+                    RuntimeReport *rows);
 
     /**
      * Restart the forward() image-id counter at 0, so the next
@@ -257,17 +298,20 @@ class PipelineRuntime
      */
     void resetPresentationStreams();
 
-    /** The stage partition this runtime executes. */
-    const compile::Schedule &schedule() const { return sched_; }
-
     /** Number of pipeline chips. */
     int chips() const { return sched_.chips(); }
 
-    /** Configured images per micro-batch. */
-    int microBatch() const { return cfg_.microBatch; }
-
     /** Total crossbars programmed across all chips (replicas count). */
     int64_t totalCrossbars() const;
+
+    /** Number of executable nodes (programmed + functional). */
+    size_t nodes() const { return execs_.size(); }
+
+    /** Number of crossbar-programmed (Conv/Dense) nodes. */
+    size_t programmedNodes() const { return allocation().size(); }
+
+    /** Per-programmed-node crossbar allocation, in topological order. */
+    std::vector<GraphNodeAlloc> allocation() const;
 
   private:
     const compile::Graph &graph_;
@@ -280,9 +324,17 @@ class PipelineRuntime
 
     ThreadPool &pool() const;
 
+    /** The next `n` forward() image ids; advances the counter. */
+    std::vector<uint64_t> takeIds(int64_t n);
+
+    /** The forward body: rows merge into `rows`, the model into `report`. */
+    Tensor run(const Tensor &batch, const uint64_t *ids,
+               std::vector<RuntimeReport> *per_request, RuntimeReport *rows,
+               PipelineReport *report);
+
     /** Reconstruct the modeled timeline into a trace session. */
     void emitTrace(
-        obs::TraceSession &tr,
+        obs::TraceSession &tr, const PipelineReport &rep,
         const std::vector<std::vector<std::vector<PhaseInterval>>>
             &phases,
         const std::vector<std::vector<double>> &busy,

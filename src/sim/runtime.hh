@@ -1,13 +1,13 @@
 /**
  * @file
- * Shared configuration and reporting types of the crossbar runtimes.
+ * Configuration and reporting types of the crossbar runtime.
  *
- * GraphRuntime (sim/graph_runtime.hh) and PipelineRuntime
- * (sim/pipeline_runtime.hh) both take a RuntimeConfig — mapping
- * geometry, engine knobs, the pool to shard on, the activation scale
- * mode and the observation sinks — and report per-node modeled
- * latency / energy through RuntimeReport. snapshotCompress() builds
- * the per-layer compression state either runtime programs from.
+ * sim::PipelineRuntime (sim/pipeline_runtime.hh) takes a
+ * RuntimeConfig — mapping geometry, engine knobs, the pool to shard
+ * on, the activation scale mode and the observation sinks — on any
+ * schedule, and reports per-node modeled latency / energy through
+ * RuntimeReport. snapshotCompress() builds the per-layer compression
+ * state the runtime programs from.
  */
 
 #ifndef FORMS_SIM_RUNTIME_HH
@@ -78,11 +78,11 @@ struct RuntimeConfig
 
     /**
      * Hard-fault model (reram/faults.hh; borrowed, may be null). The
-     * graph runtimes key each node's fault pattern by its graph node
-     * id, so GraphRuntime and PipelineRuntime — and every replica of a
-     * node — draw bit-identical faults. Faults are deterministic
-     * state, not noise: the cross-runtime determinism contracts hold
-     * under a fault map exactly as they do without one.
+     * runtime keys each node's fault pattern by its graph node id, so
+     * every schedule — and every replica of a node — draws
+     * bit-identical faults. Faults are deterministic state, not
+     * noise: the cross-schedule determinism contracts hold under a
+     * fault map exactly as they do without one.
      */
     const reram::FaultMap *faults = nullptr;
 
@@ -125,7 +125,7 @@ struct RuntimeReport
  * Direct-programming helper for benches and tests: build per-layer
  * compression state (fragment polarization + magnitude quantization,
  * no training and no pruning) for every prunable parameter of `net`,
- * ready to hand to a graph runtime. The network weights are projected
+ * ready to hand to sim::PipelineRuntime. The network weights are projected
  * in place so they satisfy the sign constraints the mapper assumes.
  */
 std::vector<admm::LayerState>

@@ -1,11 +1,10 @@
 /**
  * @file
- * Shared per-stage execution kernels of the batched crossbar runtimes.
+ * Per-stage execution kernels of the batched crossbar runtime.
  *
- * Both graph executors — GraphRuntime (sim/graph_runtime.hh) and
- * PipelineRuntime (sim/pipeline_runtime.hh), through the shared core
- * in sim/graph_exec.hh — stream a batch through one programmed matrix
- * stage the same way:
+ * sim::PipelineRuntime (sim/pipeline_runtime.hh), through its DAG
+ * walk in sim/graph_exec.hh, streams a (micro-)batch through one
+ * programmed matrix stage, on any chip or replica, the same way:
  *
  *     (im2col) -> quantize -> mvmKeyed -> dequantize(+bias)
  *
@@ -29,9 +28,9 @@ struct RuntimeReport;
 
 /**
  * How one programmed stage quantizes its input presentations — the
- * single place the arch::ScaleMode switch reaches the kernels. Both
- * executors resolve their mode/table into one of these per stage, so the per-presentation scale assumption cannot fork again
- * between runtimes.
+ * single place the arch::ScaleMode switch reaches the kernels. The
+ * runtime resolves its mode/table into one of these per stage, so the
+ * per-presentation scale assumption cannot fork between stages.
  */
 struct StageScale
 {

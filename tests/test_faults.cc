@@ -172,7 +172,7 @@ TEST(FaultOverlay, StuckCellsPerturbLogitsDeterministically)
 
     ThreadPool pool(4);
     sim::GraphRuntime clean(c.graph, c.states, noisyConfig(&pool));
-    const Tensor clean_logits = clean.forward(batch, nullptr);
+    const Tensor clean_logits = clean.forward(batch);
 
     reram::FaultConfig fc;
     fc.stuckLrsRate = 0.01;
@@ -185,8 +185,8 @@ TEST(FaultOverlay, StuckCellsPerturbLogitsDeterministically)
     rcfg.faults = &map;
     sim::GraphRuntime faulted_a(c.graph, c.states, rcfg);
     sim::GraphRuntime faulted_b(c.graph, c.states, rcfg);
-    const Tensor a = faulted_a.forward(batch, nullptr);
-    const Tensor b = faulted_b.forward(batch, nullptr);
+    const Tensor a = faulted_a.forward(batch);
+    const Tensor b = faulted_b.forward(batch);
 
     EXPECT_FALSE(a.equals(clean_logits))
         << "1-2% stuck cells left every logit untouched";
@@ -236,7 +236,7 @@ TEST(Remap, ColumnKillWithSparesRecoversCleanLogitsExactly)
     broken.remapFaults = false;
     broken.mapping.spareXbars = 0;
     sim::GraphRuntime unrepaired(c.graph, c.states, broken);
-    EXPECT_FALSE(unrepaired.forward(batch, nullptr).equals(clean_logits))
+    EXPECT_FALSE(unrepaired.forward(batch).equals(clean_logits))
         << "fault map killed no used column; raise the rate or reseed";
 }
 

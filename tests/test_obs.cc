@@ -24,7 +24,6 @@
 #include "obs/metrics.hh"
 #include "obs/run_manifest.hh"
 #include "obs/trace.hh"
-#include "sim/graph_runtime.hh"
 #include "sim/obs_glue.hh"
 #include "sim/pipeline_runtime.hh"
 
@@ -230,7 +229,7 @@ TEST(Trace, HostSpansRecordOnlyWhenInstalled)
 
 // ---- metrics ---------------------------------------------------------
 
-/** metrics.json bytes for one GraphRuntime forward on `threads`. */
+/** metrics.json bytes for one single-chip forward on `threads`. */
 std::string
 metricsJsonAtThreads(int threads)
 {
@@ -254,7 +253,7 @@ metricsJsonAtThreads(int threads)
     obs::MetricsRegistry metrics;
     rcfg.metrics = &metrics;
 
-    sim::GraphRuntime rt(graph, states, rcfg);
+    sim::PipelineRuntime rt(graph, states, rcfg);
     Tensor batch({2, 3, 8, 8});
     batch.fillUniform(rng, 0.0f, 1.0f);
     rt.forward(batch);
@@ -277,6 +276,87 @@ TEST(Metrics, SnapshotIsByteIdenticalAcrossThreadCounts)
     // Spot-check the unified namespace.
     EXPECT_NE(one.find("engine.presentations"), std::string::npos);
     EXPECT_NE(one.find("model.time_ns"), std::string::npos);
+}
+
+/** Counter `name` in a registry snapshot (0 when absent). */
+uint64_t
+counterValue(const obs::MetricsRegistry &m, const std::string &name)
+{
+    for (const auto &[k, v] : m.snapshot().counters)
+        if (k == name)
+            return v;
+    return 0;
+}
+
+/** engine.* counters must equal the summed rows of `rows`. */
+void
+expectCountersMatchRows(const obs::MetricsRegistry &m,
+                        const sim::RuntimeReport &rows)
+{
+    arch::EngineStats total;
+    for (const sim::RuntimeLayerReport &layer : rows.layers)
+        total.merge(layer.stats);
+    ASSERT_GT(total.presentations, 0u);
+    EXPECT_EQ(counterValue(m, "engine.presentations"),
+              total.presentations);
+    EXPECT_EQ(counterValue(m, "engine.bit_cycles"), total.bitCycles);
+    EXPECT_EQ(counterValue(m, "engine.skipped_cycles"),
+              total.skippedCycles);
+    EXPECT_EQ(counterValue(m, "engine.adc_samples"), total.adcSamples);
+    EXPECT_EQ(counterValue(m, "engine.quant_values"), total.quantValues);
+    EXPECT_EQ(counterValue(m, "engine.quant_clipped"),
+              total.quantClipped);
+}
+
+TEST(Metrics, CountersCountEachForwardOnceWhenTheReportIsReused)
+{
+    // Regression: forwards into one reused PipelineReport recorded
+    // the metrics from its accumulated rows, so three forwards counted
+    // the first forward's presentations three times.
+    Rng rng(73);
+    nn::Network net;
+    net.emplace<nn::Conv2D>("c0", 3, 8, 3, 1, 1, rng);
+    net.emplace<nn::ReLU>("r0");
+    net.emplace<nn::Flatten>("flat");
+    net.emplace<nn::Dense>("fc", 8 * 6 * 6, 4, rng);
+    auto graph = compile::lowerNetwork(net);
+    graph.inferShapes({3, 6, 6});
+    auto states = sim::snapshotCompress(net, 8, 8);
+    Tensor batch({2, 3, 6, 6});
+    batch.fillUniform(rng, 0.0f, 1.0f);
+
+    sim::RuntimeConfig rcfg;
+    rcfg.mapping.fragSize = 8;
+    rcfg.mapping.inputBits = 8;
+    rcfg.engine.adcBits = 4;
+
+    {
+        SCOPED_TRACE("PipelineReport, 2 chips");
+        obs::MetricsRegistry m;
+        sim::PipelineRuntimeConfig pcfg;
+        pcfg.runtime = rcfg;
+        pcfg.runtime.metrics = &m;
+        compile::ScheduleConfig scfg;
+        scfg.chips = 2;
+        sim::PipelineRuntime rt(
+            graph, compile::Schedule::partition(graph, scfg), states,
+            pcfg);
+        sim::PipelineReport rep;
+        for (int i = 0; i < 3; ++i)
+            rt.forward(batch, &rep);
+        expectCountersMatchRows(m, rep.nodes);
+        EXPECT_EQ(counterValue(m, "pipeline.images"), 6u);
+    }
+    {
+        SCOPED_TRACE("RuntimeReport, single chip");
+        obs::MetricsRegistry m;
+        rcfg.metrics = &m;
+        sim::PipelineRuntime rt(graph, states, rcfg);
+        sim::RuntimeReport rows;
+        for (int i = 0; i < 3; ++i)
+            rt.forward(batch, &rows);
+        expectCountersMatchRows(m, rows);
+    }
 }
 
 TEST(Metrics, RegistrySemantics)

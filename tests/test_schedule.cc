@@ -3,7 +3,8 @@
  * Schedule partitioner tests: determinism (same graph + same config
  * => identical partition), contiguity in topological order, exact
  * balance behaviour on uniform chains, capacity awareness, transfer
- * materialization, chip-count clamping, and replicated stages (a
+ * materialization, chip-count clamping, the shape-free single-chip
+ * schedule, and replicated stages (a
  * bottleneck matrix node spread across several chips, with merge
  * Transfer records and balanced per-chip work).
  */
@@ -143,17 +144,31 @@ TEST(Schedule, UniformChainSplitsEvenlyWithSmallestCutFirst)
     EXPECT_EQ(s.chipNodes()[1].size(), 5u);
 }
 
-TEST(Schedule, CapacityVectorShiftsTheBoundary)
+TEST(Schedule, SingleChipEqualsTheOneChipPartition)
 {
-    // Chip 0 twice as capable: the balance objective normalizes by
-    // capacity, so it takes 6 of the 9 uniform nodes.
     auto g = reluChain(8);
     compile::ScheduleConfig cfg;
-    cfg.chips = 2;
-    cfg.capacity = {2.0, 1.0};
-    const auto s = compile::Schedule::partition(g, cfg);
-    EXPECT_EQ(s.chipNodes()[0].size(), 6u);
-    EXPECT_EQ(s.chipNodes()[1].size(), 3u);
+    cfg.chips = 1;
+    const auto p = compile::Schedule::partition(g, cfg);
+    const auto s = compile::Schedule::singleChip(g);
+    ASSERT_EQ(s.chips(), 1);
+    ASSERT_EQ(s.stages(), 1);
+    EXPECT_EQ(s.stageNodes(), p.stageNodes());
+    EXPECT_EQ(s.chipNodes(), p.chipNodes());
+    EXPECT_EQ(s.stageWidth(0), 1);
+    EXPECT_TRUE(s.transfers().empty());
+    EXPECT_EQ(s.stageWork(0), p.stageWork(0));
+    EXPECT_EQ(s.chipWork(0), p.chipWork(0));
+    ASSERT_EQ(s.chipSpecs().size(), 1u);
+    EXPECT_EQ(s.dump(), p.dump());
+
+    // Unlike partition(), it needs no inferred shapes.
+    compile::Graph bare;
+    const int in = bare.addNode(compile::Op::Input, "in", {});
+    bare.setOutput(bare.addNode(compile::Op::Relu, "r0", {in}));
+    const auto b = compile::Schedule::singleChip(bare);
+    EXPECT_EQ(b.stageNodes()[0], bare.topoOrder());
+    EXPECT_EQ(b.stageWork(0), 0.0);
 }
 
 TEST(Schedule, TransfersAreNeighborHopsWithTensorBytes)
@@ -498,23 +513,6 @@ TEST(HeterogeneousChips, DefaultSpecsReproduceHomogeneousBitwise)
     }
 }
 
-TEST(HeterogeneousChips, CapacityFieldMatchesLegacyCapacityVector)
-{
-    auto g = reluChain(8);
-    compile::ScheduleConfig legacy;
-    legacy.chips = 2;
-    legacy.capacity = {2.0, 1.0};
-    compile::ScheduleConfig spec;
-    spec.chips = 2;
-    spec.chipSpecs.resize(2);
-    spec.chipSpecs[0].capacity = 2.0;
-    const auto a = compile::Schedule::partition(g, legacy);
-    const auto b = compile::Schedule::partition(g, spec);
-    EXPECT_EQ(a.chipNodes()[0].size(), b.chipNodes()[0].size());
-    EXPECT_EQ(b.chipNodes()[0].size(), 6u);
-    EXPECT_EQ(b.chipNodes()[1].size(), 3u);
-}
-
 TEST(HeterogeneousChips, CapacityShiftsTheBoundaryUnderEveryModel)
 {
     auto g = reluChain(8);
@@ -576,15 +574,6 @@ TEST(HeterogeneousChips, PartitionRecordsTheResolvedSpecs)
     ASSERT_EQ(s.chipSpecs().size(), 2u);
     EXPECT_DOUBLE_EQ(s.chipSpecs()[0].capacity, 2.0);
     EXPECT_DOUBLE_EQ(s.chipSpecs()[1].linkIn, 0.5);
-
-    // Legacy capacity vectors surface through the same accessor.
-    compile::ScheduleConfig legacy;
-    legacy.chips = 2;
-    legacy.capacity = {2.0, 1.0};
-    const auto l = compile::Schedule::partition(g, legacy);
-    ASSERT_EQ(l.chipSpecs().size(), 2u);
-    EXPECT_DOUBLE_EQ(l.chipSpecs()[0].capacity, 2.0);
-    EXPECT_DOUBLE_EQ(l.chipSpecs()[1].capacity, 1.0);
 }
 
 TEST(HeterogeneousChips, MalformedSpecsDie)
