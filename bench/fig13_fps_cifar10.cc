@@ -16,7 +16,6 @@
 #include <cstdio>
 
 #include "common/logging.hh"
-#include "common/simd.hh"
 #include "common/table.hh"
 #include "compile/passes.hh"
 #include "nn/layers.hh"
@@ -147,7 +146,7 @@ runtimeBench()
 int
 main()
 {
-    simd::printBenchBanner("bench_fig13_fps_cifar10");
+    obs::printBenchBanner("bench_fig13_fps_cifar10");
     std::printf("Figure 13: FPS speedup on CIFAR-10, normalized to "
                 "ISAAC-32\n");
 

@@ -15,7 +15,6 @@
 #include <cstdio>
 
 #include "common/logging.hh"
-#include "common/simd.hh"
 #include "common/table.hh"
 #include "compile/passes.hh"
 #include "nn/layers.hh"
@@ -229,7 +228,7 @@ graphRuntimeBench()
 int
 main()
 {
-    simd::printBenchBanner("bench_fig14_fps_large");
+    obs::printBenchBanner("bench_fig14_fps_large");
     std::printf("Figure 14: FPS speedup on CIFAR-100 / ImageNet, "
                 "normalized to ISAAC-32\n");
 

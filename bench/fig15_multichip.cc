@@ -45,7 +45,6 @@
 #include <cstdio>
 
 #include "common/logging.hh"
-#include "common/simd.hh"
 #include "common/table.hh"
 #include "compile/passes.hh"
 #include "compile/schedule.hh"
@@ -489,7 +488,7 @@ writeTraceArtifact()
 int
 main()
 {
-    simd::printBenchBanner("bench_fig15_multichip");
+    obs::printBenchBanner("bench_fig15_multichip");
     std::printf("Multi-chip pipelined graph scheduler: ResNet zoo + "
                 "early-layer-bound convnets across %d / %d / %d / %d "
                 "chips,\nmodes: contiguous (PR 3) | tile_pipelined | "

@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "common/logging.hh"
-#include "common/simd.hh"
 #include "common/table.hh"
 #include "compile/passes.hh"
 #include "nn/layers.hh"
@@ -73,7 +72,7 @@ percentile(std::vector<double> sorted, double p)
 int
 main()
 {
-    simd::printBenchBanner("bench_serving");
+    obs::printBenchBanner("bench_serving");
     std::printf("Online serving: Poisson arrivals vs dynamic "
                 "micro-batching (maxBatch %d, deadline %lld us)\n",
                 kMaxBatch, static_cast<long long>(kMaxDelayUs));

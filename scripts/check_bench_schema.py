@@ -77,13 +77,6 @@ SCHEMAS = {
                   "accuracy_faulted", "accuracy_remapped",
                   "recovered_fraction"]),
     },
-    "BENCH_kernels.json": {
-        "bench": "micro_kernels",
-        "keys": ["dispatch", "build", "bit_identical", "kernels"],
-        "list": ("kernels",
-                 ["name", "n", "scalar_ns_op", "dispatch_ns_op",
-                  "scalar_gbps", "dispatch_gbps", "speedup"]),
-    },
 }
 
 # BENCH_pipeline.json nests deeper than the generic one-level list

@@ -83,8 +83,7 @@ CrossbarEngine::CrossbarEngine(const MappedLayer &layer, EngineConfig cfg)
     // Re-lay the realized conductances into contiguous tiles and
     // precompute the per-fragment read energy and the exact powers of
     // two the bit loop needs: the hot path then touches only dense
-    // arrays and a dispatch table.
-    kern_ = &simd::kernels(cfg_.simdMode);
+    // arrays.
     tiles_.reserve(arrays_.size());
     for (size_t xi = 0; xi < arrays_.size(); ++xi) {
         const auto &xb = layer_.crossbars[xi];
@@ -193,7 +192,6 @@ CrossbarEngine::mvmOne(const std::vector<uint32_t> &inputs,
     const int adc_top = adc_.config().codes() - 1;
     const double adc_step = fullScale_ / static_cast<double>(adc_top);
     Rng pres_rng(presentationSeed(cfg_.variationSeed, key));
-    const simd::Kernels &k = *kern_;
 
     // Per-thread scratch: mvmOne runs concurrently on pool workers and
     // a presentation must not pay heap allocations in the hot loop.
@@ -248,12 +246,15 @@ CrossbarEngine::mvmOne(const std::vector<uint32_t> &inputs,
                 // vector width (elementwise rule, DESIGN.md §6), while
                 // skipping inactive rows like the bit-serial hardware.
                 std::fill(acc_bit.begin(), acc_bit.end(), 0.0);
+                double *bit_sum = acc_bit.data();
                 for (int r = 0; r < rows_here; ++r) {
-                    if ((in_vals[static_cast<size_t>(r0 + r)] >> p) & 1u)
-                        k.addF64(acc_bit.data(),
-                                 frag_lvl + static_cast<size_t>(r) *
-                                     static_cast<size_t>(cell_cols),
-                                 cell_cols);
+                    if (!((in_vals[static_cast<size_t>(r0 + r)] >> p) & 1u))
+                        continue;
+                    const double *panel = frag_lvl +
+                        static_cast<size_t>(r) *
+                            static_cast<size_t>(cell_cols);
+                    for (int cc = 0; cc < cell_cols; ++cc)
+                        bit_sum[cc] += panel[cc];
                 }
 
                 // Fused noise -> ADC -> shift-accumulate per column,

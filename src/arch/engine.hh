@@ -18,7 +18,6 @@
 
 #include "arch/mapping.hh"
 #include "arch/zero_skip.hh"
-#include "common/simd.hh"
 #include "common/threadpool.hh"
 #include "reram/adc.hh"
 #include "reram/crossbar.hh"
@@ -78,15 +77,6 @@ struct EngineConfig
      */
     const reram::FaultMap *faults = nullptr;
     uint64_t faultKey = 0;
-
-    /**
-     * Kernel dispatch for this engine's hot loop, resolved once at
-     * construction (per-engine, so runtimes built from RuntimeConfig
-     * can pin a mode without mutating process-wide state from pool
-     * workers). Every mode is bit-identical by the common/simd.hh
-     * contract; Auto follows FORMS_SIMD / cpuid detection.
-     */
-    simd::Mode simdMode = simd::Mode::Auto;
 };
 
 /** Execution statistics of one engine run. */
@@ -191,9 +181,6 @@ class CrossbarEngine
     /** Effective ADC resolution in use (lossless when cfg was 0). */
     int adcBitsInUse() const { return adc_.config().bits; }
 
-    /** Name of the kernel variant this engine resolved to. */
-    const char *kernelName() const { return kern_->name; }
-
     const MappedLayer &layer() const { return layer_; }
 
     /** Crossbars whose used window carries at least one fault. */
@@ -233,7 +220,6 @@ class CrossbarEngine
     std::vector<XbarTile> tiles_;
     std::vector<double> bitWeight_;   //!< 2^p per input bit position
     std::vector<double> cellWeight_;  //!< 2^(s*cellBits) per cell slice
-    const simd::Kernels *kern_ = nullptr;
     Rng rng_;                      //!< program-time variation source
     int outputExtent_ = 0;         //!< 1 + max natural output index
     double worstStepNs_ = 0.0;     //!< slowest crossbar's per-step time

@@ -1,129 +1,34 @@
 /**
  * @file
- * Runtime-dispatched SIMD kernels for the simulator's hot paths.
- *
- * Every kernel exists in a scalar variant (the bitwise reference) and
- * optional AVX2 / NEON variants selected at runtime from one dispatch
- * table. The contract that makes dispatch safe under the DESIGN.md
- * determinism rules: **every variant of a kernel produces bit-identical
- * results**, enforced structurally by two rules (DESIGN.md §6):
- *
- * 1. Elementwise kernels (addF64, axpyF32, copyF32) only combine each
- *    output element with its own operands — vector width cannot change
- *    any per-element operation order, so any correct vectorization is
- *    bitwise equal to the scalar loop. Multiply-add stays two rounded
- *    operations (no FMA contraction) in every variant.
- * 2. Reduction kernels (dotF32) use a fixed lane-block order that is
- *    part of the kernel's *definition*, not an implementation detail:
- *    kDotLanes = 4 partial accumulators with element i feeding lane
- *    (i % 4) in ascending i, combined as (l0+l2) + (l1+l3). The scalar
- *    reference implements the same tree, so ISAs with narrower or wider
- *    native vectors must emulate the 4-lane shape rather than use their
- *    natural width.
- *
- * Mode resolution: Mode::Auto picks the best variant compiled in AND
- * supported by the running CPU; the FORMS_SIMD environment variable
- * (scalar | avx2 | neon | auto) overrides it process-wide, and
- * arch::EngineConfig / setProcessMode() override it per-engine / for
- * tests. Building with -DFORMS_SIMD=OFF compiles the scalar table only.
+ * The former kernel-dispatch API, kept for the benchmark/ sources
+ * only. The simulator has one kernel path (DESIGN.md §6), so there is
+ * no mode to pin: setProcessMode() does nothing and every run is the
+ * scalar definition. New code includes nothing from here.
  */
 
 #ifndef FORMS_COMMON_SIMD_HH
 #define FORMS_COMMON_SIMD_HH
 
-#include <cstdint>
 #include <string>
 
 namespace forms::simd {
 
-/** Which kernel variant set to run. */
-enum class Mode
+/** For benchmark/ only: the modes its scalar pin names. */
+enum class Mode { Auto, Scalar };
+
+/** For benchmark/ only: a no-op, every run takes the one kernel path. */
+inline void setProcessMode(Mode) {}
+
+/** For benchmark/ only: "dispatch=scalar, build=<CMAKE_BUILD_TYPE>". */
+inline std::string
+buildDescription()
 {
-    Auto,    //!< env FORMS_SIMD if set, else best available
-    Scalar,  //!< portable reference (always available)
-    Avx2,    //!< x86-64 AVX2
-    Neon,    //!< aarch64 NEON
-};
-
-/** Number of partial accumulators in the canonical reduction tree. */
-constexpr int kDotLanes = 4;
-
-/**
- * One variant set of the hot-path kernels. All function pointers are
- * non-null; every variant is bit-identical to the scalar table (the
- * header comment's rules 1–2).
- */
-struct Kernels
-{
-    Mode mode;
-    const char *name;
-
-    /** acc[i] += x[i] for i in [0, n). */
-    void (*addF64)(double *acc, const double *x, int64_t n);
-
-    /** y[i] += a * x[i] (two roundings, never FMA) for i in [0, n). */
-    void (*axpyF32)(float *y, const float *x, float a, int64_t n);
-
-    /**
-     * Lane-blocked dot product in double:
-     * lane[j] = sum of (double)a[i] * (double)b[i] over i ≡ j (mod 4),
-     * returned as (lane0 + lane2) + (lane1 + lane3).
-     */
-    double (*dotF32)(const float *a, const float *b, int64_t n);
-
-    /** dst[i] = src[i] (pure data movement). */
-    void (*copyF32)(float *dst, const float *src, int64_t n);
-};
-
-/** True when the AVX2 table is compiled in and the CPU supports it. */
-bool avx2Supported();
-
-/** True when the NEON table is compiled in (aarch64 baseline). */
-bool neonSupported();
-
-/**
- * Resolve a requested mode to a runnable one: Auto follows the
- * process-wide mode (setProcessMode / FORMS_SIMD env / best available);
- * an explicit mode that is not supported on this build+CPU falls back
- * to Scalar with a one-time warning.
- */
-Mode resolve(Mode requested);
-
-/** Kernel table for a mode (resolved first). Never null. */
-const Kernels &kernels(Mode requested = Mode::Auto);
-
-/**
- * Override what Mode::Auto resolves to, process-wide (testing hook;
- * takes precedence over the FORMS_SIMD environment variable).
- * Pass Mode::Auto to restore env/default resolution.
- */
-void setProcessMode(Mode mode);
-
-/** Current process-wide resolution of Mode::Auto. */
-Mode processMode();
-
-/** Lower-case mode name ("auto", "scalar", "avx2", "neon"). */
-const char *modeName(Mode mode);
-
-/**
- * Parse a mode name (case-insensitive). Returns false (and leaves
- * `out` untouched) on an unknown name.
- */
-bool parseMode(const std::string &text, Mode *out);
-
-/**
- * One-line description of the active configuration, e.g.
- * "dispatch=avx2 (auto), build=Release". Benches print it so a number
- * can never be read without knowing which path and build produced it.
- */
-std::string buildDescription();
-
-/**
- * Print `tool: <buildDescription()>` and, when the build type is not
- * Release/RelWithDebInfo, a loud warning that the numbers from this
- * binary are not meaningful performance data.
- */
-void printBenchBanner(const char *tool);
+#if defined(FORMS_BUILD_TYPE)
+    return "dispatch=scalar, build=" FORMS_BUILD_TYPE;
+#else
+    return "dispatch=scalar, build=unknown";
+#endif
+}
 
 } // namespace forms::simd
 

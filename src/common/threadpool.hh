@@ -120,41 +120,6 @@ parallelFor(int64_t begin, int64_t end, int64_t grain,
     ThreadPool::current().parallelFor(begin, end, grain, fn);
 }
 
-/**
- * Per-worker accumulator slots for a pool: one value per shard,
- * reduced in shard order so the result is deterministic.
- */
-template <typename T>
-class PerThread
-{
-  public:
-    explicit PerThread(const ThreadPool &pool, T init = T{})
-        : slots_(static_cast<size_t>(pool.threads()), init)
-    {
-    }
-
-    T &at(int worker) { return slots_[static_cast<size_t>(worker)]; }
-    const T &at(int worker) const
-    {
-        return slots_[static_cast<size_t>(worker)];
-    }
-
-    size_t size() const { return slots_.size(); }
-
-    /** Fold all slots in shard order: acc = f(acc, slot). */
-    template <typename F>
-    T
-    reduce(T acc, F f) const
-    {
-        for (const T &s : slots_)
-            acc = f(acc, s);
-        return acc;
-    }
-
-  private:
-    std::vector<T> slots_;
-};
-
 } // namespace forms
 
 #endif // FORMS_COMMON_THREADPOOL_HH

@@ -2,8 +2,9 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 
-#include "common/simd.hh"
+#include "common/logging.hh"
 #include "common/threadpool.hh"
 
 // Build-time-generated header carrying the FORMS_GIT_SHA macro (see
@@ -54,7 +55,6 @@ RunManifest::collect(const std::string &bench)
     m.bench = bench;
     m.gitSha = resolveGitSha();
     m.build = buildTypeName();
-    m.simdDispatch = simd::modeName(simd::processMode());
     m.threads = ThreadPool::global().threads();
     return m;
 }
@@ -104,7 +104,9 @@ RunManifest::writeJson(JsonWriter &w) const
     w.field("bench", bench);
     w.field("git_sha", gitSha);
     w.field("build", build);
-    w.field("simd_dispatch", simdDispatch);
+    // One kernel path; the key stays for benchmark/run.py and
+    // compare.py, which print it.
+    w.field("simd_dispatch", "scalar");
     w.field("threads", threads);
     w.key("config").beginObject();
     for (const auto &[k, v] : config)
@@ -119,6 +121,23 @@ writeBenchHeader(JsonWriter &w, const RunManifest &m)
     w.field("schema_version", kBenchSchemaVersion);
     w.key("manifest");
     m.writeJson(w);
+}
+
+void
+printBenchBanner(const char *tool)
+{
+    // Through the leveled logger: FORMS_LOG=warn silences the banner
+    // for scripted runs, while the unoptimized-build warning stays
+    // loud at every level short of silence.
+    const char *build = buildTypeName();
+    inform("%s: build=%s", tool, build);
+    if (std::strcmp(build, "Release") != 0 &&
+        std::strcmp(build, "RelWithDebInfo") != 0) {
+        warn("%s: unoptimized build type '%s' — the numbers below are "
+             "NOT meaningful performance data; rebuild with "
+             "CMAKE_BUILD_TYPE=Release",
+             tool, build);
+    }
 }
 
 } // namespace forms::obs

@@ -4,8 +4,8 @@
  *
  * A BENCH_*.json without a manifest is a number with no pedigree: the
  * perf trajectory cannot be tracked across machines or commits when
- * the file does not say which git sha, build type, SIMD dispatch mode
- * and thread count produced it. RunManifest::collect() captures that
+ * the file does not say which git sha, build type and thread count
+ * produced it. RunManifest::collect() captures that
  * environment once; benches append their own knobs (seeds, schedule
  * config, sweep parameters) as ordered key/value pairs; and
  * writeBenchHeader() stamps `schema_version` + `manifest` as the
@@ -41,7 +41,6 @@ struct RunManifest
     std::string bench;         //!< emitting tool, e.g. "fig15_multichip"
     std::string gitSha;        //!< env > build-time capture > "unknown"
     std::string build;         //!< CMAKE_BUILD_TYPE of the binary
-    std::string simdDispatch;  //!< resolved kernel dispatch (Mode::Auto)
     int threads = 0;           //!< process-wide ThreadPool width
 
     /**
@@ -70,6 +69,13 @@ struct RunManifest
  * beginObject(), before the bench's own members.
  */
 void writeBenchHeader(JsonWriter &w, const RunManifest &m);
+
+/**
+ * Print `tool: build=<CMAKE_BUILD_TYPE>` and, when the build type is
+ * not Release/RelWithDebInfo, a loud warning that the numbers from
+ * this binary are not meaningful performance data.
+ */
+void printBenchBanner(const char *tool);
 
 } // namespace forms::obs
 

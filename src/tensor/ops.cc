@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 
-#include "common/simd.hh"
 #include "common/threadpool.hh"
 
 namespace forms {
@@ -27,6 +27,45 @@ grainFor(int64_t per_item_work)
         1, chunk_work / std::max<int64_t>(1, per_item_work));
 }
 
+/**
+ * y[i] += a * x[i] in ascending i: two roundings per element, never an
+ * FMA (the library builds with -ffp-contract=off).
+ */
+void
+axpy(float *y, const float *x, float a, int64_t n)
+{
+    for (int64_t i = 0; i < n; ++i)
+        y[i] += a * x[i];
+}
+
+/** Partial accumulators in dot()'s reduction tree. */
+constexpr int kDotLanes = 4;
+
+/**
+ * Lane-blocked dot product in double, the definition of every
+ * matmulTransposeB element (DESIGN.md §6): element i feeds lane i % 4
+ * in ascending i, and the lanes combine as (l0 + l2) + (l1 + l3). A
+ * product of two floats is exact in double, so only this add order
+ * matters.
+ */
+double
+dot(const float *a, const float *b, int64_t n)
+{
+    double lane[kDotLanes] = {0.0, 0.0, 0.0, 0.0};
+    int64_t i = 0;
+    for (; i + kDotLanes <= n; i += kDotLanes) {
+        for (int j = 0; j < kDotLanes; ++j) {
+            lane[j] += static_cast<double>(a[i + j]) *
+                static_cast<double>(b[i + j]);
+        }
+    }
+    for (; i < n; ++i) {
+        lane[i & 3] +=
+            static_cast<double>(a[i]) * static_cast<double>(b[i]);
+    }
+    return (lane[0] + lane[2]) + (lane[1] + lane[3]);
+}
+
 } // namespace
 
 Tensor
@@ -41,13 +80,12 @@ matmul(const Tensor &a, const Tensor &b)
     const float *pa = a.data();
     const float *pb = b.data();
     float *pc = c.data();
-    const simd::Kernels &kern = simd::kernels();
     parallelFor(0, m, grainFor(k * n), [&](int64_t i, int) {
         for (int64_t l = 0; l < k; ++l) {
             const float av = pa[i * k + l];
             if (av == 0.0f)
                 continue;
-            kern.axpyF32(pc + i * n, pb + l * n, av, n);
+            axpy(pc + i * n, pb + l * n, av, n);
         }
     });
     return c;
@@ -63,14 +101,10 @@ matmulTransposeB(const Tensor &a, const Tensor &b_t)
     const float *pa = a.data();
     const float *pb = b_t.data();
     float *pc = c.data();
-    // dotF32's lane-blocked reduction tree (common/simd.hh) is the
-    // kernel's definition, so every dispatch mode produces the same
-    // bits here.
-    const simd::Kernels &kern = simd::kernels();
     parallelFor(0, m, grainFor(k * n), [&](int64_t i, int) {
         for (int64_t j = 0; j < n; ++j) {
-            pc[i * n + j] = static_cast<float>(
-                kern.dotF32(pa + i * k, pb + j * k, k));
+            pc[i * n + j] =
+                static_cast<float>(dot(pa + i * k, pb + j * k, k));
         }
     });
     return c;
@@ -89,14 +123,13 @@ matmulTransposeA(const Tensor &a, const Tensor &b)
     // Sharded over output rows l (not the reduction axis i) so each
     // C row is owned by one task and the i-order accumulation per
     // (l, j) matches the serial loop exactly.
-    const simd::Kernels &kern = simd::kernels();
     parallelFor(0, k, grainFor(m * n), [&](int64_t l, int) {
         float *crow = pc + l * n;
         for (int64_t i = 0; i < m; ++i) {
             const float av = pa[i * k + l];
             if (av == 0.0f)
                 continue;
-            kern.axpyF32(crow, pb + i * n, av, n);
+            axpy(crow, pb + i * n, av, n);
         }
     });
     return c;
@@ -143,7 +176,6 @@ im2colInto(const Tensor &input, int kh, int kw, int stride, int pad,
         out = Tensor({rows, cols});
     float *po = out.data();
     const float *pi = input.data();
-    const simd::Kernels &kern = simd::kernels();
 
     // One task per (image, channel) plane: each writes a disjoint
     // (row band, column band) block of the output.
@@ -165,17 +197,17 @@ im2colInto(const Tensor &input, int kh, int kw, int stride, int pad,
                     const float *srow = plane + iy * w;
                     if (stride == 1) {
                         // Unit stride reads a contiguous span: pad
-                        // fills at the edges, one stride-1 copy for
-                        // the interior (pure data movement — bitwise
-                        // mode-independent).
+                        // fills at the edges, one copy for the
+                        // interior.
                         const int shift = kx - pad;   // ix = ox + shift
                         const int x0 = std::max(0, -shift);
                         const int x1 = std::min(ow, w - shift);
                         if (x0 > 0)
                             std::fill(dst, dst + std::min(x0, ow), 0.0f);
                         if (x1 > x0)
-                            kern.copyF32(dst + x0, srow + x0 + shift,
-                                         x1 - x0);
+                            std::memcpy(dst + x0, srow + x0 + shift,
+                                        sizeof(float) *
+                                            static_cast<size_t>(x1 - x0));
                         if (std::max(x0, x1) < ow)
                             std::fill(dst + std::max(x0, x1), dst + ow,
                                       0.0f);

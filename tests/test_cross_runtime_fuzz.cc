@@ -7,9 +7,8 @@
  * scale, and cross-checks GraphRuntime against PipelineRuntime —
  * random thread counts, chip counts, micro-batch sizes,
  * stage-replication factors (random replicateThreshold/maxReplicas,
- * so heavy nodes spread across several replica chips) AND kernel
- * dispatch modes (scalar reference vs best-available SIMD, DESIGN.md
- * §6) — for bitwise-identical logits and per-node EngineStats, with
+ * so heavy nodes spread across several replica chips) — for
+ * bitwise-identical logits and per-node EngineStats, with
  * ADC quantization, device variation and read noise all enabled
  * (DESIGN.md §3–§5). A serving axis additionally replays a subset of
  * graphs through serve::Server — random arrival orders and batch
@@ -28,7 +27,6 @@
 #include <cstring>
 #include <future>
 
-#include "common/simd.hh"
 #include "compile/calibration.hh"
 #include "compile/passes.hh"
 #include "compile/schedule.hh"
@@ -233,14 +231,6 @@ TEST(CrossRuntimeFuzz, GraphAndPipelineRuntimesAgreeBitwise)
             rcfg.calibration = &table;
         }
 
-        // Dispatch axis: the reference runtime pins the scalar kernel
-        // table while the pipeline runtime dispatches the best
-        // available SIMD variant, so every bit-equality assertion
-        // below also enforces the scalar<->vector identity contract
-        // (DESIGN.md §6). On a FORMS_SIMD=OFF build Auto resolves to
-        // scalar and the axis degenerates harmlessly.
-        rcfg.engine.simdMode = simd::Mode::Scalar;
-
         sim::GraphRuntime gr(graph, states, rcfg);
         sim::RuntimeReport grep;
         const Tensor ref = gr.forward(batch, &grep);
@@ -267,7 +257,6 @@ TEST(CrossRuntimeFuzz, GraphAndPipelineRuntimesAgreeBitwise)
         replicated_graphs += replicated;
         sim::PipelineRuntimeConfig pcfg;
         pcfg.runtime = rcfg;
-        pcfg.runtime.engine.simdMode = simd::Mode::Auto;
         pcfg.runtime.pool = &pipe_pool;
         pcfg.microBatch = micro_batch;
         sim::PipelineRuntime pr(graph, std::move(sched), states, pcfg);

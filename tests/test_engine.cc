@@ -239,61 +239,6 @@ TEST(Engine, StatsAccounting)
 }
 
 /**
- * Scalar and dispatched engines are bit-identical — outputs AND stats
- * — with ADC quantization, device variation and read noise all on.
- * Geometries are chosen so the per-fragment column panels are NOT a
- * multiple of the 4-wide vector blocks (cellBits 8 gives one cell per
- * weight, so odd weight-column counts force 1–3-element tail lanes).
- */
-TEST(Engine, ScalarAndDispatchedKernelsAreBitIdentical)
-{
-    struct Geometry
-    {
-        int cellBits, frag, cout;
-    };
-    for (const Geometry geo : {Geometry{8, 4, 5}, Geometry{2, 8, 6},
-                               Geometry{4, 16, 7}}) {
-        SCOPED_TRACE(strfmt("cellBits=%d frag=%d cout=%d", geo.cellBits,
-                            geo.frag, geo.cout));
-        TestLayer layer(geo.cout, 3, 3, geo.frag, 99);
-        MappingConfig mcfg = makeCfg(geo.frag);
-        mcfg.cellBits = geo.cellBits;
-        mcfg.inputBits = 8;
-        const MappedLayer mapped = mapLayer(layer.state, mcfg);
-
-        EngineConfig scfg;
-        scfg.adcBits = 4;
-        scfg.cell.bitsPerCell = geo.cellBits;
-        scfg.cell.variationSigma = 0.1;
-        scfg.readNoiseSigma = 0.02;
-        EngineConfig dcfg = scfg;
-        scfg.simdMode = simd::Mode::Scalar;
-        dcfg.simdMode = simd::Mode::Auto;
-
-        CrossbarEngine scalar_eng(mapped, scfg);
-        CrossbarEngine dispatch_eng(mapped, dcfg);
-        EXPECT_STREQ(scalar_eng.kernelName(), "scalar");
-
-        std::vector<std::vector<uint32_t>> batch;
-        for (uint64_t p = 0; p < 6; ++p) {
-            batch.push_back(randomInputs(
-                static_cast<size_t>(mapped.logicalRows), 8, 1000 + p));
-        }
-        EngineStats want, got;
-        const auto ref = scalar_eng.mvmBatch(batch, &want);
-        const auto out = dispatch_eng.mvmBatch(batch, &got);
-        ASSERT_EQ(ref.size(), out.size());
-        for (size_t p = 0; p < ref.size(); ++p) {
-            ASSERT_EQ(ref[p].size(), out[p].size());
-            for (size_t c = 0; c < ref[p].size(); ++c)
-                EXPECT_EQ(ref[p][c], out[p][c])
-                    << "presentation " << p << " column " << c;
-        }
-        expectStatsIdentical(want, got);
-    }
-}
-
-/**
  * A device model whose precision disagrees with the mapping's slicing
  * must be rejected up front with an actionable message (this also
  * regression-tests FORMS_ASSERT's formatted-argument path, which used

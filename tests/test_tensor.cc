@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
-#include "common/simd.hh"
+#include <cstring>
+
+#include "common/logging.hh"
 #include "tensor/ops.hh"
 
 namespace forms {
@@ -96,38 +98,113 @@ TEST(Ops, MatmulTransposeVariantsAgree)
     }
 }
 
+/** Bitwise tensor equality (shape and every element's bits). */
+bool
+sameBits(const Tensor &x, const Tensor &y)
+{
+    return x.shape() == y.shape() &&
+        std::memcmp(x.data(), y.data(),
+                    sizeof(float) * static_cast<size_t>(x.numel())) == 0;
+}
+
 /**
- * The dispatched matmul / matmulTransposeB / im2col kernels are
- * bit-identical to their scalar-mode runs on deliberately ragged
- * shapes (dimensions coprime to every vector width, so the 4-wide
- * main loops always leave 1–3-element tails). On a scalar-only build
- * both runs use the same table and the check degenerates harmlessly.
+ * The dot-product definition, transcribed (DESIGN.md §6): element i
+ * feeds lane i % 4 in ascending i, the lanes combine as
+ * (l0 + l2) + (l1 + l3).
  */
-TEST(Ops, DispatchModesAreBitIdenticalOnRaggedShapes)
+double
+laneTreeDot(const float *a, const float *b, int64_t n)
+{
+    double lane[4] = {0.0, 0.0, 0.0, 0.0};
+    for (int64_t i = 0; i < n; ++i)
+        lane[i % 4] += static_cast<double>(a[i]) * static_cast<double>(b[i]);
+    return (lane[0] + lane[2]) + (lane[1] + lane[3]);
+}
+
+/**
+ * The GEMM and im2col kernels are bit-identical to in-test
+ * transcriptions of their definitions (the lane-tree dot, and float
+ * axpy accumulation in ascending reduction index with two roundings
+ * per step) on deliberately ragged shapes: k = 23 and n = 13 leave
+ * 1–3-element tails in any 4-wide blocking the compiler picks.
+ */
+TEST(Ops, GemmAndIm2colMatchTheirDefinitionsOnRaggedShapes)
 {
     Rng rng(12);
-    // k = 23 and n = 13 are the reduction / row extents the SIMD
-    // paths block by 4; neither divides evenly.
-    Tensor a({5, 23}), b({23, 13}), bt({13, 23});
+    const int64_t m = 5, k = 23, n = 13;
+    Tensor a({m, k}), b({k, n}), bt({n, k});
     Tensor img({2, 3, 9, 7});
     a.fillGaussian(rng, 0.0f, 1.0f);
     b.fillGaussian(rng, 0.0f, 1.0f);
     bt.fillGaussian(rng, 0.0f, 1.0f);
     img.fillUniform(rng, -1.0f, 1.0f);
 
-    simd::setProcessMode(simd::Mode::Scalar);
-    const Tensor mm_ref = matmul(a, b);
-    const Tensor mt_ref = matmulTransposeB(a, bt);
-    const Tensor ta_ref = matmulTransposeA(transpose(a), b);
-    const Tensor im_ref = im2col(img, 3, 3, 1, 1);
-    const Tensor im_ref2 = im2col(img, 2, 2, 2, 0);   // strided path
+    Tensor mm({m, n}), mt({m, n});
+    for (int64_t i = 0; i < m; ++i) {
+        for (int64_t j = 0; j < n; ++j) {
+            float acc = 0.0f;
+            for (int64_t l = 0; l < k; ++l)
+                acc += a.at(i, l) * b.at(l, j);
+            mm.at(i, j) = acc;
+            mt.at(i, j) = static_cast<float>(
+                laneTreeDot(a.data() + i * k, bt.data() + j * k, k));
+        }
+    }
+    EXPECT_TRUE(sameBits(matmul(a, b), mm));
+    EXPECT_TRUE(sameBits(matmulTransposeB(a, bt), mt));
+    // C = A^T B with A = transpose(a) accumulates over A's rows in
+    // ascending order: the same sums as matmul(a, b).
+    EXPECT_TRUE(sameBits(matmulTransposeA(transpose(a), b), mm));
 
-    simd::setProcessMode(simd::Mode::Auto);
-    EXPECT_TRUE(matmul(a, b).equals(mm_ref));
-    EXPECT_TRUE(matmulTransposeB(a, bt).equals(mt_ref));
-    EXPECT_TRUE(matmulTransposeA(transpose(a), b).equals(ta_ref));
-    EXPECT_TRUE(im2col(img, 3, 3, 1, 1).equals(im_ref));
-    EXPECT_TRUE(im2col(img, 2, 2, 2, 0).equals(im_ref2));
+    struct Lowering
+    {
+        int kh, kw, stride, pad;
+    };
+    for (const Lowering lw : {Lowering{3, 3, 1, 1}, Lowering{2, 2, 2, 0}}) {
+        SCOPED_TRACE(strfmt("k=%d stride=%d pad=%d", lw.kh, lw.stride,
+                            lw.pad));
+        const int64_t imgs = img.dim(0), ch = img.dim(1);
+        const int h = static_cast<int>(img.dim(2));
+        const int w = static_cast<int>(img.dim(3));
+        const int oh = convOutDim(h, lw.kh, lw.stride, lw.pad);
+        const int ow = convOutDim(w, lw.kw, lw.stride, lw.pad);
+        Tensor want({ch * lw.kh * lw.kw, imgs * oh * ow});
+        for (int64_t im = 0; im < imgs; ++im)
+            for (int64_t c = 0; c < ch; ++c)
+                for (int ky = 0; ky < lw.kh; ++ky)
+                    for (int kx = 0; kx < lw.kw; ++kx)
+                        for (int oy = 0; oy < oh; ++oy)
+                            for (int ox = 0; ox < ow; ++ox) {
+                                const int iy = oy * lw.stride - lw.pad + ky;
+                                const int ix = ox * lw.stride - lw.pad + kx;
+                                const bool in = iy >= 0 && iy < h &&
+                                    ix >= 0 && ix < w;
+                                want.at((c * lw.kh + ky) * lw.kw + kx,
+                                        (im * oh + oy) * ow + ox) =
+                                    in ? img.at(im, c, iy, ix) : 0.0f;
+                            }
+        EXPECT_TRUE(sameBits(im2col(img, lw.kh, lw.kw, lw.stride, lw.pad),
+                             want));
+    }
+}
+
+/**
+ * matmulTransposeB uses the lane tree, not plain accumulation: on
+ * {2^53, 1, -2^53, 1} · 1 a sequential sum and the adjacent pairing
+ * (l0 + l1) + (l2 + l3) both lose one of the 1s to rounding (1.0), and
+ * only (l0 + l2) + (l1 + l3) gives 2.0. (On Gaussian data the
+ * float-rounded outputs rarely tell these orders apart.)
+ */
+TEST(Ops, MatmulTransposeBIsTheCanonicalLaneTree)
+{
+    const float big = 9007199254740992.0f;   // 2^53: 2^53 + 1 rounds back
+    Tensor row({1, 4}), ones({1, 4});
+    const float vals[4] = {big, 1.0f, -big, 1.0f};
+    for (int64_t i = 0; i < 4; ++i) {
+        row.at(0, i) = vals[i];
+        ones.at(0, i) = 1.0f;
+    }
+    EXPECT_EQ(matmulTransposeB(row, ones).at(0, 0), 2.0f);
 }
 
 /** im2colInto reuses caller storage without changing the result. */

@@ -1,7 +1,7 @@
 /**
  * @file
  * ThreadPool unit tests: full range coverage, grain edge cases,
- * per-thread accumulators, exception propagation, nested reuse, and
+ * worker-id ranges, exception propagation, nested reuse, and
  * determinism of the static sharding.
  */
 
@@ -57,18 +57,6 @@ TEST(ThreadPool, GrainEdgeCases)
     ASSERT_EQ(workers.size(), 4u);
     for (int w : workers)
         EXPECT_EQ(w, 0);
-}
-
-TEST(ThreadPool, PerThreadAccumulatorsSumCorrectly)
-{
-    ThreadPool pool(4);
-    PerThread<int64_t> acc(pool, 0);
-    pool.parallelFor(1, 1001, 7, [&](int64_t i, int w) {
-        acc.at(w) += i;
-    });
-    const int64_t total =
-        acc.reduce(int64_t{0}, [](int64_t a, int64_t b) { return a + b; });
-    EXPECT_EQ(total, 1000 * 1001 / 2);
 }
 
 TEST(ThreadPool, WorkerIdsStayInRange)
