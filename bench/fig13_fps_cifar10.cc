@@ -71,7 +71,7 @@ runtimeBench()
     rcfg.pool = &parallel_pool;
     GraphRuntime parallel_rt(graph, states, rcfg);
 
-    // Warm-up (page in the programmed arrays), then take the best of
+    // Warm-up (page in the programmed tiles), then take the best of
     // three timed runs per configuration — a single sample on a busy
     // host is scheduling noise — using the wall-clock the runtime
     // itself stamps into the report. The modeled stats are

@@ -20,7 +20,7 @@
  *
  * Thread-safety: program() is construction-time only (single thread);
  * after programming, the engines hold no presentation state: their
- * keyed mvm calls only read the programmed arrays and shard on the
+ * keyed mvm calls only read the programmed tiles and shard on the
  * caller's pool. The pool owns engines and mappings outright; callers
  * borrow raw pointers that stay valid for the pool's lifetime.
  */

@@ -25,8 +25,7 @@ CrossbarEngine::CrossbarEngine(const MappedLayer &layer, EngineConfig cfg)
                 ? cfg.adcBits
                 : reram::AdcModel::losslessBits(layer.cfg.fragSize,
                                                 layer.cfg.cellBits),
-            cfg.adcFreqGhz}),
-      rng_(cfg.variationSeed)
+            cfg.adcFreqGhz})
 {
     // The mapper sliced magnitudes at the mapping's cell precision;
     // programming them into a device model with a different precision
@@ -47,61 +46,40 @@ CrossbarEngine::CrossbarEngine(const MappedLayer &layer, EngineConfig cfg)
     fullScale_ = static_cast<double>(
         std::max(frag_max, adc_.config().codes() - 1));
 
+    // Program each crossbar straight into its contiguous tile: row r's
+    // cell columns at lvl[r * cellCols + cc], so the per-bit MVM is a
+    // stride-1 sweep over active rows' panels. Device variation is
+    // drawn once here, at program time, in crossbar, row, weight
+    // column, cell slice order; the tile is then frozen. Alongside,
+    // precompute the per-fragment read energy, the output extent and
+    // the slowest crossbar's ADC-limited per-step time: the hot path
+    // then touches only dense arrays.
     const int cells = layer_.cfg.cellsPerWeight();
-    for (const auto &xb : layer_.crossbars) {
-        reram::CrossbarArray arr(
-            std::max(1, xb.rows), std::max(1, xb.weightCols * cells),
-            cfg_.cell, cfg_.cell.variationSigma > 0.0 ? &rng_ : nullptr);
-        for (int r = 0; r < xb.rows; ++r) {
-            for (int wc = 0; wc < xb.weightCols; ++wc) {
-                const auto levels = reram::sliceMagnitude(
-                    xb.mag(r, wc), layer_.cfg.weightBits,
-                    layer_.cfg.cellBits);
-                for (int s = 0; s < cells; ++s) {
-                    arr.programCell(r, wc * cells + s,
-                                    levels[static_cast<size_t>(s)]);
-                }
-            }
-        }
-        arrays_.push_back(std::move(arr));
-    }
-
-    // Output extent and the ADC-limited per-step time of the slowest
-    // crossbar depend only on the mapping geometry: precompute once.
-    for (const auto &xb : layer_.crossbars)
-        for (int idx : xb.outputIndex)
-            outputExtent_ = std::max(outputExtent_, idx + 1);
     const double sample_ns = adc_.sampleTimeNs();
-    for (const auto &xb : layer_.crossbars) {
-        const int cell_cols = xb.weightCols * cells;
-        const double per_step = std::ceil(
-            static_cast<double>(cell_cols) /
-            static_cast<double>(cfg_.adcsPerCrossbar)) * sample_ns;
-        worstStepNs_ = std::max(worstStepNs_, per_step);
-    }
-
-    // Re-lay the realized conductances into contiguous tiles and
-    // precompute the per-fragment read energy and the exact powers of
-    // two the bit loop needs: the hot path then touches only dense
-    // arrays.
-    tiles_.reserve(arrays_.size());
-    for (size_t xi = 0; xi < arrays_.size(); ++xi) {
+    Rng rng(cfg_.variationSeed);
+    tiles_.reserve(layer_.crossbars.size());
+    for (size_t xi = 0; xi < layer_.crossbars.size(); ++xi) {
         const auto &xb = layer_.crossbars[xi];
-        const auto &arr = arrays_[xi];
         XbarTile tile;
         tile.cellCols = xb.weightCols * cells;
         tile.lvl.resize(static_cast<size_t>(xb.rows) *
                         static_cast<size_t>(tile.cellCols));
-        for (int r = 0; r < xb.rows; ++r)
-            for (int cc = 0; cc < tile.cellCols; ++cc)
-                tile.lvl[static_cast<size_t>(r) *
-                             static_cast<size_t>(tile.cellCols) +
-                         static_cast<size_t>(cc)] =
-                    arr.cellAnalogLevel(r, cc);
+        for (int r = 0; r < xb.rows; ++r) {
+            double *row = tile.lvl.data() +
+                static_cast<size_t>(r) * static_cast<size_t>(tile.cellCols);
+            for (int wc = 0; wc < xb.weightCols; ++wc) {
+                const auto levels = reram::sliceMagnitude(
+                    xb.mag(r, wc), layer_.cfg.weightBits,
+                    layer_.cfg.cellBits);
+                for (int s = 0; s < cells; ++s)
+                    row[wc * cells + s] = reram::programLevel(
+                        levels[static_cast<size_t>(s)], cfg_.cell, &rng);
+            }
+        }
 
         // Hard-fault overlay: deterministic per (faultKey, physId),
-        // applied to the snapshot only — the programmed arrays (and
-        // their energy accounting) are what the write path produced.
+        // applied to the programmed levels only — read energy keeps
+        // the fault-free mid-range conductance model.
         if (cfg_.faults && cfg_.faults->config().any()) {
             const int phys = xb.physId >= 0 ? xb.physId
                                             : static_cast<int>(xi);
@@ -150,9 +128,15 @@ CrossbarEngine::CrossbarEngine(const MappedLayer &layer, EngineConfig cfg)
         for (int f = 0; f < xb.fragsUsed; ++f) {
             const int rows_here =
                 std::min(layer_.cfg.fragSize, xb.rows - f * layer_.cfg.fragSize);
-            tile.fragReadEpj[static_cast<size_t>(f)] =
-                arr.readEnergyPj(rows_here, sample_ns);
+            tile.fragReadEpj[static_cast<size_t>(f)] = reram::readEnergyPj(
+                cfg_.cell, rows_here, std::max(1, tile.cellCols), sample_ns);
         }
+        for (int idx : xb.outputIndex)
+            outputExtent_ = std::max(outputExtent_, idx + 1);
+        const double per_step = std::ceil(
+            static_cast<double>(tile.cellCols) /
+            static_cast<double>(cfg_.adcsPerCrossbar)) * sample_ns;
+        worstStepNs_ = std::max(worstStepNs_, per_step);
         tiles_.push_back(std::move(tile));
     }
     bitWeight_.resize(static_cast<size_t>(layer_.cfg.inputBits));
@@ -187,8 +171,7 @@ CrossbarEngine::mvmOne(const std::vector<uint32_t> &inputs,
     const int in_bits = layer_.cfg.inputBits;
     const double adc_epj = adc_.energyPerSamplePj();
     const bool noisy_reads = cfg_.readNoiseSigma > 0.0;
-    // The same step AdcModel::quantize/reconstruct derive per call;
-    // hoisting the division out of the column loop is bitwise neutral.
+    // The ADC grid of reram::adcRead, hoisted out of the column loop.
     const int adc_top = adc_.config().codes() - 1;
     const double adc_step = fullScale_ / static_cast<double>(adc_top);
     Rng pres_rng(presentationSeed(cfg_.variationSeed, key));
@@ -241,10 +224,10 @@ CrossbarEngine::mvmOne(const std::vector<uint32_t> &inputs,
                     tile.fragReadEpj[static_cast<size_t>(f)];
 
                 // Stride-1 row sweep: add each active row's level
-                // panel into acc_bit. Per column this reproduces
-                // columnSum's ascending-row additions exactly, for any
-                // vector width (elementwise rule, DESIGN.md §6), while
-                // skipping inactive rows like the bit-serial hardware.
+                // panel into acc_bit. Per column this sums the active
+                // rows in ascending order, for any vector width
+                // (elementwise rule, DESIGN.md §6), while skipping
+                // inactive rows like the bit-serial hardware.
                 std::fill(acc_bit.begin(), acc_bit.end(), 0.0);
                 double *bit_sum = acc_bit.data();
                 for (int r = 0; r < rows_here; ++r) {
@@ -257,22 +240,18 @@ CrossbarEngine::mvmOne(const std::vector<uint32_t> &inputs,
                         bit_sum[cc] += panel[cc];
                 }
 
-                // Fused noise -> ADC -> shift-accumulate per column,
-                // preserving the reference operation order: lognormal
-                // draws in ascending column order, clamp(lround(x /
-                // step)) * step, then one multiply by the exact power
-                // of two for this bit.
+                // Fused noise -> ADC -> shift-accumulate per column:
+                // lognormal draws in ascending column order, the ADC
+                // transfer, then one multiply by the exact power of
+                // two for this bit.
                 for (int cc = 0; cc < cell_cols; ++cc) {
                     double analog = acc_bit[static_cast<size_t>(cc)];
                     if (noisy_reads) {
                         analog *=
                             pres_rng.lognormal(0.0, cfg_.readNoiseSigma);
                     }
-                    const int count = std::clamp(
-                        static_cast<int>(std::lround(analog / adc_step)),
-                        0, adc_top);
                     acc[static_cast<size_t>(cc)] +=
-                        static_cast<double>(count) * adc_step *
+                        reram::adcRead(analog, adc_step, adc_top) *
                         bitWeight_[static_cast<size_t>(p)];
                     ++local.adcSamples;
                     local.adcEnergyPj += adc_epj;

@@ -20,7 +20,7 @@
 #include "arch/zero_skip.hh"
 #include "common/threadpool.hh"
 #include "reram/adc.hh"
-#include "reram/crossbar.hh"
+#include "reram/device.hh"
 #include "reram/faults.hh"
 
 namespace forms::arch {
@@ -122,7 +122,7 @@ class CrossbarEngine
 {
   public:
     /**
-     * Program the mapped layer onto simulated crossbar arrays.
+     * Program the mapped layer into per-crossbar conductance tiles.
      * Device variation (if configured) is drawn once here, at
      * program time, as on real hardware.
      */
@@ -192,18 +192,18 @@ class CrossbarEngine
   private:
     /**
      * Execute one presentation. Const and self-contained (all scratch
-     * is local, the programmed arrays are only read), so concurrent
+     * is local, the programmed tiles are only read), so concurrent
      * calls from pool workers are safe.
      */
     void mvmOne(const std::vector<uint32_t> &inputs, uint64_t key,
                 std::vector<double> &out, EngineStats &stats) const;
 
     /**
-     * One crossbar's realized conductances re-laid as a contiguous
-     * tile: row r's cell columns at lvl[r * cellCols + cc], so the
-     * per-bit MVM is a stride-1 sweep over active rows' panels.
-     * Snapshotted from the programmed arrays at construction (device
-     * variation is drawn at program time, so the values are frozen).
+     * One crossbar's programmed conductances (level units), the only
+     * store of them: row r's cell columns at lvl[r * cellCols + cc], so
+     * the per-bit MVM is a stride-1 sweep over active rows' panels.
+     * Written once at construction (device variation and faults
+     * included), read-only afterwards.
      */
     struct XbarTile
     {
@@ -216,11 +216,9 @@ class CrossbarEngine
     EngineConfig cfg_;
     reram::AdcModel adc_;
     double fullScale_;             //!< ADC full-scale in level units
-    std::vector<reram::CrossbarArray> arrays_;
     std::vector<XbarTile> tiles_;
     std::vector<double> bitWeight_;   //!< 2^p per input bit position
     std::vector<double> cellWeight_;  //!< 2^(s*cellBits) per cell slice
-    Rng rng_;                      //!< program-time variation source
     int outputExtent_ = 0;         //!< 1 + max natural output index
     double worstStepNs_ = 0.0;     //!< slowest crossbar's per-step time
     int64_t faultyCrossbars_ = 0;  //!< tiles overlaid with any fault

@@ -1,9 +1,6 @@
 #include "reram/adc.hh"
 
-#include <algorithm>
 #include <cmath>
-
-#include "common/logging.hh"
 
 namespace forms::reram {
 
@@ -20,24 +17,6 @@ constexpr double kAreaLin = 5.98214e-5;
 constexpr double kAreaExp = 2.81808e-6;
 
 } // namespace
-
-int
-AdcModel::quantize(double analog, double full_scale) const
-{
-    FORMS_ASSERT(full_scale > 0.0, "full scale must be positive");
-    const int top = cfg_.codes() - 1;
-    const double step = full_scale / static_cast<double>(top);
-    const int count = static_cast<int>(std::lround(analog / step));
-    return std::clamp(count, 0, top);
-}
-
-double
-AdcModel::reconstruct(int count, double full_scale) const
-{
-    const int top = cfg_.codes() - 1;
-    const double step = full_scale / static_cast<double>(top);
-    return static_cast<double>(count) * step;
-}
 
 double
 AdcModel::powerMw() const

@@ -2,12 +2,12 @@
  * @file
  * ADC and DAC models.
  *
- * The ADC transfer function quantizes an analog column sum (in level
- * units) to a digital count with configurable resolution; "lossless"
- * resolution (enough bits to represent the worst-case sum exactly)
- * makes the crossbar arithmetic integer-exact, while the paper's
- * resolutions (3/4/5-bit for fragments 4/8/16) introduce a measurable
- * quantization error.
+ * The ADC transfer function (adcRead) quantizes an analog column sum
+ * (in level units) to a digital count with configurable resolution;
+ * "lossless" resolution (enough bits to represent the worst-case sum
+ * exactly) makes the crossbar arithmetic integer-exact, while the
+ * paper's resolutions (3/4/5-bit for fragments 4/8/16) introduce a
+ * measurable quantization error.
  *
  * Area and power follow the scaling law the paper adopts from
  * Saberi et al. / the Murmann survey: the memory/clock/reference
@@ -21,6 +21,8 @@
 #ifndef FORMS_RERAM_ADC_HH
 #define FORMS_RERAM_ADC_HH
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 
 namespace forms::reram {
@@ -35,23 +37,27 @@ struct AdcConfig
     int codes() const { return 1 << bits; }
 };
 
-/** SAR ADC behavioral + cost model. */
+/**
+ * The ADC transfer function: quantize `analog` (level units) to the
+ * nearest code of a uniform grid of `step`-wide codes 0..top, then read
+ * the code back in level units. With step = 1 the transfer is exact on
+ * integers in [0, top]; out-of-range inputs saturate at 0 or top.
+ */
+inline double
+adcRead(double analog, double step, int top)
+{
+    return static_cast<double>(std::clamp(
+               static_cast<int>(std::lround(analog / step)), 0, top)) *
+        step;
+}
+
+/** SAR ADC cost model. */
 class AdcModel
 {
   public:
     explicit AdcModel(AdcConfig cfg) : cfg_(cfg) {}
 
     const AdcConfig &config() const { return cfg_; }
-
-    /**
-     * Quantize `analog` (level units, in [0, full_scale]) to a count.
-     * Steps are uniform: full_scale maps to the top code. With
-     * full_scale <= codes-1 the transfer is exact on integers.
-     */
-    int quantize(double analog, double full_scale) const;
-
-    /** Reconstruct the analog estimate for a count. */
-    double reconstruct(int count, double full_scale) const;
 
     /** Conversion time for one sample, ns. */
     double sampleTimeNs() const { return 1.0 / cfg_.freqGhz; }

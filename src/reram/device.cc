@@ -4,26 +4,31 @@
 
 namespace forms::reram {
 
-void
-Cell::program(int level, const CellConfig &cfg, Rng *rng)
+double
+programLevel(int level, const CellConfig &cfg, Rng *rng)
 {
     FORMS_ASSERT(level >= 0 && level <= cfg.maxLevel(),
                  "cell level %d out of range", level);
-    level_ = level;
     double factor = 1.0;
     if (rng && cfg.variationSigma > 0.0)
         factor = rng->lognormal(0.0, cfg.variationSigma);
     // Variation multiplies the conductance *above* the off level; an
     // off cell (level 0) contributes no signal regardless of variation.
-    analogLevel_ = static_cast<double>(level) * factor;
+    return static_cast<double>(level) * factor;
 }
 
 double
-Cell::conductanceUs(const CellConfig &cfg) const
+readEnergyPj(const CellConfig &cfg, int active_rows, int cols,
+             double step_ns)
 {
-    const double frac = cfg.maxLevel()
-        ? analogLevel_ / static_cast<double>(cfg.maxLevel()) : 0.0;
-    return cfg.gMinUs + (cfg.gMaxUs - cfg.gMinUs) * frac;
+    // E = V^2 * G * t per active cell; using the mid-range conductance
+    // as the representative value. Units: V^2 * uS * ns = 1e-6 W*ns
+    // = 1e-6 * 1e3 mW*ns = 1e-3 pJ, hence the 1e-3 factor.
+    const double g_mid = 0.5 * (cfg.gMinUs + cfg.gMaxUs);
+    const double per_cell =
+        cfg.readVoltage * cfg.readVoltage * g_mid * step_ns * 1e-3;
+    return per_cell * static_cast<double>(active_rows) *
+        static_cast<double>(cols);
 }
 
 std::vector<int>

@@ -10,8 +10,7 @@
  *
  * Functional arithmetic uses "level units": a cell programmed to level
  * L contributes L to an ideal column sum when its row input bit is 1.
- * The conversion to physical conductance is kept for energy estimates
- * and variation injection.
+ * Physical conductances enter only the read-energy estimate.
  */
 
 #ifndef FORMS_RERAM_DEVICE_HH
@@ -40,34 +39,23 @@ struct CellConfig
     int maxLevel() const { return levels() - 1; }
 };
 
-/** One programmable cell: target level plus realized conductance. */
-class Cell
-{
-  public:
-    Cell() = default;
+/**
+ * Program one cell to a digital level and return its realized analog
+ * level (level units): level x lognormal(0, variationSigma), the
+ * factor drawn from `rng` once, at program time, whenever the sigma is
+ * positive (also for level 0, so the draw sequence depends only on the
+ * cell count). An off cell (level 0) reads 0 regardless of variation.
+ * A null `rng` programs ideal devices.
+ */
+double programLevel(int level, const CellConfig &cfg, Rng *rng);
 
-    /**
-     * Program the cell to a target level; variation (if configured)
-     * perturbs the realized conductance once at program time.
-     */
-    void program(int level, const CellConfig &cfg, Rng *rng);
-
-    /** Programmed digital level. */
-    int level() const { return level_; }
-
-    /**
-     * Effective analog level (level units) including variation; this
-     * is what an ideal column sum accumulates.
-     */
-    double analogLevel() const { return analogLevel_; }
-
-    /** Realized conductance in microsiemens. */
-    double conductanceUs(const CellConfig &cfg) const;
-
-  private:
-    int level_ = 0;
-    double analogLevel_ = 0.0;
-};
+/**
+ * Crossbar read energy for one bit-serial step over `active_rows` rows
+ * and `cols` bitlines (pJ): V^2 * G * t per active cell, using the
+ * mid-range conductance as the representative load.
+ */
+double readEnergyPj(const CellConfig &cfg, int active_rows, int cols,
+                    double step_ns);
 
 /**
  * Decompose a magnitude into per-cell levels, least-significant cell

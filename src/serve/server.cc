@@ -60,23 +60,25 @@ Server::submit(Tensor image, uint64_t id)
     size_t depth = 0;
     {
         std::lock_guard<std::mutex> lk(mu_);
-        if (stopping_) {
+        // Requests the batcher cannot serve resolve here, at once:
+        // none of them ever reaches the backend.
+        const bool invalid =
+            sampleShape_ && image.shape() != *sampleShape_;
+        const bool full = cfg_.queueCapacity > 0 &&
+            queue_.size() >= cfg_.queueCapacity;
+        if (stopping_ || invalid || full) {
             Response r;
-            r.status = Status::ShutDown;
+            r.status = stopping_ ? Status::ShutDown
+                : invalid ? Status::Invalid : Status::Rejected;
             r.requestId = id;
             promise.set_value(std::move(r));
+            if (cfg_.metrics && r.status != Status::ShutDown)
+                cfg_.metrics->counterAdd(invalid ? "serve.invalid"
+                                                 : "serve.rejected", 1);
             return fut;
         }
-        if (cfg_.queueCapacity > 0 &&
-            queue_.size() >= cfg_.queueCapacity) {
-            Response r;
-            r.status = Status::Rejected;
-            r.requestId = id;
-            promise.set_value(std::move(r));
-            if (cfg_.metrics)
-                cfg_.metrics->counterAdd("serve.rejected", 1);
-            return fut;
-        }
+        if (!sampleShape_)
+            sampleShape_ = image.shape();
         Pending p;
         p.id = id;
         p.image = std::move(image);
@@ -167,10 +169,10 @@ Server::runBatch(std::vector<Pending> batch)
     const int64_t sample_elems = batch[0].image.numel();
     std::vector<uint64_t> ids(n);
     for (size_t i = 0; i < n; ++i) {
+        // submit() admits only the pinned shape.
         FORMS_ASSERT(batch[i].image.shape() == sample,
                      "serve: request %llu's image shape differs from "
-                     "the batch's — all requests to one server must "
-                     "share a shape",
+                     "the batch's",
                      static_cast<unsigned long long>(batch[i].id));
         std::memcpy(stacked.data() +
                         static_cast<int64_t>(i) * sample_elems,

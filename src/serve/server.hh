@@ -23,10 +23,12 @@
  * Admission control: the pending queue is bounded by
  * ServerConfig::queueCapacity; a submit() that finds it full resolves
  * immediately with Status::Rejected (load shedding — the request is
- * never queued). A submit() after shutdown() resolves with
- * Status::ShutDown. A backend exception other than ChipFailure fails
- * only the batch it hit: those requests resolve with
- * Status::BackendError and the batcher keeps serving.
+ * never queued). The first accepted request pins the server's sample
+ * shape; a later request of any other shape resolves immediately with
+ * Status::Invalid and never reaches the backend. A submit() after
+ * shutdown() resolves with Status::ShutDown. A backend exception other
+ * than ChipFailure fails only the batch it hit: those requests resolve
+ * with Status::BackendError and the batcher keeps serving.
  *
  * Thread-safety: submit() and shutdown() are safe from any thread,
  * concurrently. One internal batcher thread owns the backend, so the
@@ -43,6 +45,7 @@
 #include <exception>
 #include <future>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 
@@ -61,6 +64,7 @@ enum class Status
     Ok,        //!< served; logits/report/timings are valid
     Rejected,  //!< shed at admission: the pending queue was full
     ShutDown,  //!< submitted after (or during) shutdown()
+    Invalid,   //!< image shape differs from the server's pinned shape
 
     /**
      * Lost to chip failures: the request was requeued
@@ -189,12 +193,13 @@ class Server
     Server &operator=(const Server &) = delete;
 
     /**
-     * Submit one image (a single sample, e.g. CHW — all requests to
-     * one server must share a shape) under an explicit request id.
-     * The id keys the request's RNG streams: the same (image, id)
-     * yields bit-identical logits whatever batch it lands in. Ids
-     * need not be unique, but two in-flight requests sharing an id
-     * share noise streams.
+     * Submit one image (a single sample, e.g. CHW) under an explicit
+     * request id. The first accepted image pins the server's sample
+     * shape; an image of any other shape resolves at once with
+     * Status::Invalid. The id keys the request's RNG streams: the same
+     * (image, id) yields bit-identical logits whatever batch it lands
+     * in. Ids need not be unique, but two in-flight requests sharing
+     * an id share noise streams.
      */
     std::future<Response> submit(Tensor image, uint64_t id);
 
@@ -232,6 +237,7 @@ class Server
     std::condition_variable cv_;
     std::deque<Pending> queue_;   //!< guarded by mu_
     bool stopping_ = false;       //!< guarded by mu_
+    std::optional<Shape> sampleShape_;  //!< guarded by mu_; first accept
 
     std::atomic<uint64_t> nextId_{0};
     std::once_flag shutdownOnce_;

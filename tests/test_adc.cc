@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for the ADC/DAC models: quantization transfer function,
+ * Tests for the ADC/DAC models: the adcRead transfer function,
  * lossless-resolution exactness, saturation, and the area/power
  * scaling law reproducing the paper's Table III design points.
  */
@@ -28,32 +28,28 @@ TEST(Adc, LosslessQuantizationIsExactOnIntegers)
     const int max_sum = rows * ((1 << cell_bits) - 1);
     AdcModel adc({AdcModel::losslessBits(rows, cell_bits), 2.1});
     // With full_scale == codes-1 the step is exactly 1.
-    const double fs = static_cast<double>(adc.config().codes() - 1);
-    for (int v = 0; v <= max_sum; ++v) {
-        const int count = adc.quantize(static_cast<double>(v), fs);
-        EXPECT_DOUBLE_EQ(adc.reconstruct(count, fs),
-                         static_cast<double>(v));
-    }
+    const int top = adc.config().codes() - 1;
+    for (int v = 0; v <= max_sum; ++v)
+        EXPECT_EQ(adcRead(static_cast<double>(v), 1.0, top),
+                  static_cast<double>(v));
 }
 
 TEST(Adc, SaturatesAtTopCode)
 {
-    AdcModel adc({4, 2.1});
-    EXPECT_EQ(adc.quantize(1e9, 24.0), 15);
-    EXPECT_EQ(adc.quantize(-5.0, 24.0), 0);
+    // 4-bit ADC over a 0..24 fragment sum: step = 24/15 = 1.6.
+    const double step = 24.0 / 15.0;
+    EXPECT_EQ(adcRead(1e9, step, 15), 15.0 * step);
+    EXPECT_EQ(adcRead(-5.0, step, 15), 0.0);
 }
 
 TEST(Adc, PaperModeRoundsToStep)
 {
     // 4-bit ADC over a 0..24 fragment sum: step = 24/15 = 1.6.
-    AdcModel adc({4, 2.1});
-    const double fs = 24.0;
-    const int count = adc.quantize(8.0, fs);
-    EXPECT_EQ(count, 5);   // 8 / 1.6 = 5.0
-    EXPECT_NEAR(adc.reconstruct(count, fs), 8.0, 1e-9);
+    const double step = 24.0 / 15.0;
+    EXPECT_EQ(adcRead(8.0, step, 15), 5.0 * step);   // 8 / 1.6 = 5.0
+    EXPECT_NEAR(adcRead(8.0, step, 15), 8.0, 1e-9);
     // Mid-step values incur bounded error.
-    const int c2 = adc.quantize(8.7, fs);
-    EXPECT_NEAR(adc.reconstruct(c2, fs), 8.7, fs / 15.0 / 2.0 + 1e-9);
+    EXPECT_NEAR(adcRead(8.7, step, 15), 8.7, step / 2.0 + 1e-9);
 }
 
 TEST(Adc, ScalingLawReproducesIsaacPoint)

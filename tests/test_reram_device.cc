@@ -1,8 +1,8 @@
 /**
  * @file
  * Unit tests for the ReRAM device model: magnitude slicing round trips,
- * cell programming, conductance mapping, and the statistics of the
- * log-normal variation model.
+ * cell programming, read energy, and the statistics of the log-normal
+ * variation model.
  */
 
 #include <gtest/gtest.h>
@@ -55,49 +55,48 @@ TEST(Slicing, CellsPerWeight)
     EXPECT_EQ(cellsPerWeight(32, 2), 16);
 }
 
-TEST(Cell, ProgramIdeal)
+TEST(ProgramLevel, IdealDevicesReturnTheLevel)
 {
     CellConfig cfg;
-    Cell cell;
-    cell.program(3, cfg, nullptr);
-    EXPECT_EQ(cell.level(), 3);
-    EXPECT_DOUBLE_EQ(cell.analogLevel(), 3.0);
+    Rng rng(4);
+    for (int level = 0; level <= cfg.maxLevel(); ++level) {
+        EXPECT_EQ(programLevel(level, cfg, nullptr),
+                  static_cast<double>(level));
+        // Sigma 0 is ideal even with a variation source at hand.
+        EXPECT_EQ(programLevel(level, cfg, &rng),
+                  static_cast<double>(level));
+    }
 }
 
-TEST(Cell, ConductanceSpansRange)
-{
-    CellConfig cfg;
-    Cell lo, hi;
-    lo.program(0, cfg, nullptr);
-    hi.program(cfg.maxLevel(), cfg, nullptr);
-    EXPECT_DOUBLE_EQ(lo.conductanceUs(cfg), cfg.gMinUs);
-    EXPECT_DOUBLE_EQ(hi.conductanceUs(cfg), cfg.gMaxUs);
-}
-
-TEST(Cell, VariationPerturbsMultiplicatively)
+TEST(ProgramLevel, VariationPerturbsMultiplicatively)
 {
     CellConfig cfg;
     cfg.variationSigma = 0.1;
     Rng rng(5);
     RunningStat ratio;
-    for (int i = 0; i < 20000; ++i) {
-        Cell c;
-        c.program(2, cfg, &rng);
-        ratio.add(c.analogLevel() / 2.0);
-    }
+    for (int i = 0; i < 20000; ++i)
+        ratio.add(programLevel(2, cfg, &rng) / 2.0);
     // Log-normal(0, 0.1): mean exp(0.005) ~ 1.005.
     EXPECT_NEAR(ratio.mean(), std::exp(0.005), 0.01);
     EXPECT_GT(ratio.stddev(), 0.05);
 }
 
-TEST(Cell, ZeroLevelImmuneToVariation)
+TEST(ProgramLevel, ZeroLevelImmuneToVariation)
 {
     CellConfig cfg;
     cfg.variationSigma = 0.5;
     Rng rng(6);
-    Cell c;
-    c.program(0, cfg, &rng);
-    EXPECT_DOUBLE_EQ(c.analogLevel(), 0.0);
+    for (int i = 0; i < 100; ++i)
+        EXPECT_EQ(programLevel(0, cfg, &rng), 0.0);
+}
+
+TEST(ReadEnergy, PositiveAndLinearInActiveRows)
+{
+    CellConfig cfg;
+    const double e8 = readEnergyPj(cfg, 8, 128, 1.0);
+    const double e128 = readEnergyPj(cfg, 128, 128, 1.0);
+    EXPECT_GT(e8, 0.0);
+    EXPECT_EQ(e128 / e8, 16.0);
 }
 
 TEST(Variation, ZeroSigmaIsIdentityOnGrid)

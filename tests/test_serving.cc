@@ -537,9 +537,10 @@ TEST(Serving, ShutdownDrainsQueuedWorkThenRefuses)
 
 TEST(Serving, MetricNamesAreDocumented)
 {
-    // Exercise every serve.* instrument (including a rejection), then
-    // require each emitted name to appear in docs/OBSERVABILITY.md —
-    // the doc table and the code cannot drift apart.
+    // Exercise every serve.* instrument (including a rejection and a
+    // wrong-shaped request), then require each emitted name to appear
+    // in docs/OBSERVABILITY.md — the doc table and the code cannot
+    // drift apart.
     EchoBackend backend;
     backend.block = true;
     obs::MetricsRegistry metrics;
@@ -555,6 +556,8 @@ TEST(Serving, MetricNamesAreDocumented)
     auto fb = server.submit(Tensor({1}, 0.0f), 2);   // fills the queue
     auto fc = server.submit(Tensor({1}, 0.0f), 3);   // shed
     EXPECT_EQ(fc.get().status, serve::Status::Rejected);
+    auto fd = server.submit(Tensor({2}, 0.0f), 4);   // wrong shape
+    EXPECT_EQ(fd.get().status, serve::Status::Invalid);
     backend.release();
     fa.get();
     fb.get();
@@ -586,7 +589,7 @@ TEST(Serving, MetricNamesAreDocumented)
     const std::vector<std::string> expected = {
         "serve.accepted",  "serve.rejected",   "serve.completed",
         "serve.batches",   "serve.queue_depth", "serve.batch_size",
-        "serve.queue_us",  "serve.latency_us",
+        "serve.queue_us",  "serve.latency_us", "serve.invalid",
     };
     for (const std::string &e : expected)
         EXPECT_NE(std::find(names.begin(), names.end(), e),

@@ -5,6 +5,8 @@
  * work, and concurrent shutdown calls. Every submitted request must
  * resolve exactly once — no lost futures, no duplicated responses, no
  * hangs — and requests accepted before shutdown must still be served.
+ * A wrong-shaped request resolves Status::Invalid; it never reaches
+ * the batcher.
  *
  * This suite (with tests/test_serving.cc and tests/test_threadpool.cc)
  * also runs under ThreadSanitizer in CI (the tsan lane,
@@ -482,6 +484,111 @@ TEST(ServingStress, ChipDeathMidStormFailsOverBitExactly)
         EXPECT_EQ(r.status, serve::Status::Requeued);
     }
     EXPECT_EQ(backend.aliveChips(), 0);
+}
+
+TEST(ServingStress, MixedShapeStormResolvesWrongShapesInvalid)
+{
+    // Producers interleave right-shaped images with wrong-shaped ones
+    // (other extents, other rank, the same element count in another
+    // layout). The first accepted request pins the server's shape, so
+    // every wrong-shaped request must resolve Status::Invalid at
+    // submit without reaching the backend, and every right-shaped
+    // response must memcmp-equal its single-request reference.
+    CompiledSmallNet c(601);
+    Rng rng(602);
+    constexpr int kThreads = 4, kPerThread = 6;
+    constexpr int kGood = 1 + kThreads * kPerThread;
+    Tensor all({kGood, 3, 12, 12});
+    all.fillUniform(rng, 0.0f, 1.0f);
+    const int64_t elems = all.numel() / all.dim(0);
+    auto image = [&](int i, Shape shape) {
+        Tensor img(std::move(shape));
+        std::memcpy(img.data(), all.data() + i * elems,
+                    static_cast<size_t>(elems) * sizeof(float));
+        return img;
+    };
+
+    // Single-request references on a separately programmed runtime.
+    ThreadPool ref_pool(2);
+    sim::PipelineRuntime ref_rt(c.graph, c.states, noisyConfig(&ref_pool));
+    std::vector<Tensor> ref;
+    for (int i = 0; i < kGood; ++i) {
+        const uint64_t id = static_cast<uint64_t>(i);
+        ref.push_back(ref_rt.forwardRequests(image(i, {1, 3, 12, 12}), &id));
+    }
+
+    ThreadPool pool(2);
+    sim::PipelineRuntime rt(c.graph, c.states, noisyConfig(&pool));
+    serve::PipelineBackend backend(rt);
+    obs::MetricsRegistry metrics;
+    serve::ServerConfig sc;
+    sc.maxBatch = 4;
+    sc.maxDelayUs = 200;
+    sc.queueCapacity = 0;
+    sc.metrics = &metrics;
+    serve::Server server(backend, sc);
+
+    std::vector<std::future<serve::Response>> good;
+    good.push_back(server.submit(image(0, {3, 12, 12}), 0));   // pins
+    const std::vector<Shape> wrong = {
+        {3, 12, 13}, {12, 12, 3}, {1, 3, 12, 12}, {3 * 12 * 12}};
+    std::vector<std::vector<std::future<serve::Response>>> good_t(kThreads),
+        bad_t(kThreads);
+    std::vector<std::thread> producers;
+    for (int t = 0; t < kThreads; ++t) {
+        producers.emplace_back([&, t] {
+            for (int i = 0; i < kPerThread; ++i) {
+                const int id = 1 + t * kPerThread + i;
+                good_t[static_cast<size_t>(t)].push_back(server.submit(
+                    image(id, {3, 12, 12}), static_cast<uint64_t>(id)));
+                bad_t[static_cast<size_t>(t)].push_back(server.submit(
+                    Tensor(wrong[static_cast<size_t>(t + i) % wrong.size()],
+                           0.5f),
+                    static_cast<uint64_t>(1000 + id)));
+            }
+        });
+    }
+    for (auto &p : producers)
+        p.join();
+    for (auto &fs : good_t)
+        for (auto &f : fs)
+            good.push_back(std::move(f));
+
+    int invalid = 0;
+    for (auto &fs : bad_t) {
+        for (auto &f : fs) {
+            serve::Response r = f.get();
+            EXPECT_EQ(r.status, serve::Status::Invalid)
+                << "id " << r.requestId;
+            EXPECT_EQ(r.logits.numel(), 0);
+            ++invalid;
+        }
+    }
+    std::set<uint64_t> served;
+    for (auto &f : good) {
+        serve::Response r = f.get();
+        ASSERT_EQ(r.status, serve::Status::Ok) << "id " << r.requestId;
+        const Tensor &want = ref[static_cast<size_t>(r.requestId)];
+        ASSERT_EQ(r.logits.numel(), want.numel());
+        EXPECT_EQ(0, std::memcmp(r.logits.data(), want.data(),
+                                 static_cast<size_t>(want.numel()) *
+                                     sizeof(float)))
+            << "served logits diverge from the single-request reference "
+               "for id " << r.requestId;
+        served.insert(r.requestId);
+    }
+    EXPECT_EQ(served.size(), static_cast<size_t>(kGood));
+    server.shutdown();
+
+    uint64_t invalid_count = 0, accepted = 0;
+    for (const auto &[name, v] : metrics.snapshot().counters) {
+        if (name == "serve.invalid")
+            invalid_count = v;
+        if (name == "serve.accepted")
+            accepted = v;
+    }
+    EXPECT_EQ(invalid_count, static_cast<uint64_t>(invalid));
+    EXPECT_EQ(accepted, static_cast<uint64_t>(kGood));
 }
 
 } // namespace
