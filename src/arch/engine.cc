@@ -2,8 +2,87 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 namespace forms::arch {
+
+namespace {
+
+uint64_t
+bitsOf(double v)
+{
+    uint64_t b;
+    std::memcpy(&b, &v, sizeof b);
+    return b;
+}
+
+} // namespace
+
+RepeatedSum::RepeatedSum(double e, uint64_t max_n) : maxN_(max_n)
+{
+    FORMS_ASSERT(e == 0.0 || (std::isnormal(e) && e > 0.0),
+                 "RepeatedSum: step %g must be 0 or a positive normal "
+                 "double", e);
+    uint64_t n = 0;
+    double r = 0.0;
+    while (n < max_n) {
+        // Longest run of equal steps d = m * u inside r's binade
+        // [2^k, top), whose ulp u is also the spacing of every double
+        // up to top. A step from r is safe while r + d <= top - u:
+        // then r + e, within u/2 of r + d, rounds on the u grid to
+        // r + d. All grid counts below are integers <= 2^53, exact in
+        // double.
+        uint64_t run = 0;
+        double d = 0.0;
+        if (r > 0.0) {
+            const double u = std::nextafter(r, INFINITY) - r;
+            const double top = std::ldexp(1.0, std::ilogb(r) + 1);
+            const double q = e / u;   // exact: u is a power of two
+            double m = std::floor(q);
+            bool constant = true;
+            if (q - m == 0.5) {
+                // Tie binade: r + e sits halfway between two grid
+                // points and rounds to the even one. From an even
+                // multiple of u the step is the even one of m,
+                // m + 1 every time; from an odd one, step once.
+                constant = std::fmod(r / u, 2.0) == 0.0;
+                m += std::fmod(m, 2.0);
+            } else {
+                m = std::round(q);
+            }
+            const auto k0 = static_cast<uint64_t>((top - r) / u);
+            const auto mi = static_cast<uint64_t>(m);
+            if (constant && mi == 0)
+                run = max_n - n;
+            else if (constant && k0 >= mi + 1)
+                run = std::min((k0 - mi - 1) / mi + 1, max_n - n);
+            d = m * u;
+        }
+        if (run > 0) {
+            segs_.push_back({n, r, d});
+            n += run;
+            r += static_cast<double>(run) * d;
+        } else {
+            segs_.push_back({n, r, 0.0});
+            r += e;
+            ++n;
+        }
+    }
+    segs_.push_back({n, r, 0.0});
+}
+
+double
+RepeatedSum::at(uint64_t n) const
+{
+    FORMS_ASSERT(n <= maxN_, "RepeatedSum: n = %llu past the bound %llu",
+                 static_cast<unsigned long long>(n),
+                 static_cast<unsigned long long>(maxN_));
+    const auto it = std::upper_bound(
+        segs_.begin(), segs_.end(), n,
+        [](uint64_t v, const Segment &s) { return v < s.n0; });
+    const Segment &s = *(it - 1);
+    return s.r0 + static_cast<double>(n - s.n0) * s.d;
+}
 
 void
 EngineStats::merge(const EngineStats &other)
@@ -46,34 +125,44 @@ CrossbarEngine::CrossbarEngine(const MappedLayer &layer, EngineConfig cfg)
     fullScale_ = static_cast<double>(
         std::max(frag_max, adc_.config().codes() - 1));
 
-    // Program each crossbar straight into its contiguous tile: row r's
+    // Program each crossbar into a contiguous row-panel tile: row r's
     // cell columns at lvl[r * cellCols + cc], so the per-bit MVM is a
     // stride-1 sweep over active rows' panels. Device variation is
     // drawn once here, at program time, in crossbar, row, weight
-    // column, cell slice order; the tile is then frozen. Alongside,
-    // precompute the per-fragment read energy, the output extent and
-    // the slowest crossbar's ADC-limited per-step time: the hot path
-    // then touches only dense arrays.
+    // column, cell slice order; the tile is then frozen, and an exact
+    // one re-laid as nibble planes. Alongside, precompute the
+    // per-fragment read energy, the output extent, the slowest
+    // crossbar's ADC-limited per-step time and the worst-case samples
+    // per presentation: the hot path then touches only dense arrays.
     const int cells = layer_.cfg.cellsPerWeight();
+    const int max_level = cfg_.cell.maxLevel();
+    // Nibble-plane entries are uint8_t sums of up to 4 levels.
+    const bool planes_fit = 4 * max_level <= 255;
+    groups_ = (layer_.cfg.fragSize + 3) / 4;
+    uint64_t max_samples = 0;
     const double sample_ns = adc_.sampleTimeNs();
     Rng rng(cfg_.variationSeed);
+    // Program into scratch: a non-exact tile takes it over, an exact
+    // one leaves it for the next crossbar.
+    std::vector<double> lvl;
     tiles_.reserve(layer_.crossbars.size());
     for (size_t xi = 0; xi < layer_.crossbars.size(); ++xi) {
         const auto &xb = layer_.crossbars[xi];
         XbarTile tile;
         tile.cellCols = xb.weightCols * cells;
-        tile.lvl.resize(static_cast<size_t>(xb.rows) *
-                        static_cast<size_t>(tile.cellCols));
+        lvl.resize(static_cast<size_t>(xb.rows) *
+                   static_cast<size_t>(tile.cellCols));
         for (int r = 0; r < xb.rows; ++r) {
-            double *row = tile.lvl.data() +
+            double *row = lvl.data() +
                 static_cast<size_t>(r) * static_cast<size_t>(tile.cellCols);
             for (int wc = 0; wc < xb.weightCols; ++wc) {
-                const auto levels = reram::sliceMagnitude(
-                    xb.mag(r, wc), layer_.cfg.weightBits,
-                    layer_.cfg.cellBits);
+                // reram::sliceMagnitude's cells, without its vector.
+                const uint32_t mag = xb.mag(r, wc);
                 for (int s = 0; s < cells; ++s)
                     row[wc * cells + s] = reram::programLevel(
-                        levels[static_cast<size_t>(s)], cfg_.cell, &rng);
+                        static_cast<int>((mag >> (s * layer_.cfg.cellBits)) &
+                                         static_cast<uint32_t>(max_level)),
+                        cfg_.cell, &rng);
             }
         }
 
@@ -91,28 +180,27 @@ CrossbarEngine::CrossbarEngine(const MappedLayer &layer, EngineConfig cfg)
             bool any_here = false;
             for (int r = 0; r < xb.rows; ++r) {
                 for (int cc = 0; cc < tile.cellCols; ++cc) {
-                    double &lvl =
-                        tile.lvl[static_cast<size_t>(r) *
-                                     static_cast<size_t>(tile.cellCols) +
-                                 static_cast<size_t>(cc)];
+                    double &v = lvl[static_cast<size_t>(r) *
+                                        static_cast<size_t>(tile.cellCols) +
+                                    static_cast<size_t>(cc)];
                     if (f.columnDead(cc)) {
-                        lvl = 0.0;
+                        v = 0.0;
                         any_here = true;
                         continue;
                     }
                     switch (f.at(r, cc)) {
                       case reram::FaultKind::StuckLrs:
-                        lvl = lrs;
+                        v = lrs;
                         any_here = true;
                         ++faultyCells_;
                         break;
                       case reram::FaultKind::StuckHrs:
-                        lvl = 0.0;
+                        v = 0.0;
                         any_here = true;
                         ++faultyCells_;
                         break;
                       case reram::FaultKind::Drift:
-                        lvl *= f.driftAt(r, cc);
+                        v *= f.driftAt(r, cc);
                         any_here = true;
                         ++faultyCells_;
                         break;
@@ -131,6 +219,37 @@ CrossbarEngine::CrossbarEngine(const MappedLayer &layer, EngineConfig cfg)
             tile.fragReadEpj[static_cast<size_t>(f)] = reram::readEnergyPj(
                 cfg_.cell, rows_here, std::max(1, tile.cellCols), sample_ns);
         }
+        // Exact tile: noiseless reads and integer levels in
+        // [0, maxLevel]. The scan runs a row at a time and stops after
+        // the first row holding another level, so a tile with
+        // variation or drift costs about one row. It is branch-free
+        // so it vectorizes: adding 2^52 to a level v rounds it to the
+        // integer n in the low bits of the sum, and v is exact iff
+        // n <= maxLevel (unsigned, so a negative n, NaN or inf fails)
+        // and subtracting 2^52 again gives back v bit for bit.
+        tile.exact = planes_fit && cfg_.readNoiseSigma == 0.0;
+        const size_t cols = static_cast<size_t>(tile.cellCols);
+        const uint64_t two52 = bitsOf(0x1p52);
+        const auto top = static_cast<uint64_t>(max_level);
+        for (size_t i0 = 0; tile.exact && i0 < lvl.size(); i0 += cols) {
+            uint64_t bad = 0;
+            for (size_t i = i0; i < i0 + cols; ++i) {
+                const double t = lvl[i] + 0x1p52;
+                const uint64_t n = bitsOf(t) - two52;
+                bad |= ((n | (top - n)) >> 63) |
+                    (bitsOf(t - 0x1p52) ^ bitsOf(lvl[i]));
+            }
+            tile.exact = bad == 0;
+        }
+        if (tile.exact) {
+            buildPlanes(xb, lvl, tile);
+            ++exactCrossbars_;
+        } else {
+            tile.lvl = std::move(lvl);
+        }
+        max_samples += static_cast<uint64_t>(xb.fragsUsed) *
+            static_cast<uint64_t>(layer_.cfg.inputBits) *
+            static_cast<uint64_t>(tile.cellCols);
         for (int idx : xb.outputIndex)
             outputExtent_ = std::max(outputExtent_, idx + 1);
         const double per_step = std::ceil(
@@ -146,6 +265,69 @@ CrossbarEngine::CrossbarEngine(const MappedLayer &layer, EngineConfig cfg)
     for (int s = 0; s < cells; ++s)
         cellWeight_[static_cast<size_t>(s)] =
             std::pow(2.0, s * layer_.cfg.cellBits);
+
+    // ADC code table of the exact path: the converted column sum s at
+    // input bit p, the same double expression mvmOne's general column
+    // loop evaluates for analog = s.
+    const int adc_top = adc_.config().codes() - 1;
+    const double adc_step = fullScale_ / static_cast<double>(adc_top);
+    codeStride_ = static_cast<size_t>(groups_) * 4 *
+        static_cast<size_t>(max_level) + 1;
+    codeW_.resize(bitWeight_.size() * codeStride_);
+    for (size_t p = 0; p < bitWeight_.size(); ++p)
+        for (size_t v = 0; v < codeStride_; ++v)
+            codeW_[p * codeStride_ + v] =
+                reram::adcRead(static_cast<double>(v), adc_step, adc_top) *
+                bitWeight_[p];
+
+    adcEnergy_ = RepeatedSum(adc_.energyPerSamplePj(), max_samples);
+}
+
+void
+CrossbarEngine::buildPlanes(const MappedCrossbar &xb,
+                            const std::vector<double> &lvl,
+                            XbarTile &tile) const
+{
+    const int m = layer_.cfg.fragSize;
+    const size_t cols = static_cast<size_t>(tile.cellCols);
+    tile.nib.resize(static_cast<size_t>(xb.fragsUsed) *
+                    static_cast<size_t>(groups_) * 16 * cols);
+    for (int f = 0; f < xb.fragsUsed; ++f) {
+        const int rows_here = std::min(m, xb.rows - f * m);
+        for (int g = 0; g < groups_; ++g) {
+            uint8_t *planes = tile.nib.data() +
+                (static_cast<size_t>(f) * static_cast<size_t>(groups_) +
+                 static_cast<size_t>(g)) * 16 * cols;
+            // The single-row planes are the rows' levels as uint8_t;
+            // rows past the crossbar's last row read as 0.
+            std::fill(planes, planes + cols, 0);
+            for (int k = 0; k < 4; ++k) {
+                uint8_t *dst = planes + (size_t{1} << k) * cols;
+                const int r = 4 * g + k;
+                if (r >= rows_here) {
+                    std::fill(dst, dst + cols, 0);
+                    continue;
+                }
+                const double *row =
+                    lvl.data() + static_cast<size_t>(f * m + r) * cols;
+                for (size_t cc = 0; cc < cols; ++cc)
+                    dst[cc] = static_cast<uint8_t>(
+                        static_cast<int>(row[cc]));
+            }
+            // plane[mask] = plane[mask without its lowest row] + the
+            // plane of that row.
+            for (unsigned mask = 3; mask < 16; ++mask) {
+                const unsigned low = mask & (~mask + 1);
+                if (mask == low)
+                    continue;
+                const uint8_t *prev = planes + (mask ^ low) * cols;
+                const uint8_t *row = planes + low * cols;
+                uint8_t *dst = planes + mask * cols;
+                for (size_t cc = 0; cc < cols; ++cc)
+                    dst[cc] = static_cast<uint8_t>(prev[cc] + row[cc]);
+            }
+        }
+    }
 }
 
 uint64_t
@@ -169,8 +351,11 @@ CrossbarEngine::mvmOne(const std::vector<uint32_t> &inputs,
     const int m = layer_.cfg.fragSize;
     const int cells = layer_.cfg.cellsPerWeight();
     const int in_bits = layer_.cfg.inputBits;
-    const double adc_epj = adc_.energyPerSamplePj();
     const bool noisy_reads = cfg_.readNoiseSigma > 0.0;
+    // A +0 column sum stays +0 under any finite noise factor, so its
+    // exp can be skipped (the draw still happens). The polar method
+    // bounds |g| by 12.01, which keeps exp(sigma * g) finite here.
+    const bool skip_zero_exp = cfg_.readNoiseSigma * 12.01 < 709.0;
     // The ADC grid of reram::adcRead, hoisted out of the column loop.
     const int adc_top = adc_.config().codes() - 1;
     const double adc_step = fullScale_ / static_cast<double>(adc_top);
@@ -181,6 +366,8 @@ CrossbarEngine::mvmOne(const std::vector<uint32_t> &inputs,
     static thread_local std::vector<double> acc_bit;
     static thread_local std::vector<double> acc;
     static thread_local std::vector<uint32_t> in_vals;
+    static thread_local std::vector<uint16_t> code_idx;
+    static thread_local std::vector<const uint8_t *> active;
 
     EngineStats local;
     local.presentations = 1;
@@ -199,7 +386,12 @@ CrossbarEngine::mvmOne(const std::vector<uint32_t> &inputs,
                 xb.inputIndex[static_cast<size_t>(r)])];
 
         acc.resize(static_cast<size_t>(cell_cols));
-        acc_bit.resize(static_cast<size_t>(cell_cols));
+        if (tile.exact) {
+            code_idx.resize(static_cast<size_t>(cell_cols));
+            active.resize(static_cast<size_t>(groups_));
+        } else {
+            acc_bit.resize(static_cast<size_t>(cell_cols));
+        }
 
         for (int f = 0; f < xb.fragsUsed; ++f) {
             const int r0 = f * m;
@@ -215,13 +407,69 @@ CrossbarEngine::mvmOne(const std::vector<uint32_t> &inputs,
             local.skippedCycles +=
                 static_cast<uint64_t>(in_bits - eic);
 
-            const double *frag_lvl = tile.lvl.data() +
-                static_cast<size_t>(r0) * static_cast<size_t>(cell_cols);
             std::fill(acc.begin(), acc.end(), 0.0);
+            const size_t cols = static_cast<size_t>(cell_cols);
+            const double *frag_lvl = tile.exact ? nullptr
+                : tile.lvl.data() + static_cast<size_t>(r0) * cols;
+            const uint8_t *frag_nib = tile.exact
+                ? tile.nib.data() + static_cast<size_t>(f) *
+                      static_cast<size_t>(groups_) * 16 * cols
+                : nullptr;
             for (int p = eic - 1; p >= 0; --p) {
                 ++local.bitCycles;
                 local.crossbarEnergyPj +=
                     tile.fragReadEpj[static_cast<size_t>(f)];
+                local.adcSamples += cols;
+
+                if (tile.exact) {
+                    // Exact tile: each 4-row group's active rows form
+                    // a mask selecting the plane of their integer
+                    // sums; the groups' sum indexes the ADC code
+                    // table. Integer sums are exact in any order, and
+                    // the table entry is the general loop's double.
+                    // An all-inactive group adds 0 and is dropped; so
+                    // is a step with no active row, whose +0 codes
+                    // leave acc unchanged.
+                    int n_act = 0;
+                    for (int g = 0; g < groups_; ++g) {
+                        unsigned mask = 0;
+                        const int hi = std::min(rows_here, 4 * g + 4);
+                        for (int r = 4 * g; r < hi; ++r)
+                            mask |= ((in_vals[static_cast<size_t>(r0 + r)] >>
+                                      p) & 1u) << (r - 4 * g);
+                        if (mask)
+                            active[static_cast<size_t>(n_act++)] =
+                                frag_nib +
+                                (static_cast<size_t>(g) * 16 + mask) * cols;
+                    }
+                    const double *code =
+                        codeW_.data() + static_cast<size_t>(p) * codeStride_;
+                    double *a = acc.data();
+                    const uint8_t *p0 = active[0];
+                    if (n_act == 1) {
+                        for (size_t cc = 0; cc < cols; ++cc)
+                            a[cc] += code[p0[cc]];
+                    } else if (n_act == 2) {
+                        const uint8_t *p1 = active[1];
+                        for (size_t cc = 0; cc < cols; ++cc)
+                            a[cc] += code[p0[cc] + p1[cc]];
+                    } else if (n_act > 2) {
+                        const uint8_t *p1 = active[1];
+                        uint16_t *sum = code_idx.data();
+                        for (size_t cc = 0; cc < cols; ++cc)
+                            sum[cc] = static_cast<uint16_t>(p0[cc] + p1[cc]);
+                        for (int k = 2; k < n_act; ++k) {
+                            const uint8_t *pk =
+                                active[static_cast<size_t>(k)];
+                            for (size_t cc = 0; cc < cols; ++cc)
+                                sum[cc] = static_cast<uint16_t>(sum[cc] +
+                                                                pk[cc]);
+                        }
+                        for (size_t cc = 0; cc < cols; ++cc)
+                            a[cc] += code[sum[cc]];
+                    }
+                    continue;
+                }
 
                 // Stride-1 row sweep: add each active row's level
                 // panel into acc_bit. Per column this sums the active
@@ -234,9 +482,8 @@ CrossbarEngine::mvmOne(const std::vector<uint32_t> &inputs,
                     if (!((in_vals[static_cast<size_t>(r0 + r)] >> p) & 1u))
                         continue;
                     const double *panel = frag_lvl +
-                        static_cast<size_t>(r) *
-                            static_cast<size_t>(cell_cols);
-                    for (int cc = 0; cc < cell_cols; ++cc)
+                        static_cast<size_t>(r) * cols;
+                    for (size_t cc = 0; cc < cols; ++cc)
                         bit_sum[cc] += panel[cc];
                 }
 
@@ -244,17 +491,17 @@ CrossbarEngine::mvmOne(const std::vector<uint32_t> &inputs,
                 // lognormal draws in ascending column order, the ADC
                 // transfer, then one multiply by the exact power of
                 // two for this bit.
-                for (int cc = 0; cc < cell_cols; ++cc) {
-                    double analog = acc_bit[static_cast<size_t>(cc)];
+                for (size_t cc = 0; cc < cols; ++cc) {
+                    double analog = acc_bit[cc];
                     if (noisy_reads) {
-                        analog *=
-                            pres_rng.lognormal(0.0, cfg_.readNoiseSigma);
+                        if (analog == 0.0 && skip_zero_exp)
+                            pres_rng.gaussian();
+                        else
+                            analog *= pres_rng.lognormal(
+                                0.0, cfg_.readNoiseSigma);
                     }
-                    acc[static_cast<size_t>(cc)] +=
-                        reram::adcRead(analog, adc_step, adc_top) *
+                    acc[cc] += reram::adcRead(analog, adc_step, adc_top) *
                         bitWeight_[static_cast<size_t>(p)];
-                    ++local.adcSamples;
-                    local.adcEnergyPj += adc_epj;
                 }
             }
 
@@ -278,6 +525,9 @@ CrossbarEngine::mvmOne(const std::vector<uint32_t> &inputs,
     // operate in parallel, so charge the slowest one.
     local.timeNs = worstStepNs_ * static_cast<double>(local.bitCycles) /
         std::max<double>(1.0, static_cast<double>(layer_.crossbars.size()));
+    // Every conversion costs the same energy, so the presentation's
+    // ADC energy is the n-fold sum of it, looked up instead of chained.
+    local.adcEnergyPj = adcEnergy_.at(local.adcSamples);
 
     stats.merge(local);
 }
@@ -358,9 +608,12 @@ quantizeActivations(const std::vector<float> &x, int bits,
                     float *scale_out)
 {
     FORMS_ASSERT(bits >= 1 && bits <= 31, "bad activation bits");
+    // The scale comes from the finite values only: one +inf must not
+    // quantize the rest of the presentation to 0.
     float mx = 0.0f;
     for (float v : x)
-        mx = std::max(mx, v);
+        if (std::isfinite(v))
+            mx = std::max(mx, v);
     const uint32_t qmax = (1u << bits) - 1;
     const float scale = mx > 0.0f ? mx / static_cast<float>(qmax) : 1.0f;
     std::vector<uint32_t> q(x.size(), 0);
@@ -368,8 +621,12 @@ quantizeActivations(const std::vector<float> &x, int bits,
         const float v = x[i];
         if (v <= 0.0f)
             continue;   // post-ReLU activations are nonnegative
-        q[i] = std::min<uint32_t>(
-            qmax, static_cast<uint32_t>(std::lround(v / scale)));
+        // +inf and NaN saturate, as in quantizeActivationsStatic,
+        // instead of reaching lround (undefined behaviour).
+        q[i] = std::isfinite(v)
+            ? std::min<uint32_t>(
+                  qmax, static_cast<uint32_t>(std::lround(v / scale)))
+            : qmax;
     }
     if (scale_out)
         *scale_out = scale;

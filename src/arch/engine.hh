@@ -11,6 +11,13 @@
  * ADCs or device variation enabled, the induced numerical error is
  * measurable (and tested to stay small for trained weight
  * distributions).
+ *
+ * A crossbar whose programmed levels are all small non-negative
+ * integers, read without noise, runs an exact-integer path: its column
+ * sums are integers, so the engine keeps the tile as nibble planes of
+ * integer row sums and converts each sum through a per-engine ADC code
+ * table. Every other tile keeps its double conductances. Both paths
+ * give the same bits (DESIGN.md §6).
  */
 
 #ifndef FORMS_ARCH_ENGINE_HH
@@ -117,6 +124,46 @@ struct EngineStats
     void merge(const EngineStats &other);
 };
 
+/**
+ * The left-to-right floating-point sum R(n) = ((0 + e) + e) + ... of n
+ * copies of one value e, for every n up to a bound, in O(log n) space.
+ *
+ * Within one binade of R every addition rounds on the same ulp grid,
+ * so each step adds the same round(e / ulp) * ulp and R is affine in n
+ * there. The sum is stored as affine segments (n0, r0, d). Near a
+ * binade's top it takes genuine single steps, and one more where
+ * e / ulp ends in exactly one half: round-half-to-even then depends on
+ * R's last bit, and after that step R is an even multiple of the ulp,
+ * so the steps are equal again. at(n) equals the literal chain bit for
+ * bit.
+ */
+class RepeatedSum
+{
+  public:
+    /** The empty sum: R(0) = 0 only. */
+    RepeatedSum() : RepeatedSum(0.0, 0) {}
+
+    /** Segments for n = 0 .. max_n; `e` must be 0 or a normal,
+     *  non-negative double. */
+    RepeatedSum(double e, uint64_t max_n);
+
+    /** R(n), for n <= the construction bound. */
+    double at(uint64_t n) const;
+
+    /** Number of stored segments (O(log max_n)). */
+    size_t segments() const { return segs_.size(); }
+
+  private:
+    struct Segment
+    {
+        uint64_t n0;  //!< first n of the segment
+        double r0;    //!< R(n0)
+        double d;     //!< constant step inside the segment
+    };
+    std::vector<Segment> segs_;
+    uint64_t maxN_ = 0;
+};
+
 /** Executes mapped layers on simulated crossbars. */
 class CrossbarEngine
 {
@@ -189,6 +236,9 @@ class CrossbarEngine
     /** Stuck or drifted cells within the used windows. */
     int64_t faultyCells() const { return faultyCells_; }
 
+    /** Crossbars on the exact-integer path (XbarTile::nib). */
+    int64_t exactCrossbars() const { return exactCrossbars_; }
+
   private:
     /**
      * Execute one presentation. Const and self-contained (all scratch
@@ -199,30 +249,49 @@ class CrossbarEngine
                 std::vector<double> &out, EngineStats &stats) const;
 
     /**
-     * One crossbar's programmed conductances (level units), the only
-     * store of them: row r's cell columns at lvl[r * cellCols + cc], so
-     * the per-bit MVM is a stride-1 sweep over active rows' panels.
-     * Written once at construction (device variation and faults
-     * included), read-only afterwards.
+     * One crossbar's programmed conductances (level units), written
+     * once at construction (device variation and faults included) and
+     * read-only afterwards. A tile holds exactly one store of them:
+     *
+     * - `nib` when the tile is exact (readNoiseSigma == 0 and every
+     *   level an integer in [0, maxLevel]): per fragment, per group of
+     *   4 rows, per row mask 0..15, the integer sum of the masked rows'
+     *   levels for each cell column, at
+     *   nib[((f * groups + g) * 16 + mask) * cellCols + cc];
+     * - `lvl` otherwise: row r's cell columns at lvl[r * cellCols + cc],
+     *   so the per-bit MVM is a stride-1 sweep over active rows'
+     *   panels.
      */
     struct XbarTile
     {
         std::vector<double> lvl;          //!< rows x cellCols, row-panel
+        std::vector<uint8_t> nib;         //!< nibble planes (exact tile)
         std::vector<double> fragReadEpj;  //!< read energy per fragment bit
         int cellCols = 0;
+        bool exact = false;               //!< `nib` is the store
     };
+
+    /** Fill an exact tile's nibble planes from its programmed levels
+     *  (row-panel layout, like `lvl`). */
+    void buildPlanes(const MappedCrossbar &xb,
+                     const std::vector<double> &lvl, XbarTile &tile) const;
 
     const MappedLayer &layer_;
     EngineConfig cfg_;
     reram::AdcModel adc_;
     double fullScale_;             //!< ADC full-scale in level units
     std::vector<XbarTile> tiles_;
+    int groups_ = 0;               //!< 4-row groups per fragment
+    size_t codeStride_ = 0;        //!< groups * 4 * maxLevel + 1 codes
+    std::vector<double> codeW_;    //!< adcRead(s) * 2^p, [p][s] rows
+    RepeatedSum adcEnergy_;        //!< R(n) of the per-sample ADC energy
     std::vector<double> bitWeight_;   //!< 2^p per input bit position
     std::vector<double> cellWeight_;  //!< 2^(s*cellBits) per cell slice
     int outputExtent_ = 0;         //!< 1 + max natural output index
     double worstStepNs_ = 0.0;     //!< slowest crossbar's per-step time
     int64_t faultyCrossbars_ = 0;  //!< tiles overlaid with any fault
     int64_t faultyCells_ = 0;      //!< stuck/drifted cells (used window)
+    int64_t exactCrossbars_ = 0;   //!< tiles stored as nibble planes
 };
 
 /**
@@ -232,7 +301,11 @@ class CrossbarEngine
 std::vector<float> dequantizeOutputs(const std::vector<double> &raw,
                                      float w_scale, float in_scale);
 
-/** Quantize a nonnegative activation vector to `bits` unsigned ints. */
+/**
+ * Quantize a nonnegative activation vector to `bits` unsigned ints on
+ * the per-presentation grid: scale = (largest finite value) / qmax.
+ * Non-positive values map to 0; +inf and NaN saturate at qmax.
+ */
 std::vector<uint32_t> quantizeActivations(const std::vector<float> &x,
                                           int bits, float *scale_out);
 

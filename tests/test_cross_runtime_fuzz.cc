@@ -17,9 +17,11 @@
  * re-partitions every calibrated graph under WorkModel::EicTime with
  * the measured bit densities attached, pinning the contract that the
  * zero-skip timing model moves only modeled time, never numerics
- * (docs/SCHEDULING.md). Hand-picked networks only cover the
- * topologies someone thought of; the fuzz covers the ones nobody
- * did.
+ * (docs/SCHEDULING.md). An ideal-device axis re-runs a subset with
+ * integer conductance levels and noiseless reads, so the engine's
+ * exact-integer path holds the same contracts. Hand-picked networks
+ * only cover the topologies someone thought of; the fuzz covers the
+ * ones nobody did.
  */
 
 #include <gtest/gtest.h>
@@ -450,6 +452,89 @@ TEST(CrossRuntimeFuzz, GraphAndPipelineRuntimesAgreeBitwise)
     // see perturbed logits and report faulted crossbars.
     EXPECT_GE(fault_perturbed, 20);
     EXPECT_GE(fault_exposed, 20);
+}
+
+/**
+ * Ideal-device axis: every graph above runs noisyConfig(), whose
+ * non-integer levels keep the engine on its general path. Re-run a
+ * subset with ideal devices and noiseless reads, so the exact-integer
+ * path (nibble planes + ADC code table) must hold the same contracts:
+ * random thread counts, micro-batches, chip counts and replicas, then
+ * stuck-at and dead-column faults (which keep levels integer) with
+ * spare remap.
+ */
+TEST(CrossRuntimeFuzz, IdealDevicesAgreeBitwise)
+{
+    int replicated_graphs = 0, fault_exposed = 0;
+    for (int g = 0; g < kGraphs + kStemGraphs; g += 3) {
+        Rng rng(7100 + 17 * static_cast<uint64_t>(g));
+        SCOPED_TRACE("ideal fuzz graph " + std::to_string(g));
+
+        const bool stem_heavy = g >= kGraphs;
+        int classes = 0;
+        auto net = stem_heavy ? makeStemHeavyNet(rng, &classes)
+                              : makeRandomNet(rng, &classes);
+        auto graph = compile::lowerNetwork(*net);
+        graph.inferShapes({3, kHw, kHw});
+        compile::foldBatchNorm(graph, compile::FoldMode::Weights);
+        auto states = sim::snapshotCompress(*net, 8, 8);
+        Tensor batch({2, 3, kHw, kHw});
+        batch.fillUniform(rng, 0.0f, 1.0f);
+
+        ThreadPool ref_pool(1 + static_cast<int>(rng.below(4)));
+        sim::RuntimeConfig rcfg = noisyConfig(&ref_pool);
+        rcfg.engine.cell.variationSigma = 0.0;
+        rcfg.engine.readNoiseSigma = 0.0;
+
+        compile::ScheduleConfig scfg;
+        scfg.chips = 2 + static_cast<int>(rng.below(3));
+        scfg.replicateThreshold =
+            0.1 + 0.2 * static_cast<double>(rng.below(3));
+        scfg.maxReplicas = 2 + static_cast<int>(rng.below(3));
+        ThreadPool pipe_pool(1 + static_cast<int>(rng.below(8)));
+        const int micro_batch = 1 + static_cast<int>(rng.below(3));
+
+        reram::FaultConfig fltc;
+        fltc.stuckLrsRate = 0.005;
+        fltc.stuckHrsRate = 0.005;
+        fltc.columnKillRate = 0.001;
+        fltc.seed = 6000 + static_cast<uint64_t>(g);
+        const reram::FaultMap fmap(fltc);
+
+        for (bool faulted : {false, true}) {
+            SCOPED_TRACE(faulted ? "stuck/dead faults" : "fault-free");
+            sim::RuntimeConfig cfg = rcfg;
+            if (faulted) {
+                cfg.faults = &fmap;
+                cfg.remapFaults = true;
+                cfg.mapping.spareXbars = 12;
+            }
+            sim::GraphRuntime gr(graph, states, cfg);
+            sim::RuntimeReport grep;
+            const Tensor ref = gr.forward(batch, &grep);
+
+            auto sched = compile::Schedule::partition(graph, scfg);
+            replicated_graphs += !faulted && sched.replicated();
+            sim::PipelineRuntimeConfig pcfg;
+            pcfg.runtime = cfg;
+            pcfg.runtime.pool = &pipe_pool;
+            pcfg.microBatch = micro_batch;
+            sim::PipelineRuntime pr(graph, std::move(sched), states, pcfg);
+            sim::PipelineReport prep;
+            const Tensor got = pr.forward(batch, &prep);
+            fault_exposed += faulted && prep.faultyCrossbars > 0;
+
+            EXPECT_TRUE(got.equals(ref))
+                << "logits diverge: chips=" << scfg.chips
+                << " microBatch=" << micro_batch << "\n" << graph.dump();
+            ASSERT_EQ(prep.nodes.layers.size(), grep.layers.size());
+            for (size_t i = 0; i < grep.layers.size(); ++i)
+                expectStatsIdentical(prep.nodes.layers[i].stats,
+                                     grep.layers[i].stats);
+        }
+    }
+    EXPECT_GE(replicated_graphs, 2);
+    EXPECT_GE(fault_exposed, 6);
 }
 
 } // namespace

@@ -3,12 +3,17 @@
  * Tests for the functional crossbar engine: integer exactness at
  * lossless ADC resolution (parameterized over fragment sizes), bounded
  * error at the paper's reduced resolutions, zero-skip equivalence and
- * cycle savings, and device-variation behaviour.
+ * cycle savings, device-variation behaviour, the exact-integer path
+ * against a transcription of the double-panel column loop, and the
+ * ADC-energy ledger against the literal addition chain.
  */
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "arch/engine.hh"
+#include "reram/faults.hh"
 #include "stats_testutil.hh"
 
 namespace forms::arch {
@@ -253,6 +258,326 @@ TEST(Engine, RejectsMismatchedCellPrecision)
     EngineConfig ecfg;   // cell model still at the 2-bit default
     EXPECT_DEATH(CrossbarEngine(mapped, ecfg),
                  "4 bits/cell|bitsPerCell");
+}
+
+/**
+ * Test-local transcription of the engine's general column loop, the
+ * only loop before the exact-integer path existed: program every
+ * crossbar into a double row-panel tile (same variation draw order,
+ * same fault overlay), then per (fragment, bit) add the active rows'
+ * panels, draw the read noise, convert each column sum with
+ * reram::adcRead and add the per-sample ADC energy one sample at a
+ * time.
+ */
+class PanelReference
+{
+  public:
+    PanelReference(const MappedLayer &layer, const EngineConfig &cfg)
+        : layer_(layer), cfg_(cfg),
+          adc_({cfg.adcBits > 0
+                    ? cfg.adcBits
+                    : reram::AdcModel::losslessBits(layer.cfg.fragSize,
+                                                    layer.cfg.cellBits),
+                cfg.adcFreqGhz})
+    {
+        const int frag_max =
+            layer.cfg.fragSize * ((1 << layer.cfg.cellBits) - 1);
+        fullScale_ = static_cast<double>(
+            std::max(frag_max, adc_.config().codes() - 1));
+        const int cells = layer.cfg.cellsPerWeight();
+        const double sample_ns = adc_.sampleTimeNs();
+        Rng rng(cfg.variationSeed);
+        for (size_t xi = 0; xi < layer.crossbars.size(); ++xi) {
+            const auto &xb = layer.crossbars[xi];
+            const int cols = xb.weightCols * cells;
+            std::vector<double> lvl(static_cast<size_t>(xb.rows * cols));
+            for (int r = 0; r < xb.rows; ++r)
+                for (int wc = 0; wc < xb.weightCols; ++wc) {
+                    const auto levels = reram::sliceMagnitude(
+                        xb.mag(r, wc), layer.cfg.weightBits,
+                        layer.cfg.cellBits);
+                    for (int s = 0; s < cells; ++s)
+                        lvl[static_cast<size_t>(r * cols + wc * cells + s)] =
+                            reram::programLevel(
+                                levels[static_cast<size_t>(s)], cfg.cell,
+                                &rng);
+                }
+            if (cfg.faults && cfg.faults->config().any()) {
+                const reram::CrossbarFaults f = cfg.faults->draw(
+                    cfg.faultKey, xb.physId >= 0 ? xb.physId
+                                                 : static_cast<int>(xi),
+                    layer.cfg.xbarRows, layer.cfg.xbarCols);
+                for (int r = 0; r < xb.rows; ++r)
+                    for (int cc = 0; cc < cols; ++cc) {
+                        double &v = lvl[static_cast<size_t>(r * cols + cc)];
+                        if (f.columnDead(cc))
+                            v = 0.0;
+                        else if (f.at(r, cc) == reram::FaultKind::StuckLrs)
+                            v = cfg.cell.maxLevel();
+                        else if (f.at(r, cc) == reram::FaultKind::StuckHrs)
+                            v = 0.0;
+                        else if (f.at(r, cc) == reram::FaultKind::Drift)
+                            v *= f.driftAt(r, cc);
+                    }
+            }
+            std::vector<double> epj;
+            for (int fr = 0; fr < xb.fragsUsed; ++fr)
+                epj.push_back(reram::readEnergyPj(
+                    cfg.cell,
+                    std::min(layer.cfg.fragSize,
+                             xb.rows - fr * layer.cfg.fragSize),
+                    std::max(1, cols), sample_ns));
+            for (int idx : xb.outputIndex)
+                extent_ = std::max(extent_, idx + 1);
+            worstStepNs_ = std::max(
+                worstStepNs_,
+                std::ceil(static_cast<double>(cols) /
+                          static_cast<double>(cfg.adcsPerCrossbar)) *
+                    sample_ns);
+            lvl_.push_back(std::move(lvl));
+            epj_.push_back(std::move(epj));
+        }
+    }
+
+    std::vector<double>
+    mvm(const std::vector<uint32_t> &inputs, uint64_t key,
+        EngineStats &stats) const
+    {
+        std::vector<double> out(static_cast<size_t>(extent_), 0.0);
+        const int m = layer_.cfg.fragSize;
+        const int cells = layer_.cfg.cellsPerWeight();
+        const int in_bits = layer_.cfg.inputBits;
+        const double adc_epj = adc_.energyPerSamplePj();
+        const int adc_top = adc_.config().codes() - 1;
+        const double adc_step = fullScale_ / static_cast<double>(adc_top);
+        Rng pres_rng(
+            CrossbarEngine::presentationSeed(cfg_.variationSeed, key));
+        EngineStats local;
+        local.presentations = 1;
+        for (size_t xi = 0; xi < layer_.crossbars.size(); ++xi) {
+            const auto &xb = layer_.crossbars[xi];
+            const int cols = xb.weightCols * cells;
+            std::vector<double> acc(static_cast<size_t>(cols));
+            std::vector<double> bit_sum(static_cast<size_t>(cols));
+            for (int f = 0; f < xb.fragsUsed; ++f) {
+                const int r0 = f * m;
+                const int rows_here = std::min(m, xb.rows - r0);
+                uint32_t merged = 0;
+                for (int r = r0; r < r0 + rows_here; ++r)
+                    merged |= inputs[static_cast<size_t>(
+                        xb.inputIndex[static_cast<size_t>(r)])];
+                const int eic =
+                    cfg_.zeroSkip ? effectiveBits(merged) : in_bits;
+                local.skippedCycles += static_cast<uint64_t>(in_bits - eic);
+                std::fill(acc.begin(), acc.end(), 0.0);
+                for (int p = eic - 1; p >= 0; --p) {
+                    ++local.bitCycles;
+                    local.crossbarEnergyPj +=
+                        epj_[xi][static_cast<size_t>(f)];
+                    std::fill(bit_sum.begin(), bit_sum.end(), 0.0);
+                    for (int r = r0; r < r0 + rows_here; ++r) {
+                        if (!((inputs[static_cast<size_t>(
+                                   xb.inputIndex[static_cast<size_t>(r)])] >>
+                               p) & 1u))
+                            continue;
+                        for (int cc = 0; cc < cols; ++cc)
+                            bit_sum[static_cast<size_t>(cc)] +=
+                                lvl_[xi][static_cast<size_t>(r * cols + cc)];
+                    }
+                    for (int cc = 0; cc < cols; ++cc) {
+                        double analog = bit_sum[static_cast<size_t>(cc)];
+                        if (cfg_.readNoiseSigma > 0.0)
+                            analog *=
+                                pres_rng.lognormal(0.0, cfg_.readNoiseSigma);
+                        acc[static_cast<size_t>(cc)] +=
+                            reram::adcRead(analog, adc_step, adc_top) *
+                            std::pow(2.0, p);
+                        ++local.adcSamples;
+                        local.adcEnergyPj += adc_epj;
+                    }
+                }
+                for (int wc = 0; wc < xb.weightCols; ++wc) {
+                    double weight_sum = 0.0;
+                    for (int s = 0; s < cells; ++s)
+                        weight_sum +=
+                            acc[static_cast<size_t>(wc * cells + s)] *
+                            std::pow(2.0, s * layer_.cfg.cellBits);
+                    out[static_cast<size_t>(
+                        xb.outputIndex[static_cast<size_t>(wc)])] +=
+                        static_cast<double>(xb.sign(wc, f)) * weight_sum;
+                }
+            }
+        }
+        local.timeNs = worstStepNs_ * static_cast<double>(local.bitCycles) /
+            std::max<double>(1.0,
+                             static_cast<double>(layer_.crossbars.size()));
+        stats.merge(local);
+        return out;
+    }
+
+  private:
+    const MappedLayer &layer_;
+    EngineConfig cfg_;
+    reram::AdcModel adc_;
+    double fullScale_ = 0.0;
+    std::vector<std::vector<double>> lvl_;
+    std::vector<std::vector<double>> epj_;
+    int extent_ = 0;
+    double worstStepNs_ = 0.0;
+};
+
+/**
+ * Run three random presentations through the engine (batched, on
+ * several threads) and through PanelReference, and require the outputs
+ * and the merged stats to match bit for bit.
+ */
+void
+expectMatchesPanelReference(const MappedLayer &mapped,
+                            const EngineConfig &ecfg, uint64_t seed)
+{
+    CrossbarEngine engine(mapped, ecfg);
+    PanelReference ref(mapped, ecfg);
+    int n_inputs = 0;
+    for (const auto &xb : mapped.crossbars)
+        for (int idx : xb.inputIndex)
+            n_inputs = std::max(n_inputs, idx + 1);
+    std::vector<std::vector<uint32_t>> batch;
+    for (uint64_t j = 0; j < 3; ++j)
+        batch.push_back(randomInputs(static_cast<size_t>(n_inputs),
+                                     mapped.cfg.inputBits,
+                                     seed + j, 0.2 * static_cast<double>(j)));
+    ThreadPool pool(3);
+    EngineStats got_stats, want_stats;
+    const auto got = engine.mvmBatch(batch, &got_stats, &pool);
+    for (size_t j = 0; j < batch.size(); ++j) {
+        const auto want = ref.mvm(batch[j], j, want_stats);
+        ASSERT_EQ(got[j].size(), want.size());
+        for (size_t i = 0; i < want.size(); ++i)
+            EXPECT_EQ(got[j][i], want[i])
+                << "presentation " << j << " output " << i;
+    }
+    expectStatsIdentical(got_stats, want_stats);
+}
+
+TEST(Engine, ExactPathMatchesPanelLoopBitwise)
+{
+    // 5 x 3 x 3 = 45 rows on 32-row crossbars: the second crossbar's
+    // 13 rows end in a partial fragment (and a partial 4-row group)
+    // at every fragment size.
+    enum class Fault { None, StuckLrs, StuckHrs, DeadColumn };
+    for (int frag : {4, 8, 16}) {
+        TestLayer layer(6, 5, 3, frag, 500 + frag);
+        const MappedLayer mapped = mapLayer(layer.state, makeCfg(frag));
+        for (int adc_bits : {4, 0})
+            for (bool skip : {true, false})
+                for (Fault fk : {Fault::None, Fault::StuckLrs,
+                                 Fault::StuckHrs, Fault::DeadColumn}) {
+                    SCOPED_TRACE(testing::Message()
+                                 << "frag " << frag << " adcBits "
+                                 << adc_bits << " zeroSkip " << skip
+                                 << " fault " << static_cast<int>(fk));
+                    reram::FaultConfig fc;
+                    fc.stuckLrsRate = fk == Fault::StuckLrs ? 0.05 : 0.0;
+                    fc.stuckHrsRate = fk == Fault::StuckHrs ? 0.05 : 0.0;
+                    fc.columnKillRate =
+                        fk == Fault::DeadColumn ? 0.1 : 0.0;
+                    const reram::FaultMap fmap(fc);
+                    EngineConfig ecfg;
+                    ecfg.adcBits = adc_bits;
+                    ecfg.zeroSkip = skip;
+                    ecfg.faults = &fmap;
+                    ecfg.faultKey = 3;
+                    CrossbarEngine engine(mapped, ecfg);
+                    EXPECT_EQ(engine.exactCrossbars(),
+                              static_cast<int64_t>(mapped.crossbars.size()));
+                    if (fk != Fault::None) {
+                        EXPECT_GT(engine.faultyCrossbars(), 0);
+                    }
+                    expectMatchesPanelReference(mapped, ecfg,
+                                                40 + frag + adc_bits);
+                }
+    }
+}
+
+TEST(Engine, GeneralPathMatchesPanelLoopBitwise)
+{
+    // Variation, drift and read noise each leave the exact path; the
+    // general loop, with its zero-sum exp shortcut, must still equal
+    // the transcription.
+    TestLayer layer(6, 5, 3, 8, 600);
+    const MappedLayer mapped = mapLayer(layer.state, makeCfg(8));
+    reram::FaultConfig drift;
+    drift.driftRate = 0.2;
+    const reram::FaultMap drift_map(drift);
+    EngineConfig variation, drifted, read_noise;
+    variation.cell.variationSigma = 0.1;
+    drifted.faults = &drift_map;
+    read_noise.readNoiseSigma = 0.05;
+    for (const EngineConfig *ecfg : {&variation, &drifted, &read_noise}) {
+        for (bool skip : {true, false}) {
+            EngineConfig c = *ecfg;
+            c.adcBits = 4;
+            c.zeroSkip = skip;
+            SCOPED_TRACE(testing::Message()
+                         << "variation " << c.cell.variationSigma
+                         << " drift " << (c.faults != nullptr)
+                         << " readNoise " << c.readNoiseSigma
+                         << " zeroSkip " << skip);
+            EXPECT_EQ(CrossbarEngine(mapped, c).exactCrossbars(), 0);
+            expectMatchesPanelReference(mapped, c, 70);
+        }
+    }
+}
+
+TEST(Engine, RepeatedSumEqualsAdditionChain)
+{
+    constexpr uint64_t kMaxN = uint64_t{1} << 20;
+    std::vector<double> steps = {1.5, 0.75, 0.1, 3.0 / 64.0,
+                                 std::ldexp(5.0, -9), 1.0};
+    // Odd significands of 34..50 bits reach the binade where e / ulp
+    // ends in one half (a tie binade) within 2^20 steps.
+    for (int j : {33, 40, 47, 50})
+        steps.push_back(1.0 + std::ldexp(1.0, -j));
+    steps.push_back(std::ldexp(0x1.8000000000ab3p0, -7));
+    Rng rng(77);
+    for (int i = 0; i < 6; ++i)
+        steps.push_back(rng.uniform(0.0, 1.0) *
+                        std::pow(10.0, rng.uniform(-6.0, 3.0)));
+
+    uint64_t tie_steps = 0;
+    for (double e : steps) {
+        SCOPED_TRACE(testing::Message() << std::hexfloat << "e " << e);
+        const RepeatedSum ledger(e, kMaxN);
+        EXPECT_LT(ledger.segments(), 300u);
+        double r = 0.0;
+        for (uint64_t n = 0; n <= kMaxN; ++n) {
+            const double got = ledger.at(n);
+            if (got != r) {
+                ADD_FAILURE() << "n " << n << ": " << got << " != " << r;
+                break;
+            }
+            if (r > 0.0) {
+                const double q = e / (std::nextafter(r, INFINITY) - r);
+                tie_steps += q - std::floor(q) == 0.5;
+            }
+            r += e;
+        }
+    }
+    EXPECT_GT(tie_steps, 0u);
+    // e = 0 never moves.
+    EXPECT_EQ(RepeatedSum(0.0, 10).at(10), 0.0);
+}
+
+TEST(Engine, QuantizeActivationsSaturatesNonFinite)
+{
+    const float inf = std::numeric_limits<float>::infinity();
+    const std::vector<float> x = {0.4f, 1.0f, inf,
+                                  std::numeric_limits<float>::quiet_NaN(),
+                                  -inf};
+    float scale = 0.0f;
+    const auto q = quantizeActivations(x, 4, &scale);
+    EXPECT_EQ(q, (std::vector<uint32_t>{6, 15, 15, 15, 0}));
+    EXPECT_FLOAT_EQ(scale, 1.0f / 15.0f);
 }
 
 TEST(Engine, QuantizeActivationsRoundTrip)
