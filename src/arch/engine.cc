@@ -16,7 +16,220 @@ bitsOf(double v)
     return b;
 }
 
+double
+fromBits(uint64_t b)
+{
+    double v;
+    std::memcpy(&v, &b, sizeof v);
+    return v;
+}
+
+// LazyAdc's fast path (DESIGN.md §6): the exp polynomial holds for
+// |sigma * g| < kXMax, and a code is taken when y + 0.5 lies farther
+// than kMargin * (y + 0.5) from every integer. kMargin is 2^17 times the
+// relative error bound of the approximation.
+constexpr double kXMax = 0.24;
+constexpr double kMargin = 0x1p-14;
+
+/** ln(1 + j/128) and 1 / (1 + j/128). */
+struct LnTable
+{
+    double ln[128];
+    double rc[128];
+};
+
+const LnTable kLnTable = [] {
+    LnTable t{};
+    for (int j = 0; j < 128; ++j) {
+        const double c = 1.0 + j * 0x1p-7;
+        t.ln[j] = std::log(c);
+        t.rc[j] = 1.0 / c;
+    }
+    return t;
+}();
+
+/**
+ * sqrt(-2 ln s / s) to within 2^-38 relative, s a normal double in
+ * (0, 1). s = 2^e * y with y within 2^-8 of c = 1 + j/128 (the
+ * exponent and top mantissa bits of s, rounded), so
+ * ln s = e ln 2 + ln c + ln(1 + r) with r = (y - c) / c, |r| <= 2^-8.
+ * Near s = 1, e = j = 0 and r = s - 1 exactly, so the cancellation of
+ * ln s costs no relative accuracy.
+ */
+double
+polarScaleApprox(double s)
+{
+    const uint64_t b = bitsOf(s);
+    const uint64_t rounded = b + (uint64_t{1} << 44);
+    const auto e = static_cast<int64_t>(rounded >> 52) - 1023;
+    const size_t j = (rounded >> 45) & 127;
+    const double y = fromBits(b - (static_cast<uint64_t>(e) << 52));
+    const double r = (y - (1.0 + static_cast<double>(j) * 0x1p-7)) *
+        kLnTable.rc[j];
+    const double ln1p_r =
+        r * (1.0 + r * (-0.5 + r * (1.0 / 3.0 + r * -0.25)));
+    const double ln_s = (static_cast<double>(e) * 0x1.62e42fefa39efp-1 +
+                         kLnTable.ln[j]) + ln1p_r;
+    return std::sqrt(-2.0 * ln_s / s);
+}
+
+/**
+ * min(floor(y), top) for an approximate y (0.5 already added), or -1
+ * when `x_ok` is false or y lies within the margin of an integer (NaN
+ * and inf included). Selects only, so the column loops vectorize. For
+ * y >= 0.5, y - 0.5 is exact and rounds to floor(y) through the 2^52
+ * shift unless y is an integer, where d is 0 or 1 and the test fails.
+ * A negative result (only for y < 0.5) also takes the literal chain.
+ */
+inline double
+fastCode(double y, bool x_ok, double top)
+{
+    const double fl = ((y - 0.5) + 0x1p52) - 0x1p52;
+    const double d = y - fl;
+    const double lim = kMargin * y;
+    const double code = fl < top ? fl : top;
+    return x_ok & (d > lim) & (1.0 - d > lim) ? code : -1.0;
+}
+
+/** Per-thread scratch of LazyAdc: grows, never shrinks. */
+struct LazyScratch
+{
+    std::vector<double> uv;     //!< each pair's u, v
+    std::vector<double> s;      //!< each pair's s
+    std::vector<double> g;      //!< approximate normal per u, v slot
+    std::vector<double> code;   //!< per column; < 0 = literal chain
+};
+
+thread_local LazyScratch tlLazy;
+
+template <typename T>
+T *
+grown(std::vector<T> &v, size_t n)
+{
+    if (v.size() < n)
+        v.resize(n);
+    return v.data();
+}
+
+/**
+ * One (fragment, bit p) step of a general tile. Stride-1 row sweep:
+ * add each active row's level panel into bit_sum, so per column the
+ * active rows add in ascending order for any vector width (elementwise
+ * rule, DESIGN.md §6) while inactive rows are skipped like the
+ * bit-serial hardware does. Then read noise in ascending column order,
+ * the ADC and the bit weight through `lazy`. Out of line, so the exact
+ * tiles' loop in mvmOne keeps its registers.
+ */
+[[gnu::noinline]] void
+generalStep(const LazyAdc &lazy, const double *frag_lvl,
+            const uint32_t *in_vals, int rows, size_t cols, int p,
+            double bit_weight, LazyAdc::Stream &noise, double *bit_sum,
+            double *acc)
+{
+    std::fill(bit_sum, bit_sum + cols, 0.0);
+    for (int r = 0; r < rows; ++r) {
+        if (!((in_vals[r] >> p) & 1u))
+            continue;
+        const double *panel = frag_lvl + static_cast<size_t>(r) * cols;
+        for (size_t cc = 0; cc < cols; ++cc)
+            bit_sum[cc] += panel[cc];
+    }
+    lazy.convert(bit_sum, cols, bit_weight, noise, acc);
+}
+
 } // namespace
+
+LazyAdc::LazyAdc(double sigma, double step, int top)
+    : sigma_(sigma), step_(step), invStep_(1.0 / step), top_(top)
+{
+}
+
+[[gnu::noinline]] size_t
+LazyAdc::convert(const double *analog, size_t cols, double bit_weight,
+                 Stream &st, double *acc) const
+{
+    if (sigma_ == 0.0)
+        return resolve(analog, cols, bit_weight, nullptr, nullptr, 0, acc);
+    // Step 1: the polar attempts, branch-free. Slot 0 holds the carried
+    // pair when its v is still due; every attempt is stored and the
+    // slot advances on acceptance, so the uniforms go in gaussian()'s
+    // order.
+    const size_t base = st.haveSpare ? 1 : 0;
+    const size_t pairs = (base + cols + 1) / 2;
+    double *uv = grown(tlLazy.uv, 2 * pairs);
+    double *s = grown(tlLazy.s, pairs);
+    if (st.haveSpare) {
+        uv[1] = st.spareV;
+        s[0] = st.spareS;
+    }
+    for (size_t k = base; k < pairs;) {
+        const Rng::PolarAttempt a = st.rng.polarAttempt();
+        uv[2 * k] = a.u;
+        uv[2 * k + 1] = a.v;
+        s[k] = a.s;
+        k += Rng::polarAccepts(a.s);
+    }
+    st.haveSpare = 2 * pairs > base + cols;
+    if (st.haveSpare) {
+        st.spareV = uv[2 * pairs - 1];
+        st.spareS = s[pairs - 1];
+    }
+    return resolve(analog, cols, bit_weight, uv, s, base, acc);
+}
+
+[[gnu::noinline]] size_t
+LazyAdc::resolve(const double *analog, size_t cols, double bit_weight,
+                 const double *uv, const double *s, size_t base,
+                 double *acc) const
+{
+    double *code = grown(tlLazy.code, cols);
+    const double top = static_cast<double>(top_);
+    const bool noisy = sigma_ != 0.0;
+    if (noisy) {
+        // Step 2: one approximate scale per pair.
+        const size_t pairs = (base + cols + 1) / 2;
+        double *g = grown(tlLazy.g, 2 * pairs);
+        for (size_t k = 0; k < pairs; ++k) {
+            const double m = polarScaleApprox(s[k]);
+            g[2 * k] = uv[2 * k] * m;
+            g[2 * k + 1] = uv[2 * k + 1] * m;
+        }
+        // Step 3: exp's degree-7 Taylor polynomial, used only where
+        // |x| < kXMax. A zero column sum reads code 0 whatever the
+        // factor: +0, or NaN from 0 * inf, which adcCode reads as 0.
+        const double *gc = g + base;
+        for (size_t c = 0; c < cols; ++c) {
+            const double x = sigma_ * gc[c];
+            const double p = 1.0 + x * (1.0 + x * (1.0 / 2 + x * (
+                1.0 / 6 + x * (1.0 / 24 + x * (1.0 / 120 + x * (
+                1.0 / 720 + x * (1.0 / 5040)))))));
+            code[c] = fastCode(analog[c] * p * invStep_ + 0.5,
+                               (std::fabs(x) < kXMax) | (analog[c] == 0.0),
+                               top);
+        }
+    } else {
+        for (size_t c = 0; c < cols; ++c)
+            code[c] = fastCode(analog[c] * invStep_ + 0.5, true, top);
+    }
+    // Step 4: the literal chain where the bound straddles a boundary.
+    size_t literal = 0;
+    for (size_t c = 0; c < cols; ++c) {
+        if (!(code[c] < 0.0))
+            continue;
+        double a = analog[c];
+        if (noisy) {
+            const size_t t = base + c;
+            const double g = uv[t] * Rng::polarScale(s[t / 2]);
+            a *= std::exp(0.0 + sigma_ * g);
+        }
+        code[c] = reram::adcCode(a, step_, top_);
+        ++literal;
+    }
+    // The same double adcRead(...) * 2^p gives.
+    for (size_t c = 0; c < cols; ++c)
+        acc[c] += code[c] * step_ * bit_weight;
+    return literal;
+}
 
 RepeatedSum::RepeatedSum(double e, uint64_t max_n) : maxN_(max_n)
 {
@@ -98,6 +311,27 @@ EngineStats::merge(const EngineStats &other)
     timeNs += other.timeNs;
 }
 
+void
+EngineConfig::validate() const
+{
+    FORMS_ASSERT(adcBits >= 0 && adcBits <= 30,
+                 "EngineConfig::adcBits = %d outside [0, 30] (0 = lossless)",
+                 adcBits);
+    FORMS_ASSERT(std::isfinite(adcFreqGhz) && adcFreqGhz > 0.0,
+                 "EngineConfig::adcFreqGhz = %g, need a finite value > 0",
+                 adcFreqGhz);
+    FORMS_ASSERT(adcsPerCrossbar >= 1,
+                 "EngineConfig::adcsPerCrossbar = %d, need at least 1",
+                 adcsPerCrossbar);
+    FORMS_ASSERT(std::isfinite(readNoiseSigma) && readNoiseSigma >= 0.0,
+                 "EngineConfig::readNoiseSigma = %g, need a finite "
+                 "value >= 0 (0 = noiseless reads)", readNoiseSigma);
+    FORMS_ASSERT(std::isfinite(cell.variationSigma) &&
+                     cell.variationSigma >= 0.0,
+                 "EngineConfig::cell.variationSigma = %g, need a finite "
+                 "value >= 0 (0 = ideal devices)", cell.variationSigma);
+}
+
 CrossbarEngine::CrossbarEngine(const MappedLayer &layer, EngineConfig cfg)
     : layer_(layer), cfg_(cfg),
       adc_({cfg.adcBits > 0
@@ -106,6 +340,7 @@ CrossbarEngine::CrossbarEngine(const MappedLayer &layer, EngineConfig cfg)
                                                 layer.cfg.cellBits),
             cfg.adcFreqGhz})
 {
+    cfg_.validate();
     // The mapper sliced magnitudes at the mapping's cell precision;
     // programming them into a device model with a different precision
     // would fail cell-by-cell deep in the program loop.
@@ -281,6 +516,7 @@ CrossbarEngine::CrossbarEngine(const MappedLayer &layer, EngineConfig cfg)
                 bitWeight_[p];
 
     adcEnergy_ = RepeatedSum(adc_.energyPerSamplePj(), max_samples);
+    lazyAdc_ = LazyAdc(cfg_.readNoiseSigma, adc_step, adc_top);
 }
 
 void
@@ -351,15 +587,7 @@ CrossbarEngine::mvmOne(const std::vector<uint32_t> &inputs,
     const int m = layer_.cfg.fragSize;
     const int cells = layer_.cfg.cellsPerWeight();
     const int in_bits = layer_.cfg.inputBits;
-    const bool noisy_reads = cfg_.readNoiseSigma > 0.0;
-    // A +0 column sum stays +0 under any finite noise factor, so its
-    // exp can be skipped (the draw still happens). The polar method
-    // bounds |g| by 12.01, which keeps exp(sigma * g) finite here.
-    const bool skip_zero_exp = cfg_.readNoiseSigma * 12.01 < 709.0;
-    // The ADC grid of reram::adcRead, hoisted out of the column loop.
-    const int adc_top = adc_.config().codes() - 1;
-    const double adc_step = fullScale_ / static_cast<double>(adc_top);
-    Rng pres_rng(presentationSeed(cfg_.variationSeed, key));
+    LazyAdc::Stream noise(presentationSeed(cfg_.variationSeed, key));
 
     // Per-thread scratch: mvmOne runs concurrently on pool workers and
     // a presentation must not pay heap allocations in the hot loop.
@@ -471,38 +699,10 @@ CrossbarEngine::mvmOne(const std::vector<uint32_t> &inputs,
                     continue;
                 }
 
-                // Stride-1 row sweep: add each active row's level
-                // panel into acc_bit. Per column this sums the active
-                // rows in ascending order, for any vector width
-                // (elementwise rule, DESIGN.md §6), while skipping
-                // inactive rows like the bit-serial hardware.
-                std::fill(acc_bit.begin(), acc_bit.end(), 0.0);
-                double *bit_sum = acc_bit.data();
-                for (int r = 0; r < rows_here; ++r) {
-                    if (!((in_vals[static_cast<size_t>(r0 + r)] >> p) & 1u))
-                        continue;
-                    const double *panel = frag_lvl +
-                        static_cast<size_t>(r) * cols;
-                    for (size_t cc = 0; cc < cols; ++cc)
-                        bit_sum[cc] += panel[cc];
-                }
-
-                // Fused noise -> ADC -> shift-accumulate per column:
-                // lognormal draws in ascending column order, the ADC
-                // transfer, then one multiply by the exact power of
-                // two for this bit.
-                for (size_t cc = 0; cc < cols; ++cc) {
-                    double analog = acc_bit[cc];
-                    if (noisy_reads) {
-                        if (analog == 0.0 && skip_zero_exp)
-                            pres_rng.gaussian();
-                        else
-                            analog *= pres_rng.lognormal(
-                                0.0, cfg_.readNoiseSigma);
-                    }
-                    acc[cc] += reram::adcRead(analog, adc_step, adc_top) *
-                        bitWeight_[static_cast<size_t>(p)];
-                }
+                generalStep(lazyAdc_, frag_lvl, in_vals.data() + r0,
+                            rows_here, cols, p,
+                            bitWeight_[static_cast<size_t>(p)], noise,
+                            acc_bit.data(), acc.data());
             }
 
             // Digital shift-and-add across cell significance plus the

@@ -16,8 +16,10 @@
  * integers, read without noise, runs an exact-integer path: its column
  * sums are integers, so the engine keeps the tile as nibble planes of
  * integer row sums and converts each sum through a per-engine ADC code
- * table. Every other tile keeps its double conductances. Both paths
- * give the same bits (DESIGN.md §6).
+ * table. Every other tile keeps its double conductances and converts
+ * its column sums through LazyAdc, which decides most ADC codes from a
+ * bounded approximation of the read-noise chain. Both paths give the
+ * same bits (DESIGN.md §6).
  */
 
 #ifndef FORMS_ARCH_ENGINE_HH
@@ -25,6 +27,7 @@
 
 #include "arch/mapping.hh"
 #include "arch/zero_skip.hh"
+#include "common/rng.hh"
 #include "common/threadpool.hh"
 #include "reram/adc.hh"
 #include "reram/device.hh"
@@ -84,6 +87,14 @@ struct EngineConfig
      */
     const reram::FaultMap *faults = nullptr;
     uint64_t faultKey = 0;
+
+    /**
+     * Abort, naming the field, unless adcBits is in [0, 30],
+     * adcFreqGhz is finite and > 0, adcsPerCrossbar >= 1, and
+     * readNoiseSigma and cell.variationSigma are finite and >= 0. The
+     * CrossbarEngine constructor calls it.
+     */
+    void validate() const;
 };
 
 /** Execution statistics of one engine run. */
@@ -162,6 +173,77 @@ class RepeatedSum
     };
     std::vector<Segment> segs_;
     uint64_t maxN_ = 0;
+};
+
+/**
+ * Read noise, ADC and bit weight for the column sums of one (fragment,
+ * bit) step of a general tile: adds
+ *
+ *     adcRead(analog[c] * exp(0.0 + sigma * g_c), step, top) * 2^p
+ *
+ * to acc[c], where g_c are the presentation's next normals in
+ * Rng::gaussian() order (sigma = 0: no noise, no draws). The result is
+ * the literal chain's bit for bit, but most codes come from an
+ * approximation with a proven relative error bound (DESIGN.md §6):
+ *
+ * 1. draw the step's polar pairs branch-free, u, v and s per attempt;
+ * 2. per pair, m ~ sqrt(-2 ln s / s) from the exponent bits of s, a
+ *    128-entry ln table and a degree-4 series;
+ * 3. per column, y ~ analog * P(sigma * g) / step + 0.5 with P a
+ *    Taylor polynomial of exp, and code = min(floor(y), top) unless
+ *    |sigma * g| >= 0.24 or y lies within a relative margin of an
+ *    integer;
+ * 4. any other column runs the literal chain, Rng::polarScale, exp
+ *    and reram::adcCode.
+ *
+ * A code fixed by the bound is an integer, so it is the literal
+ * chain's code, and the contribution is the same double expression.
+ */
+class LazyAdc
+{
+  public:
+    /** One presentation's read-noise draws: its RNG, and the polar pair
+     *  whose v normal gaussian() would return next (the spare). */
+    struct Stream
+    {
+        explicit Stream(uint64_t seed) : rng(seed) {}
+
+        Rng rng;
+        bool haveSpare = false;
+        double spareV = 0.0;
+        double spareS = 0.0;
+    };
+
+    LazyAdc() = default;
+
+    /** Multiplicative log-normal sigma (0 = noiseless) and the ADC grid
+     *  of reram::adcRead. */
+    LazyAdc(double sigma, double step, int top);
+
+    /**
+     * Convert cols column sums, drawing cols normals from `st`.
+     * @return the number of columns the literal chain decided.
+     */
+    size_t convert(const double *analog, size_t cols, double bit_weight,
+                   Stream &st, double *acc) const;
+
+    /**
+     * Steps 2-4 on given polar pairs: column c's normal is
+     * uv[t] * Rng::polarScale(s[t / 2]) with t = base + c, uv holding
+     * each pair's u and v. Every s must pass Rng::polarAccepts and be
+     * a normal double, as every s the polar method draws is. uv and s
+     * are ignored when sigma is 0.
+     * @return the number of columns the literal chain decided.
+     */
+    size_t resolve(const double *analog, size_t cols, double bit_weight,
+                   const double *uv, const double *s, size_t base,
+                   double *acc) const;
+
+  private:
+    double sigma_ = 0.0;
+    double step_ = 1.0;
+    double invStep_ = 1.0;
+    int top_ = 0;
 };
 
 /** Executes mapped layers on simulated crossbars. */
@@ -260,7 +342,7 @@ class CrossbarEngine
      *   nib[((f * groups + g) * 16 + mask) * cellCols + cc];
      * - `lvl` otherwise: row r's cell columns at lvl[r * cellCols + cc],
      *   so the per-bit MVM is a stride-1 sweep over active rows'
-     *   panels.
+     *   panels, whose column sums go through LazyAdc.
      */
     struct XbarTile
     {
@@ -284,6 +366,7 @@ class CrossbarEngine
     int groups_ = 0;               //!< 4-row groups per fragment
     size_t codeStride_ = 0;        //!< groups * 4 * maxLevel + 1 codes
     std::vector<double> codeW_;    //!< adcRead(s) * 2^p, [p][s] rows
+    LazyAdc lazyAdc_;              //!< general tiles' noise and ADC
     RepeatedSum adcEnergy_;        //!< R(n) of the per-sample ADC energy
     std::vector<double> bitWeight_;   //!< 2^p per input bit position
     std::vector<double> cellWeight_;  //!< 2^(s*cellBits) per cell slice

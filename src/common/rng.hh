@@ -80,6 +80,32 @@ class Rng
             (static_cast<unsigned __int128>(next()) * n) >> 64);
     }
 
+    /** One attempt of the Marsaglia polar method: u and v uniform on
+     *  [-1, 1) and s = u^2 + v^2. */
+    struct PolarAttempt
+    {
+        double u, v, s;
+    };
+
+    /** Draw one polar attempt (two uniforms, u first). */
+    PolarAttempt
+    polarAttempt()
+    {
+        const double u = uniform(-1.0, 1.0);
+        const double v = uniform(-1.0, 1.0);
+        return {u, v, u * u + v * v};
+    }
+
+    /** Whether the polar method keeps an attempt with this s. */
+    static bool polarAccepts(double s) { return s < 1.0 && s != 0.0; }
+
+    /** The scale m of an accepted attempt: its normals are u*m, v*m. */
+    static double
+    polarScale(double s)
+    {
+        return std::sqrt(-2.0 * std::log(s) / s);
+    }
+
     /** Standard normal via Marsaglia polar method (cached spare). */
     double
     gaussian()
@@ -88,16 +114,13 @@ class Rng
             haveSpare_ = false;
             return spare_;
         }
-        double u, v, s;
-        do {
-            u = uniform(-1.0, 1.0);
-            v = uniform(-1.0, 1.0);
-            s = u * u + v * v;
-        } while (s >= 1.0 || s == 0.0);
-        const double m = std::sqrt(-2.0 * std::log(s) / s);
-        spare_ = v * m;
+        PolarAttempt a = polarAttempt();
+        while (!polarAccepts(a.s))
+            a = polarAttempt();
+        const double m = polarScale(a.s);
+        spare_ = a.v * m;
         haveSpare_ = true;
-        return u * m;
+        return a.u * m;
     }
 
     /** Normal with the given mean and standard deviation. */

@@ -21,7 +21,6 @@
 #ifndef FORMS_RERAM_ADC_HH
 #define FORMS_RERAM_ADC_HH
 
-#include <algorithm>
 #include <cmath>
 #include <cstdint>
 
@@ -38,17 +37,34 @@ struct AdcConfig
 };
 
 /**
- * The ADC transfer function: quantize `analog` (level units) to the
- * nearest code of a uniform grid of `step`-wide codes 0..top, then read
- * the code back in level units. With step = 1 the transfer is exact on
- * integers in [0, top]; out-of-range inputs saturate at 0 or top.
+ * The ADC's output code for `analog` (level units): the nearest of the
+ * codes 0..top on a uniform grid of `step`-wide codes, halves rounding
+ * away from zero. Inputs past the grid saturate: analog / step at or
+ * above top + 0.5 (+inf included) reads top, a negative one reads 0.
+ * NaN reads 0, the physical reading of the 0 * inf that read noise can
+ * make of a zero column sum.
+ */
+inline int
+adcCode(double analog, double step, int top)
+{
+    // Saturate in double: lround of a value past long's range, or of
+    // inf or NaN, is unspecified, and a long past int's range wraps.
+    const double q = analog / step;
+    if (q >= static_cast<double>(top) + 0.5)
+        return top;
+    if (!(q >= 0.0))
+        return 0;
+    return static_cast<int>(std::lround(q));
+}
+
+/**
+ * The ADC transfer function: adcCode() read back in level units. With
+ * step = 1 the transfer is exact on integers in [0, top].
  */
 inline double
 adcRead(double analog, double step, int top)
 {
-    return static_cast<double>(std::clamp(
-               static_cast<int>(std::lround(analog / step)), 0, top)) *
-        step;
+    return static_cast<double>(adcCode(analog, step, top)) * step;
 }
 
 /** SAR ADC cost model. */

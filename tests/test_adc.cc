@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "reram/adc.hh"
 
 namespace forms::reram {
@@ -40,6 +42,29 @@ TEST(Adc, SaturatesAtTopCode)
     const double step = 24.0 / 15.0;
     EXPECT_EQ(adcRead(1e9, step, 15), 15.0 * step);
     EXPECT_EQ(adcRead(-5.0, step, 15), 0.0);
+}
+
+/**
+ * Inputs past long's or int's range and non-finite ones saturate like
+ * any other out-of-range input (they used to wrap to 0): +inf reads
+ * top, -inf and NaN read 0. In-range inputs keep their codes.
+ */
+TEST(Adc, SaturatesHugeAndNonFinite)
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    EXPECT_EQ(adcRead(3e9, 1.0, 15), 15.0);
+    EXPECT_EQ(adcRead(1e300, 1.6, 15), 15.0 * 1.6);
+    EXPECT_EQ(adcRead(inf, 1.0, 15), 15.0);
+    EXPECT_EQ(adcRead(-inf, 1.0, 15), 0.0);
+    EXPECT_EQ(adcRead(-3e9, 1.0, 15), 0.0);
+    EXPECT_EQ(adcRead(std::numeric_limits<double>::quiet_NaN(), 1.0, 15),
+              0.0);
+    EXPECT_EQ(adcCode(14.5, 1.0, 15), 15);   // halves round away from 0
+    EXPECT_EQ(adcCode(15.5, 1.0, 15), 15);
+    EXPECT_EQ(adcCode(-0.5, 1.0, 15), 0);
+    EXPECT_EQ(adcCode(7.49, 1.0, 15), 7);
+    EXPECT_EQ(adcCode(double((1 << 30) - 1), 1.0, (1 << 30) - 1),
+              (1 << 30) - 1);
 }
 
 TEST(Adc, PaperModeRoundsToStep)

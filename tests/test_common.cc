@@ -1,10 +1,13 @@
 /**
  * @file
- * Unit tests for the common utilities: RNG determinism and
- * distribution sanity, running statistics, histograms, table printer.
+ * Unit tests for the common utilities: RNG determinism, distribution
+ * sanity and the polar-method helpers, running statistics, histograms,
+ * table printer.
  */
 
 #include <gtest/gtest.h>
+
+#include <cstring>
 
 #include "common/logging.hh"
 #include "common/rng.hh"
@@ -66,6 +69,40 @@ TEST(Rng, GaussianMoments)
         s.add(r.gaussian());
     EXPECT_NEAR(s.mean(), 0.0, 0.03);
     EXPECT_NEAR(s.stddev(), 1.0, 0.03);
+}
+
+/**
+ * The polar-method helpers, driven as a blocked sampler would drive
+ * them, reproduce gaussian()'s stream bit for bit: u * m first, the
+ * spare v * m next, the same uniforms consumed in the same order.
+ */
+TEST(Rng, PolarHelpersReproduceGaussianStream)
+{
+    for (uint64_t seed : {1ULL, 7ULL, 99ULL, 0x8000000000000005ULL}) {
+        Rng ref(seed), mine(seed);
+        bool have_spare = false;
+        double spare = 0.0;
+        for (int i = 0; i < 1000000; ++i) {
+            double got = spare;
+            if (!have_spare) {
+                Rng::PolarAttempt a = mine.polarAttempt();
+                while (!Rng::polarAccepts(a.s))
+                    a = mine.polarAttempt();
+                const double m = Rng::polarScale(a.s);
+                got = a.u * m;
+                spare = a.v * m;
+            }
+            have_spare = !have_spare;
+            const double want = ref.gaussian();
+            if (std::memcmp(&got, &want, sizeof got) != 0) {
+                ADD_FAILURE() << "seed " << seed << " draw " << i << ": "
+                              << got << " != " << want;
+                break;
+            }
+        }
+        // Both generators consumed the same uniforms.
+        EXPECT_EQ(mine.next(), ref.next()) << "seed " << seed;
+    }
 }
 
 TEST(Rng, LognormalMean)

@@ -3,14 +3,17 @@
  * Tests for the functional crossbar engine: integer exactness at
  * lossless ADC resolution (parameterized over fragment sizes), bounded
  * error at the paper's reduced resolutions, zero-skip equivalence and
- * cycle savings, device-variation behaviour, the exact-integer path
- * against a transcription of the double-panel column loop, and the
- * ADC-energy ledger against the literal addition chain.
+ * cycle savings, device-variation behaviour, the exact-integer and
+ * general paths against a transcription of the double-panel column
+ * loop, the lazy read-noise ADC decision against the literal chain,
+ * config validation, and the ADC-energy ledger against the literal
+ * addition chain.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "arch/engine.hh"
 #include "reram/faults.hh"
@@ -502,31 +505,224 @@ TEST(Engine, ExactPathMatchesPanelLoopBitwise)
 TEST(Engine, GeneralPathMatchesPanelLoopBitwise)
 {
     // Variation, drift and read noise each leave the exact path; the
-    // general loop, with its zero-sum exp shortcut, must still equal
-    // the transcription.
-    TestLayer layer(6, 5, 3, 8, 600);
-    const MappedLayer mapped = mapLayer(layer.state, makeCfg(8));
+    // general loop's lazy ADC decision must still equal the
+    // transcription. 2-bit cells give 4 cells per weight (even
+    // cellCols); 3-bit cells with 5 weight columns give 15, so the
+    // polar spare crosses bit steps, fragments and crossbars. Read
+    // noise 0.02 is the benchmark's, 0.5 sends many samples past the
+    // exp polynomial's range, and at 60 exp(sigma * g) can overflow.
     reram::FaultConfig drift;
     drift.driftRate = 0.2;
     const reram::FaultMap drift_map(drift);
-    EngineConfig variation, drifted, read_noise;
-    variation.cell.variationSigma = 0.1;
-    drifted.faults = &drift_map;
-    read_noise.readNoiseSigma = 0.05;
-    for (const EngineConfig *ecfg : {&variation, &drifted, &read_noise}) {
-        for (bool skip : {true, false}) {
-            EngineConfig c = *ecfg;
-            c.adcBits = 4;
-            c.zeroSkip = skip;
+    for (int cell_bits : {2, 3}) {
+        TestLayer layer(cell_bits == 2 ? 6 : 5, 5, 3, 8, 600);
+        MappingConfig mcfg = makeCfg(8);
+        mcfg.cellBits = cell_bits;
+        const MappedLayer mapped = mapLayer(layer.state, mcfg);
+        if (cell_bits == 3) {
+            EXPECT_EQ(mapped.crossbars[0].weightCols * 3 % 2, 1);
+        }
+        std::vector<EngineConfig> cfgs(2);
+        cfgs[0].cell.variationSigma = 0.1;
+        cfgs[1].faults = &drift_map;
+        for (double sigma : {0.02, 0.05, 0.5, 60.0}) {
+            cfgs.emplace_back();
+            cfgs.back().readNoiseSigma = sigma;
+        }
+        for (EngineConfig c : cfgs)
+            for (int adc_bits : {3, 4, 0})
+                for (bool skip : {true, false}) {
+                    c.cell.bitsPerCell = cell_bits;
+                    c.adcBits = adc_bits;
+                    c.zeroSkip = skip;
+                    SCOPED_TRACE(testing::Message()
+                                 << "cellBits " << cell_bits
+                                 << " variation " << c.cell.variationSigma
+                                 << " drift " << (c.faults != nullptr)
+                                 << " readNoise " << c.readNoiseSigma
+                                 << " adcBits " << adc_bits
+                                 << " zeroSkip " << skip);
+                    EXPECT_EQ(CrossbarEngine(mapped, c).exactCrossbars(), 0);
+                    expectMatchesPanelReference(mapped, c, 70);
+                }
+    }
+}
+
+/** The ADC grid an engine derives for 8-row fragments of 2-bit cells. */
+struct AdcGrid
+{
+    int bits;     //!< 0 = lossless
+    int top = 0;
+    double step = 0.0;
+
+    explicit AdcGrid(int b) : bits(b)
+    {
+        const int codes =
+            1 << (b > 0 ? b : reram::AdcModel::losslessBits(8, 2));
+        top = codes - 1;
+        step = static_cast<double>(std::max(24, top)) /
+            static_cast<double>(top);
+    }
+};
+
+/**
+ * LazyAdc::convert against the literal chain -- Rng::lognormal, then
+ * reram::adcRead -- on 10^6 real draws for each noise sigma and ADC:
+ * odd and even column counts, so the spare carries between calls, and
+ * some zero column sums. At the benchmark's sigma = 0.02 under 1% of
+ * the samples may take the literal chain.
+ */
+TEST(Engine, LazyAdcMatchesLiteralChain)
+{
+    const size_t widths[] = {1, 7, 64, 255, 256};
+    for (int bits : {3, 4, 0}) {
+        const AdcGrid grid(bits);
+        for (double sigma : {0.02, 0.05, 0.5, 60.0}) {
             SCOPED_TRACE(testing::Message()
-                         << "variation " << c.cell.variationSigma
-                         << " drift " << (c.faults != nullptr)
-                         << " readNoise " << c.readNoiseSigma
-                         << " zeroSkip " << skip);
-            EXPECT_EQ(CrossbarEngine(mapped, c).exactCrossbars(), 0);
-            expectMatchesPanelReference(mapped, c, 70);
+                         << "adcBits " << bits << " sigma " << sigma);
+            const LazyAdc lazy(sigma, grid.step, grid.top);
+            LazyAdc::Stream stream(42);
+            Rng ref(42), gen(43);
+            size_t total = 0, literal = 0;
+            bool same = true;
+            for (int call = 0; total < 1000000 && same; ++call) {
+                const size_t cols = widths[call % 5];
+                const double bw = std::ldexp(1.0, call % 8);
+                std::vector<double> analog(cols), got(cols, 0.0),
+                    want(cols, 0.0);
+                for (double &a : analog)
+                    a = gen.bernoulli(0.1)
+                        ? 0.0
+                        : gen.uniform(0.0, 1.2 * grid.step * grid.top);
+                literal += lazy.convert(analog.data(), cols, bw, stream,
+                                        got.data());
+                for (size_t c = 0; c < cols; ++c) {
+                    want[c] += reram::adcRead(
+                                   analog[c] * ref.lognormal(0.0, sigma),
+                                   grid.step, grid.top) * bw;
+                    if (got[c] != want[c]) {
+                        ADD_FAILURE() << "call " << call << " column " << c
+                                      << " analog " << analog[c] << ": "
+                                      << got[c] << " != " << want[c];
+                        same = false;
+                        break;
+                    }
+                }
+                total += cols;
+            }
+            EXPECT_EQ(stream.rng.next(), ref.next());
+            if (sigma == 0.02) {
+                EXPECT_LT(literal * 100, total) << literal << " of " << total;
+            }
+            if (sigma >= 0.5) {
+                EXPECT_GT(literal, 0u);
+            }
         }
     }
+}
+
+/**
+ * LazyAdc::resolve on hand-placed pairs and column sums: each sample's
+ * noisy sum lands within 1e-15 .. 1e-6 relative of every code
+ * boundary, so the literal chain must decide it, and the code must be
+ * the literal one. The pairs include real draws, s within 2^-40 of 1
+ * (ln s cancels, m -> 0), s within 2^-7 of 1 (where sigma = 3 meets
+ * the polynomial's range) and s = 2^-104 (|g| near 12, the polar
+ * method's largest). sigma = 0 is the noise-free general tile.
+ */
+TEST(Engine, LazyAdcFallsBackAtCodeBoundaries)
+{
+    std::vector<double> uv, s;
+    Rng rng(5);
+    for (int i = 0; i < 100; ++i) {
+        Rng::PolarAttempt a = rng.polarAttempt();
+        while (!Rng::polarAccepts(a.s))
+            a = rng.polarAttempt();
+        uv.insert(uv.end(), {a.u, a.v});
+        s.push_back(a.s);
+    }
+    for (int i = 1; i <= 64; ++i) {
+        uv.insert(uv.end(), {rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)});
+        s.push_back(1.0 - std::ldexp(static_cast<double>(i * i), -53));
+        // The ln series' cell next to 1 (s >= 1 - 2^-9) and the cells
+        // below it: at sigma = 3, |sigma * g| reaches 0.24 here.
+        uv.insert(uv.end(), {rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)});
+        s.push_back(1.0 - std::ldexp(static_cast<double>(i), -13));
+    }
+    for (double a : {1.0, -1.0}) {
+        uv.insert(uv.end(), {a * 0x1p-52, 0.0});
+        s.push_back(0x1p-104);
+    }
+    uv.insert(uv.end(), {0x1p-52, -0x1p-52});
+    s.push_back(0x1p-103);
+
+    const double rhos[] = {0.0, 1e-15, -1e-15, 1e-12, -1e-12,
+                           1e-9, -1e-9, 1e-6, -1e-6};
+    for (int bits : {3, 4, 0}) {
+        const AdcGrid grid(bits);
+        for (double sigma : {0.0, 0.019, 0.02, 0.05, 0.5, 3.0, 60.0}) {
+            SCOPED_TRACE(testing::Message()
+                         << "adcBits " << bits << " sigma " << sigma);
+            const LazyAdc lazy(sigma, grid.step, grid.top);
+            const size_t samples = sigma == 0.0 ? 1 : uv.size();
+            size_t mismatches = 0, fast = 0;
+            for (size_t t = 0; t < samples; ++t) {
+                const double *pair_uv = uv.data() + 2 * (t / 2);
+                const double *pair_s = s.data() + t / 2;
+                const double factor = sigma == 0.0 ? 1.0
+                    : std::exp(0.0 + sigma * (uv[t] *
+                                              Rng::polarScale(s[t / 2])));
+                for (int k = 1; k <= grid.top; ++k)
+                    for (double rho : rhos) {
+                        const double analog = (k - 0.5) * grid.step /
+                            factor * (1.0 + rho);
+                        double got = 0.0;
+                        const size_t literal = lazy.resolve(
+                            &analog, 1, 1.0, pair_uv, pair_s, t % 2, &got);
+                        // A factor of 0 or inf leaves no boundary.
+                        if (std::isnormal(analog))
+                            fast += 1 - literal;
+                        const double want = reram::adcRead(
+                            analog * factor, grid.step, grid.top);
+                        mismatches += got != want;
+                    }
+            }
+            EXPECT_EQ(mismatches, 0u);
+            EXPECT_EQ(fast, 0u);
+        }
+    }
+}
+
+TEST(Engine, ValidateNamesTheBadField)
+{
+    TestLayer layer(4, 3, 3, 8, 7);
+    const MappedLayer mapped = mapLayer(layer.state, makeCfg(8));
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    for (double bad : {-0.1, nan, inf}) {
+        EngineConfig c;
+        c.readNoiseSigma = bad;
+        EXPECT_DEATH(CrossbarEngine(mapped, c), "readNoiseSigma");
+        c = EngineConfig();
+        c.cell.variationSigma = bad;
+        EXPECT_DEATH(CrossbarEngine(mapped, c), "cell\\.variationSigma");
+    }
+    for (int bad : {-1, 31}) {
+        EngineConfig c;
+        c.adcBits = bad;
+        EXPECT_DEATH(CrossbarEngine(mapped, c), "adcBits");
+    }
+    for (double bad : {0.0, -2.1, nan}) {
+        EngineConfig c;
+        c.adcFreqGhz = bad;
+        EXPECT_DEATH(CrossbarEngine(mapped, c), "adcFreqGhz");
+    }
+    EngineConfig c;
+    c.adcsPerCrossbar = 0;
+    EXPECT_DEATH(CrossbarEngine(mapped, c), "adcsPerCrossbar");
+    c = EngineConfig();
+    c.adcBits = 30;
+    EXPECT_EQ(CrossbarEngine(mapped, c).adcBitsInUse(), 30);
 }
 
 TEST(Engine, RepeatedSumEqualsAdditionChain)
