@@ -55,10 +55,13 @@ engineRun(int frag, bool skip, uint64_t seed)
     ActivationModel act = ActivationModel::calibratedResNet50();
     Rng arng(seed + 1);
     std::vector<std::vector<uint32_t>> batch;
-    for (int pres = 0; pres < 16; ++pres)
+    std::vector<uint64_t> keys;
+    for (int pres = 0; pres < 16; ++pres) {
         batch.push_back(act.sampleVector(arng, 16 * 9));
+        keys.push_back(static_cast<uint64_t>(pres));
+    }
     arch::EngineStats stats;
-    engine.mvmBatch(batch, &stats);
+    engine.mvmKeyed(batch, 0, batch.size(), keys.data(), &stats);
     return stats;
 }
 

@@ -102,7 +102,7 @@ main()
     for (int frag : frag_sizes) {
         auto stats = model.eicStats(frag, 30000);
         arch::EicStats m(16);
-        m.recordVector(measured, frag);
+        m.recordVector(measured.data(), measured.size(), frag);
         b.row().cell(static_cast<int64_t>(frag))
             .cell(stats.averageEic(), 2)
             .cell(m.averageEic(), 2)

@@ -79,40 +79,49 @@ main()
                 static_cast<long long>(mapped.logicalCols));
 
     // ---- 4. batched in-situ MVMs with zero-skipping -----------------
-    // A whole batch of input patches streams through the engine at
-    // once; presentations shard across the thread pool and the result
-    // is bit-identical to a serial mvm() loop.
+    // A block of input patches, one quantized presentation per row,
+    // streams through the engine at once; presentations shard across
+    // the thread pool and the result is bit-identical to a serial
+    // mvm() loop.
     arch::EngineConfig ecfg;
     ecfg.adcBits = 0;   // lossless ADC: integer-exact
     arch::CrossbarEngine engine(mapped, ecfg);
 
     const Tensor &img = data.test().images;
-    std::vector<std::vector<uint32_t>> batch;
-    for (int n = 0; n < 4; ++n) {
-        std::vector<float> patch;
+    const size_t count = 4, rows = 9;
+    std::vector<uint32_t> block(count * rows);
+    std::vector<uint64_t> keys(count);
+    for (size_t n = 0; n < count; ++n) {
+        float patch[rows];
         for (int dy = 0; dy < 3; ++dy)
             for (int dx = 0; dx < 3; ++dx)
-                patch.push_back(
-                    std::max(0.0f, img.at(n, 0, 4 + dy, 4 + dx)));
-        batch.push_back(arch::quantizeActivations(patch, mcfg.inputBits,
-                                                  nullptr));
+                patch[dy * 3 + dx] = std::max(
+                    0.0f, img.at(static_cast<int64_t>(n), 0, 4 + dy, 4 + dx));
+        arch::quantizeActivations(patch, rows, mcfg.inputBits,
+                                  block.data() + n * rows);
+        keys[n] = n;
     }
 
     arch::EngineStats stats;
-    auto analog = engine.mvmBatch(batch, &stats);
+    const size_t ext = static_cast<size_t>(engine.outputExtent());
+    std::vector<double> analog(count * ext);
+    engine.mvmBlock(block.data(), rows, 0, count, keys.data(),
+                    analog.data(), ext, &stats);
 
     bool exact = true;
-    for (size_t n = 0; n < batch.size(); ++n) {
-        auto reference = arch::referenceMvm(mapped, batch[n]);
-        for (size_t i = 0; i < analog[n].size(); ++i)
+    for (size_t n = 0; n < count; ++n) {
+        const std::vector<uint32_t> q(block.begin() + n * rows,
+                                      block.begin() + (n + 1) * rows);
+        auto reference = arch::referenceMvm(mapped, q);
+        for (size_t i = 0; i < ext; ++i)
             exact = exact &&
-                analog[n][i] == static_cast<double>(reference[i]);
+                analog[n * ext + i] == static_cast<double>(reference[i]);
     }
     std::printf("[4] batched in-situ MVM (%zu presentations, %d "
                 "threads): %s vs digital reference; %.0f%% of input "
                 "bit cycles skipped, %llu ADC samples, %.1f pJ ADC "
                 "energy\n",
-                batch.size(), ThreadPool::global().threads(),
+                count, ThreadPool::global().threads(),
                 exact ? "EXACT" : "MISMATCH",
                 stats.skipFraction() * 100.0,
                 static_cast<unsigned long long>(stats.adcSamples),

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 
 namespace forms::arch {
 
@@ -578,11 +579,10 @@ CrossbarEngine::presentationSeed(uint64_t seed, uint64_t key)
 }
 
 void
-CrossbarEngine::mvmOne(const std::vector<uint32_t> &inputs,
-                       uint64_t key, std::vector<double> &out,
+CrossbarEngine::mvmOne(const uint32_t *inputs, uint64_t key, double *out,
                        EngineStats &stats) const
 {
-    out.assign(static_cast<size_t>(outputExtent_), 0.0);
+    std::fill(out, out + outputExtent_, 0.0);
 
     const int m = layer_.cfg.fragSize;
     const int cells = layer_.cfg.cellsPerWeight();
@@ -610,8 +610,8 @@ CrossbarEngine::mvmOne(const std::vector<uint32_t> &inputs,
         // row_bits vector per presented bit.
         in_vals.resize(static_cast<size_t>(xb.rows));
         for (int r = 0; r < xb.rows; ++r)
-            in_vals[static_cast<size_t>(r)] = inputs[static_cast<size_t>(
-                xb.inputIndex[static_cast<size_t>(r)])];
+            in_vals[static_cast<size_t>(r)] =
+                inputs[xb.inputIndex[static_cast<size_t>(r)]];
 
         acc.resize(static_cast<size_t>(cell_cols));
         if (tile.exact) {
@@ -736,25 +736,44 @@ std::vector<double>
 CrossbarEngine::mvm(const std::vector<uint32_t> &inputs,
                     EngineStats *stats, uint64_t key)
 {
-    // Semantically a keyed batch of one, without mvmKeyed's
-    // batch-container scaffolding.
-    std::vector<double> out;
+    std::vector<double> out(static_cast<size_t>(outputExtent_));
     EngineStats local;
-    mvmOne(inputs, key, out, local);
+    mvmOne(inputs.data(), key, out.data(), local);
     if (stats)
         stats->merge(local);
     return out;
 }
 
-std::vector<std::vector<double>>
-CrossbarEngine::mvmBatch(const std::vector<std::vector<uint32_t>> &batch,
-                         EngineStats *stats, ThreadPool *pool)
+void
+CrossbarEngine::mvmBlock(const uint32_t *in, size_t in_stride, size_t lo,
+                         size_t hi, const uint64_t *keys, double *out,
+                         size_t out_stride, EngineStats *stats,
+                         EngineStats *per_out, ThreadPool *pool)
 {
-    std::vector<uint64_t> keys(batch.size());
-    for (size_t j = 0; j < keys.size(); ++j)
-        keys[j] = j;
-    return mvmKeyed(batch, 0, batch.size(), keys.data(), stats, nullptr,
-                    pool);
+    FORMS_ASSERT(lo <= hi && out_stride >= static_cast<size_t>(outputExtent_),
+                 "mvmBlock: slice [%zu, %zu), out stride %zu < extent %d",
+                 lo, hi, out_stride, outputExtent_);
+    const size_t count = hi - lo;
+    if (count == 0)
+        return;
+    std::vector<EngineStats> per(count);
+    ThreadPool &tp = pool ? *pool : ThreadPool::global();
+    tp.parallelFor(
+        0, static_cast<int64_t>(count), 1,
+        [&](int64_t i, int) {
+            const size_t j = lo + static_cast<size_t>(i);
+            mvmOne(in + j * in_stride, keys[j], out + j * out_stride,
+                   per[static_cast<size_t>(i)]);
+        });
+
+    // Merge per-presentation stats in presentation order: identical
+    // floating-point accumulation order to the serial mvm() loop.
+    if (stats)
+        for (const auto &s : per)
+            stats->merge(s);
+    if (per_out)
+        for (size_t i = 0; i < count; ++i)
+            per_out[lo + i].merge(per[i]);
 }
 
 std::vector<std::vector<double>>
@@ -767,103 +786,77 @@ CrossbarEngine::mvmKeyed(const std::vector<std::vector<uint32_t>> &batch,
                  "mvmKeyed: slice [%zu, %zu) outside batch of %zu", lo,
                  hi, batch.size());
     const size_t count = hi - lo;
-    std::vector<std::vector<double>> outs(count);
-    std::vector<EngineStats> per(count);
-    if (count == 0)
-        return outs;
-
-    ThreadPool &tp = pool ? *pool : ThreadPool::global();
-    tp.parallelFor(
-        0, static_cast<int64_t>(count), 1,
-        [&](int64_t i, int) {
-            const size_t s = static_cast<size_t>(i);
-            mvmOne(batch[lo + s], keys[lo + s], outs[s], per[s]);
-        });
-
-    // Merge per-presentation stats in presentation order: identical
-    // floating-point accumulation order to the serial mvm() loop.
-    if (stats)
-        for (const auto &s : per)
-            stats->merge(s);
-    if (per_out)
-        for (size_t i = 0; i < count; ++i)
-            per_out[lo + i].merge(per[i]);
+    const size_t rows = count ? batch[lo].size() : 0;
+    const size_t ext = static_cast<size_t>(outputExtent_);
+    std::vector<uint32_t> in;
+    in.reserve(count * rows);
+    for (size_t j = lo; j < hi; ++j) {
+        FORMS_ASSERT(batch[j].size() == rows,
+                     "mvmKeyed: presentations of unequal length");
+        in.insert(in.end(), batch[j].begin(), batch[j].end());
+    }
+    std::vector<double> out(count * ext);
+    mvmBlock(in.data(), rows, 0, count, keys + lo, out.data(), ext, stats,
+             per_out ? per_out + lo : nullptr, pool);
+    std::vector<std::vector<double>> outs;
+    for (size_t i = 0; i < count; ++i)
+        outs.emplace_back(out.data() + i * ext, out.data() + (i + 1) * ext);
     return outs;
 }
 
-std::vector<float>
-dequantizeOutputs(const std::vector<double> &raw, float w_scale,
-                  float in_scale)
+uint32_t
+roundCode(double d, double top)
 {
-    std::vector<float> out(raw.size());
-    const double k = static_cast<double>(w_scale) *
-        static_cast<double>(in_scale);
-    for (size_t i = 0; i < raw.size(); ++i)
-        out[i] = static_cast<float>(raw[i] * k);
-    return out;
+    d = d < top ? d : top;
+    d = d > 0.0 ? d : 0.0;
+    const int32_t t = static_cast<int32_t>(d);
+    return static_cast<uint32_t>(t) +
+        static_cast<uint32_t>(d - static_cast<double>(t) >= 0.5);
 }
 
-std::vector<uint32_t>
-quantizeActivations(const std::vector<float> &x, int bits,
-                    float *scale_out)
+float
+quantizeActivations(const float *x, size_t n, int bits, uint32_t *q)
 {
     FORMS_ASSERT(bits >= 1 && bits <= 31, "bad activation bits");
     // The scale comes from the finite values only: one +inf must not
-    // quantize the rest of the presentation to 0.
+    // quantize the rest of the presentation to 0. A value above the
+    // running max is positive, so it is finite iff <= FLT_MAX.
     float mx = 0.0f;
-    for (float v : x)
-        if (std::isfinite(v))
-            mx = std::max(mx, v);
+    for (size_t i = 0; i < n; ++i)
+        mx = x[i] > mx && x[i] <= std::numeric_limits<float>::max()
+            ? x[i] : mx;
     const uint32_t qmax = (1u << bits) - 1;
     const float scale = mx > 0.0f ? mx / static_cast<float>(qmax) : 1.0f;
-    std::vector<uint32_t> q(x.size(), 0);
-    for (size_t i = 0; i < x.size(); ++i) {
-        const float v = x[i];
-        if (v <= 0.0f)
-            continue;   // post-ReLU activations are nonnegative
-        // +inf and NaN saturate, as in quantizeActivationsStatic,
-        // instead of reaching lround (undefined behaviour).
-        q[i] = std::isfinite(v)
-            ? std::min<uint32_t>(
-                  qmax, static_cast<uint32_t>(std::lround(v / scale)))
-            : qmax;
-    }
-    if (scale_out)
-        *scale_out = scale;
-    return q;
+    // lround(x / scale) capped at qmax, for the float quotient: +inf
+    // and NaN saturate, non-positive values give 0.
+    const double top = static_cast<double>(qmax);
+    for (size_t i = 0; i < n; ++i)
+        q[i] = roundCode(static_cast<double>(x[i] / scale), top);
+    return scale;
 }
 
-std::vector<uint32_t>
-quantizeActivationsStatic(const std::vector<float> &x, int bits,
-                          float scale, uint64_t *clipped_out)
+uint64_t
+quantizeActivationsStatic(const float *x, size_t n, int bits, float scale,
+                          uint32_t *q)
 {
     FORMS_ASSERT(bits >= 1 && bits <= 31, "bad activation bits");
     FORMS_ASSERT(scale > 0.0f,
                  "static activation scale must be positive — was the "
                  "calibration table built for this layer?");
     const uint32_t qmax = (1u << bits) - 1;
-    std::vector<uint32_t> q(x.size(), 0);
+    const double top = static_cast<double>(qmax);
+    const double s = static_cast<double>(scale);
+    // Non-positive values become +0 first, whose code is 0 for any
+    // scale; NaN stays NaN. A code at or past qmax + 0.5 (inf and NaN
+    // included) saturates and counts as clipped.
     uint64_t clipped = 0;
-    for (size_t i = 0; i < x.size(); ++i) {
-        const float v = x[i];
-        if (v <= 0.0f)
-            continue;   // unsigned encoding: negatives map to zero
-        // Saturation test in double, before lround: an extreme
-        // outlier (or inf/NaN) must clip to the top code, not feed
-        // lround a value outside long's range (UB). NaN fails the
-        // comparison and clips too.
-        const double code = static_cast<double>(v) /
-            static_cast<double>(scale);
-        if (!(code < static_cast<double>(qmax) + 0.5)) {
-            q[i] = qmax;
-            ++clipped;
-        } else {
-            q[i] = static_cast<uint32_t>(std::lround(code));
-        }
+    for (size_t i = 0; i < n; ++i) {
+        const float v = x[i] <= 0.0f ? 0.0f : x[i];
+        const double code = static_cast<double>(v) / s;
+        clipped += !(code < top + 0.5);
+        q[i] = roundCode(code, top);
     }
-    if (clipped_out)
-        *clipped_out += clipped;
-    return q;
+    return clipped;
 }
 
 } // namespace forms::arch

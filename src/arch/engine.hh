@@ -261,48 +261,48 @@ class CrossbarEngine
      * One matrix-vector product. `inputs` is indexed by the layer's
      * natural input indices and quantized to cfg.inputBits; its
      * read-noise RNG is keyed by (variationSeed, `key`). Equivalent to
-     * mvmKeyed() on a batch of one with that key: both call the
-     * mvmOne() core and merge stats the same way, asserted by
-     * tests/test_runtime.cc.
+     * mvmBlock() on a block of one with that key: both run the
+     * mvmOne() core and merge stats the same way.
      *
      * @return signed outputs in integer level units, indexed by the
-     *         natural output index (same convention as referenceMvm).
+     *         natural output index (same convention as referenceMvm),
+     *         outputExtent() of them.
      */
     std::vector<double> mvm(const std::vector<uint32_t> &inputs,
                             EngineStats *stats = nullptr,
                             uint64_t key = 0);
 
     /**
-     * Batched matrix-vector products: run every presentation in
-     * `batch`, sharding them across `pool` (null = the process-wide
-     * pool). Presentation j is keyed by j, so the call equals
-     * mvmKeyed() over the whole batch with keys 0..n-1 — and the
-     * outputs AND the merged stats are bit-identical to a serial
-     * loop of mvm(batch[j], stats, j), for any thread count.
+     * mvm() on presentations j in [lo, hi) of a contiguous block,
+     * sharded across `pool` (null = the process-wide pool): j reads its
+     * inputs at in + j * in_stride, draws read noise from stream key
+     * keys[j] and writes its outputExtent() outputs to
+     * out + j * out_stride. The engine holds no presentation state, so
+     * engines programmed from one config give bit-identical outputs for
+     * one key whatever they ran before: the mechanism behind replica
+     * slicing (sim/stage_kernels.hh) and serving's batch-invariance
+     * contract (docs/SERVING.md). Stats merge into `stats` in
+     * ascending j order, so outputs and stats equal a serial loop of
+     * mvm(inputs_j, stats, keys[j]) bit for bit on any thread count.
+     * When `per` is non-null, j's stats also merge into per[j] — the
+     * per-request stats channel.
      */
-    std::vector<std::vector<double>>
-    mvmBatch(const std::vector<std::vector<uint32_t>> &batch,
-             EngineStats *stats = nullptr, ThreadPool *pool = nullptr);
+    void mvmBlock(const uint32_t *in, size_t in_stride, size_t lo,
+                  size_t hi, const uint64_t *keys, double *out,
+                  size_t out_stride, EngineStats *stats = nullptr,
+                  EngineStats *per = nullptr, ThreadPool *pool = nullptr);
 
     /**
-     * Batched matrix-vector products over the slice [lo, hi) of
-     * `batch` with explicit per-presentation stream keys: presentation
-     * batch[j] draws its read-noise RNG from stream key keys[j]. The
-     * engine holds no presentation state, so two engines programmed
-     * from the same config produce bit-identical outputs for the same
-     * key, regardless of what either engine executed before: the
-     * mechanism behind replica slicing (sim/stage_kernels.hh) and the
-     * serving layer's batch-invariance contract (docs/SERVING.md).
-     *
-     * Per-presentation stats merge into `stats` in ascending j order.
-     * When `per` is non-null it is an accumulator array parallel to
-     * `batch`: presentation j's stats additionally merge into per[j]
-     * — the per-request stats channel.
+     * mvmBlock() on the slice [lo, hi) of equal-length vectors, packed
+     * into a block: batch[j] uses keys[j] and per[j].
      */
     std::vector<std::vector<double>>
     mvmKeyed(const std::vector<std::vector<uint32_t>> &batch, size_t lo,
              size_t hi, const uint64_t *keys, EngineStats *stats = nullptr,
              EngineStats *per = nullptr, ThreadPool *pool = nullptr);
+
+    /** Outputs per presentation: 1 + the largest natural output index. */
+    int outputExtent() const { return outputExtent_; }
 
     /** Mix (seed, presentation key) into one RNG stream seed. */
     static uint64_t presentationSeed(uint64_t seed, uint64_t key);
@@ -323,12 +323,12 @@ class CrossbarEngine
 
   private:
     /**
-     * Execute one presentation. Const and self-contained (all scratch
-     * is local, the programmed tiles are only read), so concurrent
-     * calls from pool workers are safe.
+     * Execute one presentation into out[0, outputExtent_). Const, with
+     * thread-local scratch and read-only tiles, so concurrent calls
+     * from pool workers are safe.
      */
-    void mvmOne(const std::vector<uint32_t> &inputs, uint64_t key,
-                std::vector<double> &out, EngineStats &stats) const;
+    void mvmOne(const uint32_t *inputs, uint64_t key, double *out,
+                EngineStats &stats) const;
 
     /**
      * One crossbar's programmed conductances (level units), written
@@ -377,31 +377,43 @@ class CrossbarEngine
     int64_t exactCrossbars_ = 0;   //!< tiles stored as nibble planes
 };
 
-/**
- * Convenience: dequantize engine outputs back to real units given the
- * weight grid `w_scale` and activation grid `in_scale`.
- */
-std::vector<float> dequantizeOutputs(const std::vector<double> &raw,
-                                     float w_scale, float in_scale);
+/** One engine output back in real units, given the weight grid
+ *  `w_scale` and the activation grid `in_scale`. */
+inline float
+dequantize(double raw, float w_scale, float in_scale)
+{
+    return static_cast<float>(
+        raw * (static_cast<double>(w_scale) * static_cast<double>(in_scale)));
+}
 
 /**
- * Quantize a nonnegative activation vector to `bits` unsigned ints on
- * the per-presentation grid: scale = (largest finite value) / qmax.
- * Non-positive values map to 0; +inf and NaN saturate at qmax.
+ * lround(d) clamped to [0, top], top <= 2^31 - 1: NaN and d >= top
+ * give top, d <= 0 gives 0. Exact and branch-free: after the clamps
+ * the int32 conversion cannot overflow, and d minus its truncation is
+ * exact, so the half-way test never rounds (d + 0.5 would: for
+ * d = 0.49999999999999994 it is 1.0, yet lround(d) is 0).
  */
-std::vector<uint32_t> quantizeActivations(const std::vector<float> &x,
-                                          int bits, float *scale_out);
+uint32_t roundCode(double d, double top);
 
 /**
- * Quantize against a frozen grid: q = round(x / scale) clamped to
- * [0, 2^bits - 1]. Negative values map to zero (unsigned bit-serial
- * encoding); values past the grid max saturate and are counted into
- * `*clipped_out` (accumulated, not assigned — callers fold several
- * presentations into one counter).
+ * Quantize n nonnegative activations at x into q, `bits` unsigned ints
+ * on the per-presentation grid: scale = (largest finite value) / qmax,
+ * q = lround(x / scale) clamped to qmax. Non-positive values map to 0;
+ * +inf and NaN saturate at qmax. Exact and branch-free (DESIGN.md §3).
+ * @return the scale
  */
-std::vector<uint32_t> quantizeActivationsStatic(
-    const std::vector<float> &x, int bits, float scale,
-    uint64_t *clipped_out = nullptr);
+float quantizeActivations(const float *x, size_t n, int bits,
+                          uint32_t *q);
+
+/**
+ * Quantize n activations at x into q against a frozen grid:
+ * q = lround(x / scale) clamped to [0, 2^bits - 1]. Negative values
+ * map to zero (unsigned bit-serial encoding); values past the grid max
+ * (and NaN) saturate. Exact and branch-free (DESIGN.md §3).
+ * @return the number of saturated values
+ */
+uint64_t quantizeActivationsStatic(const float *x, size_t n, int bits,
+                                   float scale, uint32_t *q);
 
 } // namespace forms::arch
 

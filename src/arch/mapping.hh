@@ -38,9 +38,6 @@ struct MappingConfig
 
     /** Weight columns that fit on one crossbar. */
     int weightColsPerXbar() const { return xbarCols / cellsPerWeight(); }
-
-    /** Fragments stacked vertically per crossbar. */
-    int fragsPerXbar() const { return xbarRows / fragSize; }
 };
 
 /** One weight's placement: magnitude plus indices. */

@@ -24,12 +24,6 @@ fragmentEic(const uint32_t *values, size_t n)
     return effectiveBits(merged);
 }
 
-int
-fragmentEic(const std::vector<uint32_t> &values)
-{
-    return fragmentEic(values.data(), values.size());
-}
-
 ShiftRegisterBank::ShiftRegisterBank(int input_bits, int lanes)
     : inputBits_(input_bits), lanes_(lanes),
       regs_(static_cast<size_t>(lanes), 0)
@@ -100,7 +94,7 @@ EicStats::record(int eic)
 }
 
 void
-EicStats::recordVector(const std::vector<uint32_t> &values, int frag_size)
+EicStats::recordVector(const uint32_t *values, size_t n, int frag_size)
 {
     FORMS_ASSERT(frag_size >= 1, "bad fragment size");
     // Validate the whole vector up front: a value wider than the
@@ -110,7 +104,7 @@ EicStats::recordVector(const std::vector<uint32_t> &values, int frag_size)
     // value so calibration errors are actionable.
     const uint32_t limit = inputBits_ >= 32
         ? 0xffffffffu : ((1u << inputBits_) - 1u);
-    for (size_t i = 0; i < values.size(); ++i) {
+    for (size_t i = 0; i < n; ++i) {
         if (values[i] > limit) {
             fatal("EicStats::recordVector: value %u at index %zu "
                   "exceeds the %d-bit input grid (max %u) — quantize "
@@ -118,12 +112,10 @@ EicStats::recordVector(const std::vector<uint32_t> &values, int frag_size)
                   values[i], i, inputBits_, limit);
         }
     }
-    for (size_t at = 0; at < values.size(); at += static_cast<size_t>(frag_size)) {
-        const size_t n =
-            std::min<size_t>(static_cast<size_t>(frag_size),
-                             values.size() - at);
-        record(fragmentEic(values.data() + at, n));
-    }
+    for (size_t at = 0; at < n; at += static_cast<size_t>(frag_size))
+        record(fragmentEic(values + at,
+                           std::min<size_t>(static_cast<size_t>(frag_size),
+                                            n - at)));
 }
 
 double

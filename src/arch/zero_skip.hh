@@ -32,7 +32,6 @@ int effectiveBits(uint32_t value);
  * All-zero fragments take 0 cycles (fully skipped).
  */
 int fragmentEic(const uint32_t *values, size_t n);
-int fragmentEic(const std::vector<uint32_t> &values);
 
 /**
  * Cycle-accurate model of the skip circuit: parallel-in/serial-out
@@ -85,8 +84,8 @@ class EicStats
     /** Record the EIC of one fragment presentation. */
     void record(int eic);
 
-    /** Record a whole activation vector split into fragments. */
-    void recordVector(const std::vector<uint32_t> &values, int frag_size);
+    /** Record n activations at `values`, split into fragments. */
+    void recordVector(const uint32_t *values, size_t n, int frag_size);
 
     const Histogram &histogram() const { return hist_; }
 

@@ -78,11 +78,12 @@ ThreadPool::global()
 void
 ThreadPool::runShard(const Job &job, int shard)
 {
-    // Static chunk ownership: chunk c belongs to shard c % nThreads_,
-    // processed in increasing order — deterministic by construction.
+    // Claim chunks from the shared counter: a shard that finishes
+    // early takes the next chunk instead of idling at the join. The
+    // counter only grows, so a shard's indices still increase.
     const int64_t chunks =
         (job.end - job.begin + job.grain - 1) / job.grain;
-    for (int64_t c = shard; c < chunks; c += nThreads_) {
+    for (int64_t c = nextChunk_++; c < chunks; c = nextChunk_++) {
         const int64_t lo = job.begin + c * job.grain;
         const int64_t hi = std::min(job.end, lo + job.grain);
         for (int64_t i = lo; i < hi; ++i)
@@ -136,7 +137,7 @@ ThreadPool::parallelFor(int64_t begin, int64_t end, int64_t grain,
     // Nested call from inside one of our own shards: run inline on
     // the caller's shard — reusing the workers would deadlock the
     // fork-join barrier, and the caller's shard id keeps per-thread
-    // accumulator indexing valid. A call into a *different* pool
+    // scratch indexing valid. A call into a *different* pool
     // falls through to normal dispatch: that pool's workers are free
     // and hand out their own unique shard ids. (Cyclic cross-pool
     // nesting — A's workers entering B while B's workers enter A —
@@ -174,6 +175,7 @@ ThreadPool::parallelFor(int64_t begin, int64_t end, int64_t grain,
     {
         std::lock_guard<std::mutex> lk(m_);
         job_ = job;
+        nextChunk_ = 0;
         firstError_ = nullptr;
         pending_ = nThreads_ - 1;
         ++generation_;

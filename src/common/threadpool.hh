@@ -1,20 +1,17 @@
 /**
  * @file
- * Deterministic fork-join thread pool used by the batched inference
- * runtime and the tensor kernels.
- *
- * Design goals, in order: reproducibility, simplicity, throughput.
- * parallelFor() splits [begin, end) into fixed chunks of `grain`
- * indices and assigns chunk c statically to shard (c % threads) — no
- * work stealing, so the (index -> worker) mapping is a pure function
- * of (range, grain, thread count) and per-worker accumulators are
- * reproducible run-to-run. The calling thread participates as shard 0;
- * a pool of T threads spawns T-1 workers. A nested parallelFor on the
+ * Fork-join thread pool of the batched inference runtime and the tensor
+ * kernels. Design goals, in order: reproducibility, simplicity,
+ * throughput. parallelFor() splits [begin, end) into chunks of `grain`
+ * indices that shards claim from one shared counter, so a fast worker
+ * takes over chunks a slow one has not reached. Which shard runs an
+ * index is not reproducible; outputs are, because every body writes
+ * its results by index and callers fold them in index order after the
+ * join (DESIGN.md §3). The calling thread participates as shard 0; a
+ * pool of T threads spawns T-1 workers. A nested parallelFor on the
  * *same* pool executes inline on the calling worker's shard (no
- * deadlock, accumulator indexing stays valid); a call into a
- * different pool dispatches normally to that pool's idle workers.
- * Cyclic cross-pool nesting is not supported.
- *
+ * deadlock); a call into a different pool dispatches normally to that
+ * pool's idle workers. Cyclic cross-pool nesting is not supported.
  * Exceptions thrown by the body are caught, the first one recorded,
  * and rethrown on the calling thread after the join.
  */
@@ -22,6 +19,7 @@
 #ifndef FORMS_COMMON_THREADPOOL_HH
 #define FORMS_COMMON_THREADPOOL_HH
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -31,7 +29,7 @@
 
 namespace forms {
 
-/** Fixed-size fork-join pool with static, deterministic sharding. */
+/** Fixed-size fork-join pool whose shards claim chunks of work. */
 class ThreadPool
 {
   public:
@@ -49,9 +47,9 @@ class ThreadPool
      * Run fn(i, worker) for every i in [begin, end), in chunks of
      * `grain` (clamped to >= 1). `worker` is the shard index in
      * [0, threads()) executing the call — use it to index per-thread
-     * accumulators. Within one shard, indices run in increasing
-     * order. Blocks until the whole range is done; rethrows the first
-     * exception the body threw.
+     * scratch, never to place a result. Within one shard, indices run
+     * in increasing order. Blocks until the whole range is done;
+     * rethrows the first exception the body threw.
      */
     void parallelFor(int64_t begin, int64_t end, int64_t grain,
                      const std::function<void(int64_t, int)> &fn);
@@ -90,6 +88,7 @@ class ThreadPool
     int pending_ = 0;
     bool stop_ = false;
     Job job_;
+    std::atomic<int64_t> nextChunk_{0};  //!< next unclaimed chunk
     std::exception_ptr firstError_;   //!< guarded by m_
 };
 

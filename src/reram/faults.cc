@@ -44,14 +44,6 @@ CrossbarFaults::firstDeadColumn(int limit) const
     return -1;
 }
 
-bool
-CrossbarFaults::anyIn(int used_rows, int used_cols) const
-{
-    if (firstDeadColumn(used_cols) >= 0)
-        return true;
-    return faultyCellsIn(used_rows, used_cols) > 0;
-}
-
 int64_t
 CrossbarFaults::faultyCellsIn(int used_rows, int used_cols) const
 {

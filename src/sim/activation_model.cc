@@ -42,7 +42,7 @@ ActivationModel::eicStats(int frag_size, int samples, uint64_t seed) const
     for (int s = 0; s < samples; ++s) {
         for (auto &v : frag)
             v = sample(rng);
-        stats.record(arch::fragmentEic(frag));
+        stats.record(arch::fragmentEic(frag.data(), frag.size()));
     }
     return stats;
 }

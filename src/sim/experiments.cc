@@ -2,18 +2,6 @@
 
 namespace forms::sim {
 
-std::string
-netKindName(NetKind k)
-{
-    switch (k) {
-      case NetKind::LeNet5: return "LeNet5";
-      case NetKind::VggSmall: return "VGG (scaled)";
-      case NetKind::ResNetSmall: return "ResNet18 (scaled)";
-      case NetKind::ResNetDeep: return "ResNet50 (scaled)";
-    }
-    return "?";
-}
-
 std::unique_ptr<nn::Network>
 buildNet(NetKind kind, const nn::DatasetConfig &data, Rng &rng)
 {

@@ -29,9 +29,6 @@ enum class NetKind
     ResNetDeep,
 };
 
-/** Name of a network kind. */
-std::string netKindName(NetKind k);
-
 /** Build a stand-in network for a dataset. */
 std::unique_ptr<nn::Network> buildNet(NetKind kind,
                                       const nn::DatasetConfig &data,

@@ -149,7 +149,7 @@ buildNodeExecs(const compile::Graph &g, const std::vector<int> &topo,
 }
 
 Tensor
-runGraph(const compile::Graph &g, std::vector<NodeExec> &execs,
+runGraph(const compile::Graph &g, const std::vector<NodeExec> &execs,
          const Tensor &batch, ThreadPool &tp, int input_bits,
          std::vector<arch::EngineStats> &stats,
          const PhaseSink &on_phase, const uint64_t *image_ids,
@@ -190,7 +190,7 @@ runGraph(const compile::Graph &g, std::vector<NodeExec> &execs,
     };
 
     for (size_t idx = 0; idx < execs.size(); ++idx) {
-        NodeExec &e = execs[idx];
+        const NodeExec &e = execs[idx];
         // Wall-clock span per node; the dynamic name is only built
         // when a trace session is live, and recording touches nothing
         // the computation reads (the observer invariant).
@@ -209,7 +209,7 @@ runGraph(const compile::Graph &g, std::vector<NodeExec> &execs,
             out.owned = convStage(in(0), stageEngines(idx), *e.mapped,
                                   e.bias, e.chanScale, e.outC, e.k,
                                   e.stride, e.pad, input_bits, e.scale,
-                                  tp, &stats[idx], &e.im2colScratch);
+                                  tp, &stats[idx]);
             break;
         case compile::Op::Dense:
             out.owned = denseStage(in(0), stageEngines(idx), *e.mapped,

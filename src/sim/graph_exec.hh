@@ -12,9 +12,8 @@
  * are bit-identical (tests/test_pipeline_runtime.cc,
  * bench_fig15_multichip).
  *
- * Thread-safety: buildNodeExecs() and runGraph() must be called from
- * one thread per exec list (each NodeExec carries its conv im2col
- * scratch); runGraph() shards its work across the given ThreadPool.
+ * Thread-safety: runGraph() keeps no state in the exec list, and
+ * shards its work across the given ThreadPool.
  * The engines themselves hold no presentation state: every
  * presentation's randomness is keyed by its image's stream id.
  */
@@ -65,10 +64,6 @@ struct NodeExec
 
     // Unfolded BatchNorm, eval mode: y = x * scale[c] + shift[c].
     std::vector<float> bnScale, bnShift;
-
-    // Conv: reused im2col buffer — steady-state micro-batches lower
-    // into the same storage instead of allocating per call.
-    Tensor im2colScratch;
 };
 
 /**
@@ -135,10 +130,8 @@ buildNodeExecs(const compile::Graph &g, const std::vector<int> &topo,
  *        accumulator. The flat per-node fold into `stats` is
  *        unchanged. The stride lets the pipeline runtime aim
  *        micro-batch slices into one full-batch array.
- *
- * `execs` is mutable because conv nodes carry their im2col scratch.
  */
-Tensor runGraph(const compile::Graph &g, std::vector<NodeExec> &execs,
+Tensor runGraph(const compile::Graph &g, const std::vector<NodeExec> &execs,
                 const Tensor &batch, ThreadPool &tp, int input_bits,
                 std::vector<arch::EngineStats> &stats,
                 const PhaseSink &on_phase, const uint64_t *image_ids,

@@ -134,8 +134,6 @@ class PerfModel
     /** Average effective input bits for a fragment size (cached). */
     double effectiveBitsFor(const ArchModel &arch) const;
 
-    const ActivationModel &activationModel() const { return act_; }
-
   private:
     ActivationModel act_;
     // EIC depends on both the fragment size and the input grid the

@@ -56,11 +56,10 @@
  * where busy[s][m] is the max over the stage's (replica) chips.
  *
  * Thread-safety: construction and forward() must be called from one
- * thread at a time (the image-id counter and per-node scratch are
- * mutable); the internal work shards on the configured ThreadPool.
- * Distinct PipelineRuntime instances are independent. The borrowed
- * graph and layer states must not be mutated while the runtime is
- * alive.
+ * thread at a time (the image-id counter is mutable); the internal
+ * work shards on the configured ThreadPool. Distinct PipelineRuntime
+ * instances are independent. The borrowed graph and layer states
+ * must not be mutated while the runtime is alive.
  *
  * Typical flow:
  *

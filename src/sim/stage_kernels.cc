@@ -51,44 +51,64 @@ resolveStageScale(const RuntimeConfig &cfg, const std::string &name,
     return sc;
 }
 
-std::vector<std::vector<uint32_t>>
-quantizePresentations(ThreadPool &tp, int64_t count, int64_t rows,
-                      int bits, const StageScale &sc,
-                      std::vector<float> &scales, const float *base,
-                      int64_t j_stride, int64_t r_stride,
-                      arch::EngineStats *stats, int64_t ppi,
-                      arch::EngineStats *per_image)
+namespace {
+
+/**
+ * A stage's quantized presentations as one presentation-major block:
+ * presentation j's `rows` codes at q[j * rows], its dequantization
+ * scale at scales[j].
+ */
+struct PresentationBlock
+{
+    int64_t count = 0;
+    int64_t rows = 0;
+    std::vector<uint32_t> q;
+    std::vector<float> scales;
+};
+
+/**
+ * The quantize core of every matrix stage. patch(j, buf) returns
+ * presentation j's `rows` values contiguously: a pointer into the
+ * activation when they already are, else gathered into buf (`rows`
+ * floats). Negative values map to zero (the bit-serial input encoding
+ * is unsigned, DESIGN.md §2). quantValues/quantClipped counters,
+ * recorded maxima and EIC histograms fold in presentation order, so
+ * they are bit-identical for any thread count (DESIGN.md §3).
+ */
+template <class Patch>
+PresentationBlock
+quantizeBlock(ThreadPool &tp, int64_t count, int64_t rows, int bits,
+              const StageScale &sc, const Patch &patch,
+              arch::EngineStats *stats, int64_t ppi,
+              arch::EngineStats *per_image)
 {
     const bool is_static = sc.mode == arch::ScaleMode::Static;
-    std::vector<std::vector<uint32_t>> q(static_cast<size_t>(count));
-    scales.assign(static_cast<size_t>(count),
-                  is_static ? sc.staticScale : 0.0f);
-    // Per-presentation side channels, folded below in presentation
-    // order so the merged counters and recorded maxima are
-    // bit-identical for any thread count (DESIGN.md §3).
-    std::vector<uint64_t> clipped(
-        is_static ? static_cast<size_t>(count) : 0, 0);
-    std::vector<float> maxima(
-        sc.record ? static_cast<size_t>(count) : 0, 0.0f);
+    const size_t n = static_cast<size_t>(count);
+    const size_t u_rows = static_cast<size_t>(rows);
+    PresentationBlock blk{count, rows, std::vector<uint32_t>(n * u_rows),
+                          std::vector<float>(n, is_static ? sc.staticScale
+                                                          : 0.0f)};
+    std::vector<uint64_t> clipped(is_static ? n : 0, 0);
+    std::vector<float> maxima(sc.record ? n : 0, 0.0f);
 
     tp.parallelFor(0, count, 16, [&](int64_t j, int) {
+        // Per-thread gather buffer: no allocation per presentation.
+        static thread_local std::vector<float> buf;
+        buf.resize(u_rows);
         const size_t s = static_cast<size_t>(j);
-        std::vector<float> col(static_cast<size_t>(rows));
-        const float *p = base + j * j_stride;
-        for (int64_t r = 0; r < rows; ++r)
-            col[static_cast<size_t>(r)] = p[r * r_stride];
+        const float *x = patch(j, buf.data());
+        uint32_t *q = blk.q.data() + s * u_rows;
         if (sc.record) {
             float mx = 0.0f;
-            for (float v : col)
-                mx = std::max(mx, v);
+            for (size_t r = 0; r < u_rows; ++r)
+                mx = std::max(mx, x[r]);
             maxima[s] = mx;
         }
-        if (is_static) {
-            q[s] = arch::quantizeActivationsStatic(
-                col, bits, sc.staticScale, &clipped[s]);
-        } else {
-            q[s] = arch::quantizeActivations(col, bits, &scales[s]);
-        }
+        if (is_static)
+            clipped[s] = arch::quantizeActivationsStatic(
+                x, u_rows, bits, sc.staticScale, q);
+        else
+            blk.scales[s] = arch::quantizeActivations(x, u_rows, bits, q);
     });
 
     if (stats) {
@@ -121,49 +141,25 @@ quantizePresentations(ThreadPool &tp, int64_t count, int64_t rows,
     // by presentation, so the histogram is bit-identical for any
     // thread count (and only calibration runs pay for it).
     if (sc.eicStats)
-        for (const auto &qp : q)
-            sc.eicStats->recordVector(qp, sc.eicFragSize);
-    return q;
-}
-
-std::vector<float>
-tensorToVector(const Tensor &t)
-{
-    return std::vector<float>(t.data(), t.data() + t.numel());
-}
-
-namespace {
-
-/**
- * Dequantized value of output channel `oc` of one presentation.
- * Channels past the engine's output extent were pruned away entirely
- * (the mapper compacts them): all their weights are zero, so they
- * legitimately contribute 0 here (bias is added by the caller).
- */
-float
-channelValue(const std::vector<float> &deq, int oc)
-{
-    return static_cast<size_t>(oc) < deq.size()
-        ? deq[static_cast<size_t>(oc)] : 0.0f;
+        for (size_t at = 0; at < blk.q.size(); at += u_rows)
+            sc.eicStats->recordVector(blk.q.data() + at, u_rows,
+                                      sc.eicFragSize);
+    return blk;
 }
 
 /**
- * Execute one micro-batch's presentations on a stage's engine
+ * Execute one micro-batch's presentation block on a stage's engine
  * replicas (see StageEngines in the header for the slicing and
- * bit-identity contract). `rows` is the quantized values per
- * presentation, reported through onPhase for the timing model; `ppi`
- * is presentations per image, used to expand per-image stream ids
- * into per-presentation keys.
+ * bit-identity contract) into a count x ext out-block. `ppi` is
+ * presentations per image, used to expand per-image stream ids into
+ * per-presentation keys.
  */
-std::vector<std::vector<double>>
-replicatedMvm(const StageEngines &eng,
-              const std::vector<std::vector<uint32_t>> &q, int64_t rows,
-              int64_t ppi, arch::EngineStats *stats, ThreadPool &tp)
+std::vector<double>
+replicatedMvm(const StageEngines &eng, const PresentationBlock &blk,
+              int64_t ppi, arch::EngineStats *stats, ThreadPool &tp,
+              size_t ext)
 {
-    const size_t p = q.size();
-    const size_t r_count = eng.replicas.size();
-    FORMS_ASSERT(r_count >= 1, "matrix stage with no engine");
-    FORMS_ASSERT(eng.imageIds, "matrix stage needs per-image stream ids");
+    const size_t p = static_cast<size_t>(blk.count);
     // The per-phase sink needs model-time deltas even when the caller
     // passes no accumulator.
     arch::EngineStats scratch;
@@ -182,28 +178,29 @@ replicatedMvm(const StageEngines &eng,
     arch::EngineStats *per_out = eng.perImage ? per.data() : nullptr;
 
     // Replica r takes the contiguous presentation slice
-    // [floor(p*r/R), floor(p*(r+1)/R)). Slices run (and fold their
-    // per-presentation stats into `acc`) in ascending replica order
-    // and carry their global keys, which reproduces the exact outputs
-    // and stat fold of one engine running the whole batch.
-    std::vector<std::vector<double>> outs;
-    outs.reserve(p);
+    // [floor(p*r/R), floor(p*(r+1)/R)) and writes those rows of the
+    // out-block. Slices run (and fold their per-presentation stats
+    // into `acc`) in ascending replica order and carry their global
+    // keys, which reproduces the exact outputs and stat fold of one
+    // engine running the whole batch.
+    const size_t r_count = eng.replicas.size();
+    std::vector<double> out(p * ext);
     for (size_t r = 0; r < r_count; ++r) {
         const size_t lo = p * r / r_count;
         const size_t hi = p * (r + 1) / r_count;
         const arch::EngineStats before = acc ? *acc : arch::EngineStats{};
-        auto part = eng.replicas[r]->mvmKeyed(q, lo, hi, keys.data(), acc,
-                                              per_out, &tp);
+        eng.replicas[r]->mvmBlock(blk.q.data(),
+                                  static_cast<size_t>(blk.rows), lo, hi,
+                                  keys.data(), out.data(), ext, acc,
+                                  per_out, &tp);
         if (eng.onPhase) {
             PhaseSample ps;
             ps.adcNs = acc->timeNs - before.timeNs;
-            ps.quantValues = (hi - lo) * static_cast<uint64_t>(rows);
+            ps.quantValues = (hi - lo) * static_cast<uint64_t>(blk.rows);
             ps.bitCycles = acc->bitCycles - before.bitCycles;
             ps.skippedCycles = acc->skippedCycles - before.skippedCycles;
             eng.onPhase(static_cast<int>(r), ps);
         }
-        for (auto &v : part)
-            outs.push_back(std::move(v));
     }
 
     // Per-image fold: image i's accumulator merges its own
@@ -212,10 +209,97 @@ replicatedMvm(const StageEngines &eng,
     if (eng.perImage)
         for (size_t j = 0; j < p; ++j)
             eng.perImage[j / u_ppi].merge(per[j]);
-    return outs;
+    return out;
+}
+
+/**
+ * The body of convStage and denseStage: quantize `count` presentations
+ * of `rows` values from `patch` (see quantizeBlock) into a block, run
+ * it on the stage's replicas, and dequantize the out-block through the
+ * digital output stage into a tensor of `shape`. Presentation
+ * j = img*ppi + pix writes output channel oc to element
+ * (img*shape[1] + oc)*ppi + pix.
+ */
+template <class Patch>
+Tensor
+matrixStage(const Shape &shape, int64_t count, int64_t rows, int64_t ppi,
+            const Patch &patch, const StageEngines &engines,
+            const arch::MappedLayer &mapped, const std::vector<float> &bias,
+            const std::vector<float> &chan_scale, int input_bits,
+            const StageScale &sc, ThreadPool &tp, arch::EngineStats *stats)
+{
+    const int64_t out_c = shape[1];
+    FORMS_ASSERT(chan_scale.empty() ||
+                     chan_scale.size() == static_cast<size_t>(out_c),
+                 "matrix stage: digital scale extent mismatch");
+    FORMS_ASSERT(!engines.replicas.empty() && engines.imageIds,
+                 "matrix stage needs an engine and per-image stream ids");
+    const size_t ext =
+        static_cast<size_t>(engines.replicas[0]->outputExtent());
+    std::vector<float> scales;
+    std::vector<double> raw;
+    {
+        PresentationBlock blk = quantizeBlock(
+            tp, count, rows, input_bits, sc, patch, stats, ppi,
+            engines.perImage);
+        raw = replicatedMvm(engines, blk, ppi, stats, tp, ext);
+        scales = std::move(blk.scales);
+    }
+
+    // out[oc] = chan_scale[oc] * deq[oc] + bias[oc]. Channels past the
+    // engine's output extent were pruned away entirely (the mapper
+    // compacts them): all their weights are zero, so they
+    // legitimately dequantize to 0.
+    Tensor out(shape);
+    float *po = out.data();
+    tp.parallelFor(0, count, 16, [&](int64_t j, int) {
+        const float in_scale = scales[static_cast<size_t>(j)];
+        const double *rj = raw.data() + static_cast<size_t>(j) * ext;
+        const int64_t img = j / ppi, pix = j % ppi;
+        for (int64_t oc = 0; oc < out_c; ++oc) {
+            const size_t u = static_cast<size_t>(oc);
+            const float s = chan_scale.empty() ? 1.0f : chan_scale[u];
+            const float deq = u < ext
+                ? arch::dequantize(rj[u], mapped.scale, in_scale) : 0.0f;
+            po[(img * out_c + oc) * ppi + pix] = s * deq + bias[u];
+        }
+    });
+    return out;
 }
 
 } // namespace
+
+std::vector<float>
+tensorToVector(const Tensor &t)
+{
+    return std::vector<float>(t.data(), t.data() + t.numel());
+}
+
+std::vector<std::vector<uint32_t>>
+quantizePresentations(ThreadPool &tp, int64_t count, int64_t rows,
+                      int bits, const StageScale &sc,
+                      std::vector<float> &scales, const float *base,
+                      int64_t j_stride, int64_t r_stride,
+                      arch::EngineStats *stats, int64_t ppi,
+                      arch::EngineStats *per_image)
+{
+    auto strided = [&](int64_t j, float *buf) -> const float * {
+        const float *p = base + j * j_stride;
+        if (r_stride == 1)
+            return p;
+        for (int64_t r = 0; r < rows; ++r)
+            buf[r] = p[r * r_stride];
+        return buf;
+    };
+    PresentationBlock blk = quantizeBlock(tp, count, rows, bits, sc,
+                                          strided, stats, ppi, per_image);
+    scales = std::move(blk.scales);
+    std::vector<std::vector<uint32_t>> q(static_cast<size_t>(count));
+    for (size_t j = 0; j < q.size(); ++j)
+        q[j].assign(blk.q.begin() + static_cast<ptrdiff_t>(j) * rows,
+                    blk.q.begin() + static_cast<ptrdiff_t>(j + 1) * rows);
+    return q;
+}
 
 Tensor
 convStage(const Tensor &act, const StageEngines &engines,
@@ -223,55 +307,39 @@ convStage(const Tensor &act, const StageEngines &engines,
           const std::vector<float> &bias,
           const std::vector<float> &chan_scale, int out_c, int k,
           int stride, int pad, int input_bits, const StageScale &sc,
-          ThreadPool &tp, arch::EngineStats *stats,
-          Tensor *im2col_scratch)
+          ThreadPool &tp, arch::EngineStats *stats, Tensor *)
 {
-    FORMS_ASSERT(chan_scale.empty() ||
-                     chan_scale.size() == static_cast<size_t>(out_c),
-                 "conv stage: digital scale extent mismatch");
+    FORMS_ASSERT(act.rank() == 4, "conv stage expects NCHW");
     const int64_t n = act.dim(0);
+    const int64_t c_in = act.dim(1);
     const int h = static_cast<int>(act.dim(2));
     const int w = static_cast<int>(act.dim(3));
     const int oh = convOutDim(h, k, stride, pad);
     const int ow = convOutDim(w, k, stride, pad);
 
-    // Lower to presentations: column j of the im2col matrix is patch
-    // (img, oy, ox) with j = (img*oh + oy)*ow + ox. The caller's
-    // scratch (when given) absorbs the per-micro-batch allocation.
-    Tensor local_cols;
-    Tensor &cols = im2col_scratch ? *im2col_scratch : local_cols;
-    im2colInto(act, k, k, stride, pad, cols);
-    const int64_t rows = cols.dim(0);
-    const int64_t m = cols.dim(1);
-    const float *pc = cols.data();
-
-    // One image contributes one im2col plane of oh*ow contiguous
-    // presentations — the per-image presentation count the
-    // request-keyed stream path slices by.
+    // Presentation j is the patch of (img, oy, ox) with
+    // j = (img*oh + oy)*ow + ox, one image contributing one plane of
+    // oh*ow contiguous presentations — the per-image presentation count
+    // the request-keyed stream path slices by. Its rows follow im2col
+    // order (c*k + ky)*k + kx, zero outside the input: gathered
+    // straight from the NCHW activation, never lowered to a matrix.
     const int64_t plane = int64_t(oh) * ow;
-    std::vector<float> scales;
-    auto q = quantizePresentations(tp, m, rows, input_bits, sc, scales,
-                                   pc, /*j_stride=*/1, /*r_stride=*/m,
-                                   stats, plane, engines.perImage);
-
-    auto raw = replicatedMvm(engines, q, rows, plane, stats, tp);
-
-    Tensor out({n, out_c, oh, ow});
-    float *po = out.data();
-    tp.parallelFor(0, m, 16, [&](int64_t j, int) {
-        const auto deq = arch::dequantizeOutputs(
-            raw[static_cast<size_t>(j)], mapped.scale,
-            scales[static_cast<size_t>(j)]);
+    const float *pa = act.data();
+    auto patch = [&](int64_t j, float *buf) -> const float * {
         const int64_t img = j / plane, pix = j % plane;
-        for (int oc = 0; oc < out_c; ++oc) {
-            const float s = chan_scale.empty()
-                ? 1.0f : chan_scale[static_cast<size_t>(oc)];
-            po[(img * out_c + oc) * plane + pix] =
-                s * channelValue(deq, oc) +
-                bias[static_cast<size_t>(oc)];
-        }
-    });
-    return out;
+        const int y0 = static_cast<int>(pix / ow) * stride - pad;
+        const int x0 = static_cast<int>(pix % ow) * stride - pad;
+        float *dst = buf;
+        for (int64_t c = 0; c < c_in; ++c)
+            for (int iy = y0; iy < y0 + k; ++iy)
+                for (int ix = x0; ix < x0 + k; ++ix)
+                    *dst++ = iy >= 0 && iy < h && ix >= 0 && ix < w
+                        ? pa[((img * c_in + c) * h + iy) * w + ix] : 0.0f;
+        return buf;
+    };
+    return matrixStage({n, out_c, oh, ow}, n * plane, c_in * k * k, plane,
+                       patch, engines, mapped, bias, chan_scale,
+                       input_bits, sc, tp, stats);
 }
 
 Tensor
@@ -285,27 +353,11 @@ denseStage(const Tensor &act, const StageEngines &engines,
     const int64_t n = act.dim(0);
     const int64_t feats = act.dim(1);
     const float *pi = act.data();
-
-    std::vector<float> scales;
-    auto q = quantizePresentations(tp, n, feats, input_bits, sc, scales,
-                                   pi, /*j_stride=*/feats,
-                                   /*r_stride=*/1, stats, /*ppi=*/1,
-                                   engines.perImage);
-
-    auto raw = replicatedMvm(engines, q, feats, /*ppi=*/1, stats, tp);
-
-    Tensor out({n, out_dim});
-    float *po = out.data();
-    tp.parallelFor(0, n, 16, [&](int64_t j, int) {
-        const auto deq = arch::dequantizeOutputs(
-            raw[static_cast<size_t>(j)], mapped.scale,
-            scales[static_cast<size_t>(j)]);
-        for (int oc = 0; oc < out_dim; ++oc) {
-            po[j * out_dim + oc] =
-                channelValue(deq, oc) + bias[static_cast<size_t>(oc)];
-        }
-    });
-    return out;
+    // A dense presentation is one image's contiguous feature row; an
+    // empty chan_scale multiplies by 1.0f, which is exact.
+    auto row = [&](int64_t j, float *) { return pi + j * feats; };
+    return matrixStage({n, out_dim}, n, feats, /*ppi=*/1, row, engines,
+                       mapped, bias, {}, input_bits, sc, tp, stats);
 }
 
 Tensor

@@ -6,7 +6,10 @@
  * walk in sim/graph_exec.hh, streams a (micro-)batch through one
  * programmed matrix stage, on any chip or replica, the same way:
  *
- *     (im2col) -> quantize -> mvmKeyed -> dequantize(+bias)
+ *     gather + quantize -> mvmBlock -> dequantize(+bias)
+ *
+ * on two contiguous blocks that live for one stage call: count x rows
+ * input codes and count x outputExtent engine outputs (DESIGN.md §3).
  *
  * The kernels here carry the DESIGN.md §3 determinism contract: all
  * parallel loops write disjoint elements, per-presentation randomness
@@ -72,14 +75,14 @@ StageScale resolveStageScale(const RuntimeConfig &cfg,
                              float attached_scale = 0.0f);
 
 /**
- * Quantize the presentations of one programmed stage — the single
- * quantize entry point shared by every executor. Presentation j's row
- * r lives at base[j*j_stride + r*r_stride] (strided access covers both
- * the column-major im2col layout and row-major dense inputs); negative
- * values map to zero (the bit-serial input encoding is unsigned,
- * DESIGN.md §2). Per-presentation dequantization scales land in
- * `scales`; quantValues/quantClipped counters fold into `stats` in
- * presentation order.
+ * Quantize `count` presentations as separate vectors, through the
+ * quantize core convStage and denseStage run on their blocks.
+ * Presentation j's row r lives at base[j*j_stride + r*r_stride]
+ * (strided access covers both the column-major im2col layout and
+ * row-major dense inputs); negative values map to zero (the bit-serial
+ * input encoding is unsigned, DESIGN.md §2). Per-presentation
+ * dequantization scales land in `scales`; quantValues/quantClipped
+ * counters fold into `stats` in presentation order.
  */
 std::vector<std::vector<uint32_t>>
 quantizePresentations(ThreadPool &tp, int64_t count, int64_t rows,
@@ -161,10 +164,11 @@ struct StageEngines
 };
 
 /**
- * Run one conv stage: lower the NCHW batch to im2col presentations,
- * quantize (per `sc`), execute on the stage's engine replicas, and
- * dequantize back to an NCHW output tensor through the digital
- * output stage
+ * Run one conv stage: gather each im2col presentation (rows in order
+ * (c*k + ky)*k + kx, zero padding) straight from the NCHW batch into
+ * its row of the input block, quantizing it there (per `sc`); execute
+ * the block on the stage's engine replicas; and dequantize back to an
+ * NCHW output tensor through the digital output stage
  *
  *     out[oc] = chan_scale[oc] * mvm[oc] + bias[oc]
  *
@@ -172,11 +176,9 @@ struct StageEngines
  * per-channel scale carries BN folded into the periphery
  * (compile::FoldMode::DigitalScale).
  *
- * `im2col_scratch`, when given, receives the lowered presentations and
- * is reused across calls: a stage that keeps one scratch tensor per
- * engine set makes steady-state micro-batches allocation-free in the
- * conv hot path (the buffer is only reallocated when the im2col
- * geometry changes).
+ * `im2col_scratch` is unused: no im2col matrix is built. The
+ * parameter stays for callers that still pass one (the benchmark's
+ * kernel probe).
  */
 Tensor convStage(const Tensor &act, const StageEngines &engines,
                  const arch::MappedLayer &mapped,

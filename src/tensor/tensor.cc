@@ -179,17 +179,6 @@ Tensor::sum() const
     return acc;
 }
 
-double
-Tensor::meanAbs() const
-{
-    if (data_.empty())
-        return 0.0;
-    double acc = 0.0;
-    for (float x : data_)
-        acc += std::fabs(x);
-    return acc / static_cast<double>(data_.size());
-}
-
 float
 Tensor::maxAbs() const
 {

@@ -106,8 +106,6 @@ class Tensor
     /** Sum of all elements. */
     double sum() const;
 
-    /** Mean absolute value of elements (0 for empty tensors). */
-    double meanAbs() const;
 
     /** Maximum absolute value of elements (0 for empty tensors). */
     float maxAbs() const;

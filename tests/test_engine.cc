@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 #include "arch/engine.hh"
@@ -81,6 +82,16 @@ randomInputs(size_t n, int bits, uint64_t seed, double zero_frac = 0.3)
     return v;
 }
 
+/** Stream keys 0..n-1. */
+std::vector<uint64_t>
+keysUpTo(size_t n)
+{
+    std::vector<uint64_t> keys(n);
+    for (size_t j = 0; j < n; ++j)
+        keys[j] = j;
+    return keys;
+}
+
 class EngineExactnessTest : public ::testing::TestWithParam<int>
 {
 };
@@ -121,7 +132,9 @@ TEST_P(EngineExactnessTest, BatchedLosslessAdcIsIntegerExact)
         batch.push_back(randomInputs(36, mcfg.inputBits, 20 + s));
 
     ThreadPool pool(4);
-    auto got = engine.mvmBatch(batch, nullptr, &pool);
+    auto got = engine.mvmKeyed(batch, 0, batch.size(),
+                               keysUpTo(batch.size()).data(), nullptr,
+                               nullptr, &pool);
     ASSERT_EQ(got.size(), batch.size());
     for (size_t b = 0; b < batch.size(); ++b) {
         auto expect = referenceMvm(mapped, batch[b]);
@@ -451,7 +464,9 @@ expectMatchesPanelReference(const MappedLayer &mapped,
                                      seed + j, 0.2 * static_cast<double>(j)));
     ThreadPool pool(3);
     EngineStats got_stats, want_stats;
-    const auto got = engine.mvmBatch(batch, &got_stats, &pool);
+    const auto got = engine.mvmKeyed(batch, 0, batch.size(),
+                                     keysUpTo(batch.size()).data(),
+                                     &got_stats, nullptr, &pool);
     for (size_t j = 0; j < batch.size(); ++j) {
         const auto want = ref.mvm(batch[j], j, want_stats);
         ASSERT_EQ(got[j].size(), want.size());
@@ -770,8 +785,8 @@ TEST(Engine, QuantizeActivationsSaturatesNonFinite)
     const std::vector<float> x = {0.4f, 1.0f, inf,
                                   std::numeric_limits<float>::quiet_NaN(),
                                   -inf};
-    float scale = 0.0f;
-    const auto q = quantizeActivations(x, 4, &scale);
+    std::vector<uint32_t> q(x.size());
+    const float scale = quantizeActivations(x.data(), x.size(), 4, q.data());
     EXPECT_EQ(q, (std::vector<uint32_t>{6, 15, 15, 15, 0}));
     EXPECT_FLOAT_EQ(scale, 1.0f / 15.0f);
 }
@@ -779,20 +794,176 @@ TEST(Engine, QuantizeActivationsSaturatesNonFinite)
 TEST(Engine, QuantizeActivationsRoundTrip)
 {
     std::vector<float> x = {0.0f, -0.5f, 1.0f, 0.25f};
-    float scale = 0.0f;
-    auto q = quantizeActivations(x, 8, &scale);
+    std::vector<uint32_t> q(x.size());
+    const float scale = quantizeActivations(x.data(), x.size(), 8, q.data());
     EXPECT_EQ(q[0], 0u);
     EXPECT_EQ(q[1], 0u);   // negatives clamp (post-ReLU convention)
     EXPECT_EQ(q[2], 255u);
     EXPECT_NEAR(static_cast<float>(q[3]) * scale, 0.25f, scale);
 }
 
+/**
+ * Literal std::lround transcriptions of the two quantizers as they
+ * were written before the branch-free pointer forms: the reference the
+ * pointer forms must equal bit for bit.
+ */
+std::vector<uint32_t>
+lroundPerPresentation(const std::vector<float> &x, int bits, float *scale_out)
+{
+    float mx = 0.0f;
+    for (float v : x)
+        if (std::isfinite(v))
+            mx = std::max(mx, v);
+    const uint32_t qmax = (1u << bits) - 1;
+    const float scale = mx > 0.0f ? mx / static_cast<float>(qmax) : 1.0f;
+    std::vector<uint32_t> q(x.size(), 0);
+    for (size_t i = 0; i < x.size(); ++i) {
+        const float v = x[i];
+        if (v <= 0.0f)
+            continue;
+        q[i] = std::isfinite(v)
+            ? std::min<uint32_t>(
+                  qmax, static_cast<uint32_t>(std::lround(v / scale)))
+            : qmax;
+    }
+    *scale_out = scale;
+    return q;
+}
+
+std::vector<uint32_t>
+lroundStatic(const std::vector<float> &x, int bits, float scale,
+             uint64_t *clipped_out)
+{
+    const uint32_t qmax = (1u << bits) - 1;
+    std::vector<uint32_t> q(x.size(), 0);
+    for (size_t i = 0; i < x.size(); ++i) {
+        const float v = x[i];
+        if (v <= 0.0f)
+            continue;
+        const double code = static_cast<double>(v) /
+            static_cast<double>(scale);
+        if (!(code < static_cast<double>(qmax) + 0.5)) {
+            q[i] = qmax;
+            ++*clipped_out;
+        } else {
+            q[i] = static_cast<uint32_t>(std::lround(code));
+        }
+    }
+    return q;
+}
+
+/** Pointer quantizers vs the lround transcriptions on one vector. */
+void
+expectQuantizersMatchLround(const std::vector<float> &x, int bits,
+                            float static_scale)
+{
+    SCOPED_TRACE(::testing::Message() << bits << " bits, static scale "
+                                      << static_scale);
+    float want_scale = 0.0f;
+    const auto want = lroundPerPresentation(x, bits, &want_scale);
+    std::vector<uint32_t> got(x.size(), 0xdeadbeefu);
+    const float got_scale =
+        quantizeActivations(x.data(), x.size(), bits, got.data());
+    EXPECT_EQ(got, want);
+    EXPECT_EQ(std::memcmp(&got_scale, &want_scale, sizeof got_scale), 0);
+
+    uint64_t want_clipped = 0;
+    const auto want_s = lroundStatic(x, bits, static_scale, &want_clipped);
+    std::vector<uint32_t> got_s(x.size(), 0xdeadbeefu);
+    const uint64_t got_clipped = quantizeActivationsStatic(
+        x.data(), x.size(), bits, static_scale, got_s.data());
+    EXPECT_EQ(got_s, want_s);
+    EXPECT_EQ(got_clipped, want_clipped);
+}
+
+TEST(Engine, PointerQuantizersEqualLroundOnEdgeCases)
+{
+    const float inf = std::numeric_limits<float>::infinity();
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const float denorm = std::numeric_limits<float>::denorm_min();
+    for (int bits : {1, 8, 31}) {
+        const uint32_t qmax = (1u << bits) - 1;
+        const auto fq = static_cast<float>(qmax);
+        // Static grid of step 1: codes are the values themselves, so
+        // k + 0.5 halves, 0.49999997f and qmax +- 0.5 land exactly.
+        std::vector<float> x = {0.0f, -0.0f, -1.0f, -inf, 0.5f, 1.5f,
+                                2.5f, 0.49999997f, 0.50000006f, fq,
+                                fq - 0.5f, fq + 0.5f, fq + 1.0f,
+                                2.0f * fq, inf, nan, denorm,
+                                1e-38f, 3.0f, 1e30f, -nan};
+        for (float k = 0.5f; k < 64.0f; k += 1.0f)
+            x.push_back(k);
+        expectQuantizersMatchLround(x, bits, 1.0f);
+        // Static grid of step 0.1 (inexact in binary): halves of the
+        // grid meet the double quotient's rounding.
+        expectQuantizersMatchLround(x, bits, 0.1f);
+        // A denormal scale pushes every positive code past the grid.
+        expectQuantizersMatchLround(x, bits, denorm);
+
+        // Per-presentation grids set by finite maxima: the largest
+        // value maps to qmax, the others land on its grid, with
+        // halves, the near-halves and denormals in between.
+        for (float mx : {1.0f, 3.0f, 255.0f, 1e-30f}) {
+            std::vector<float> y = {0.0f, -0.0f, -2.0f, mx, mx * 0.5f,
+                                    mx / fq * 0.5f, mx / fq * 1.5f,
+                                    mx / fq * 0.49999997f, denorm,
+                                    inf, nan, -inf, mx * 0.999f};
+            expectQuantizersMatchLround(y, bits, mx / fq);
+        }
+        // All-denormal presentation on a representable grid (for 31
+        // bits the quotient of a denormal max underflows to a zero
+        // scale, where the lround form is undefined; skip it there).
+        if (bits < 31) {
+            std::vector<float> d = {denorm, 3 * denorm, 1e-40f, 0.0f,
+                                    -denorm};
+            expectQuantizersMatchLround(d, bits, 1e-40f);
+        }
+    }
+}
+
+TEST(Engine, RoundCodeEqualsClampedLround)
+{
+    // The rounding core of both quantizers, on doubles no float
+    // quotient reaches: the neighbours of every half k + 0.5, the
+    // largest double below 0.5 (where d + 0.5 rounds up to 1.0), qmax
+    // +- 0.5 and the non-finite and signed-zero inputs.
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    for (int bits : {1, 8, 31}) {
+        const uint32_t qmax = (1u << bits) - 1;
+        const double top = static_cast<double>(qmax);
+        auto want = [&](double d) -> uint32_t {
+            if (!(d < top))
+                return qmax;   // NaN and d >= top
+            if (!(d > 0.0))
+                return 0;
+            return std::min<uint32_t>(
+                qmax, static_cast<uint32_t>(std::lround(d)));
+        };
+        std::vector<double> d = {0.0, -0.0, -1.0, -inf, inf, nan,
+                                 0.49999999999999994, 0.5,
+                                 std::numeric_limits<double>::denorm_min(),
+                                 top - 0.5, top + 0.5, top, 2.0 * top};
+        for (double k : {0.0, 1.0, 2.0, 254.0, 1e6, top - 1.0}) {
+            const double h = k + 0.5;
+            d.push_back(h);
+            d.push_back(std::nextafter(h, 0.0));
+            d.push_back(std::nextafter(h, inf));
+        }
+        for (double v : d)
+            EXPECT_EQ(roundCode(v, top), want(v))
+                << bits << " bits, d = " << v;
+    }
+    EXPECT_EQ(roundCode(0.49999999999999994, 255.0), 0u);
+    EXPECT_EQ(std::lround(0.49999999999999994 + 0.5), 1);
+}
+
 TEST(Engine, DequantizeScalesProducts)
 {
-    std::vector<double> raw = {100.0, -50.0};
-    auto out = dequantizeOutputs(raw, 0.01f, 0.002f);
-    EXPECT_NEAR(out[0], 100.0 * 0.01 * 0.002, 1e-9);
-    EXPECT_NEAR(out[1], -50.0 * 0.01 * 0.002, 1e-9);
+    EXPECT_NEAR(dequantize(100.0, 0.01f, 0.002f), 100.0 * 0.01 * 0.002,
+                1e-9);
+    EXPECT_NEAR(dequantize(-50.0, 0.01f, 0.002f), -50.0 * 0.01 * 0.002,
+                1e-9);
 }
 
 } // namespace

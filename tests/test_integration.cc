@@ -89,13 +89,17 @@ TEST(EndToEnd, CompressMapExecute)
                     const float v = img.at(0, c, oy + dy, 4 + dx);
                     patch.push_back(v > 0.0f ? v : 0.0f);
                 }
-        batch.push_back(arch::quantizeActivations(patch, mcfg.inputBits,
-                                                  &in_scale));
+        std::vector<uint32_t> qp(patch.size());
+        in_scale = arch::quantizeActivations(patch.data(), patch.size(),
+                                             mcfg.inputBits, qp.data());
+        batch.push_back(std::move(qp));
     }
     const auto &q = batch.back();
 
     arch::EngineStats stats;
-    auto analog_batch = engine.mvmBatch(batch, &stats);
+    const std::vector<uint64_t> keys = {0, 1, 2, 3};
+    auto analog_batch =
+        engine.mvmKeyed(batch, 0, batch.size(), keys.data(), &stats);
     ASSERT_EQ(analog_batch.size(), batch.size());
     for (size_t b = 0; b < batch.size(); ++b) {
         auto reference = arch::referenceMvm(mapped, batch[b]);
@@ -110,7 +114,6 @@ TEST(EndToEnd, CompressMapExecute)
 
     // 5. Dequantized outputs track the float conv of the quantized
     //    operands within grid resolution.
-    auto real = arch::dequantizeOutputs(analog, mapped.scale, in_scale);
     const admm::WeightView v = first.view();
     for (int64_t j = 0; j < v.cols(); ++j) {
         double expect = 0.0;
@@ -120,8 +123,10 @@ TEST(EndToEnd, CompressMapExecute)
                 q[static_cast<size_t>(r)]) * in_scale;
             expect += static_cast<double>(w) * qin;
         }
-        if (static_cast<size_t>(j) < real.size()) {
-            EXPECT_NEAR(real[static_cast<size_t>(j)], expect,
+        if (static_cast<size_t>(j) < analog.size()) {
+            EXPECT_NEAR(arch::dequantize(analog[static_cast<size_t>(j)],
+                                         mapped.scale, in_scale),
+                        expect,
                         0.05 * std::max(1.0, std::fabs(expect)) +
                         static_cast<double>(mapped.scale));
         }

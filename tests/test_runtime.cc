@@ -1,19 +1,26 @@
 /**
  * @file
- * Batched engine tests: the determinism contract. mvmBatch across
+ * Batched engine tests: the determinism contract. mvmBlock across
  * N threads must be bit-identical (outputs AND merged stats) to a
  * serial loop of mvm() calls keyed 0..n-1 — including with ADC
  * quantization, device variation and transient read noise enabled —
  * and, because the engine holds no presentation state, repeating a
- * batch on one engine must reproduce it exactly. Whole-network
- * forwards are covered by tests/test_graph_runtime.cc.
+ * batch on one engine must reproduce it exactly. The conv and dense
+ * stages' block path must equal, bit for bit, the per-vector pipeline
+ * it replaced (im2col matrix -> quantizePresentations -> mvmKeyed ->
+ * dequantize). Whole-network forwards are covered by
+ * tests/test_graph_runtime.cc.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "sim/activation_model.hh"
 #include "sim/runtime.hh"
+#include "sim/stage_kernels.hh"
 #include "stats_testutil.hh"
+#include "tensor/ops.hh"
 
 namespace forms {
 namespace {
@@ -58,7 +65,42 @@ samplePresentations(size_t count, size_t rows, uint64_t seed)
 }
 
 /**
- * Serial mvm loop keyed 0..n-1 vs mvmBatch on `threads` threads:
+ * Run `batch` through mvmBlock with keys 0..n-1, on a block whose rows
+ * are padded past the presentation length and whose out-block rows are
+ * padded past the output extent, so the strides are honoured.
+ */
+std::vector<std::vector<double>>
+blockMvm(arch::CrossbarEngine &engine,
+         const std::vector<std::vector<uint32_t>> &batch,
+         arch::EngineStats *stats = nullptr, ThreadPool *pool = nullptr)
+{
+    const size_t n = batch.size();
+    const size_t rows = n ? batch[0].size() : 0;
+    const size_t in_stride = rows + 3;
+    const size_t ext = static_cast<size_t>(engine.outputExtent());
+    const size_t out_stride = ext + 2;
+    std::vector<uint32_t> in(n * in_stride, 0xdeadbeefu);
+    for (size_t j = 0; j < n; ++j)
+        std::copy(batch[j].begin(), batch[j].end(),
+                  in.begin() + static_cast<ptrdiff_t>(j * in_stride));
+    std::vector<uint64_t> keys(n);
+    for (size_t j = 0; j < n; ++j)
+        keys[j] = j;
+    std::vector<double> out(n * out_stride, -1.0);
+    engine.mvmBlock(in.data(), in_stride, 0, n, keys.data(), out.data(),
+                    out_stride, stats, nullptr, pool);
+    std::vector<std::vector<double>> outs(n);
+    for (size_t j = 0; j < n; ++j) {
+        const auto row = out.begin() + static_cast<ptrdiff_t>(j * out_stride);
+        outs[j].assign(row, row + static_cast<ptrdiff_t>(ext));
+        // The padding past the extent is never written.
+        EXPECT_EQ(out[j * out_stride + ext], -1.0);
+    }
+    return outs;
+}
+
+/**
+ * Serial mvm loop keyed 0..n-1 vs mvmBlock on `threads` threads:
  * bit-identical.
  */
 void
@@ -83,7 +125,7 @@ checkBatchMatchesSerial(arch::EngineConfig ecfg, int threads)
     ThreadPool pool(threads);
     arch::EngineStats batch_stats;
     const auto batch_out =
-        batch_engine.mvmBatch(batch, &batch_stats, &pool);
+        blockMvm(batch_engine, batch, &batch_stats, &pool);
 
     ASSERT_EQ(batch_out.size(), serial_out.size());
     for (size_t i = 0; i < batch_out.size(); ++i) {
@@ -141,7 +183,7 @@ TEST(MvmBatch, SerialMvmIsBatchOfOne)
     arch::CrossbarEngine b(mapped, {});
     for (const auto &p : batch) {
         const auto via_mvm = a.mvm(p);
-        const auto via_batch = b.mvmBatch({p});
+        const auto via_batch = blockMvm(b, {p});
         ASSERT_EQ(via_batch.size(), 1u);
         EXPECT_EQ(via_mvm, via_batch.front());
     }
@@ -161,16 +203,16 @@ TEST(MvmBatch, ReadNoisePerturbsButPreservesDeterminism)
     arch::CrossbarEngine noisy_engine(mapped, noisy);
     arch::CrossbarEngine noisy_again(mapped, noisy);
 
-    const auto clean = clean_engine.mvmBatch(batch);
-    const auto first = noisy_engine.mvmBatch(batch);
-    const auto second = noisy_again.mvmBatch(batch);
+    const auto clean = blockMvm(clean_engine, batch);
+    const auto first = blockMvm(noisy_engine, batch);
+    const auto second = blockMvm(noisy_again, batch);
     EXPECT_EQ(first, second);   // same seed, same stream
     EXPECT_NE(first, clean);    // the noise actually does something
 }
 
 TEST(MvmBatch, RepeatedBatchOnOneNoisyEngineIsBitIdentical)
 {
-    // The engine holds no presentation state: a second mvmBatch on the
+    // The engine holds no presentation state: a second mvmBlock on the
     // same engine draws the same keyed read-noise streams as the first.
     static Tensor weight({16, 16, 3, 3}), grad({16, 16, 3, 3});
     const arch::MappedLayer mapped =
@@ -185,11 +227,258 @@ TEST(MvmBatch, RepeatedBatchOnOneNoisyEngineIsBitIdentical)
 
     ThreadPool pool(3);
     arch::EngineStats first_stats, second_stats;
-    const auto first = engine.mvmBatch(batch, &first_stats, &pool);
-    const auto second = engine.mvmBatch(batch, &second_stats, &pool);
+    const auto first = blockMvm(engine, batch, &first_stats, &pool);
+    const auto second = blockMvm(engine, batch, &second_stats, &pool);
     EXPECT_EQ(first, second);
     expectStatsIdentical(first_stats, second_stats);
     EXPECT_EQ(first_stats.presentations, batch.size());
+}
+
+/** Geometry of one matrix stage under test; k == 0 means dense. */
+struct StageGeom
+{
+    int64_t inC, h, w;   //!< dense: inC features, h = w = 1
+    int k, stride, pad;
+    int outC;
+    bool chanScale;      //!< exercise the digital BN scale
+};
+
+/** Everything a stage call writes: the bit-identity surface. */
+struct StageResult
+{
+    Tensor out;
+    arch::EngineStats stats;
+    std::vector<arch::EngineStats> perImage;
+    std::vector<float> maxima;
+    arch::EicStats eic{8};
+};
+
+/** The stage's inputs, shared by the block path and the reference. */
+struct StageCase
+{
+    StageGeom g;
+    Tensor act;
+    std::vector<arch::CrossbarEngine *> replicas;
+    const arch::MappedLayer *mapped = nullptr;
+    std::vector<float> bias, chan;
+    std::vector<uint64_t> ids;
+    arch::ScaleMode mode = arch::ScaleMode::PerPresentation;
+    float staticScale = 0.0f;
+
+    sim::StageScale scale(StageResult &r) const
+    {
+        sim::StageScale sc;
+        sc.mode = mode;
+        sc.staticScale = staticScale;
+        sc.record = &r.maxima;
+        sc.eicStats = &r.eic;
+        sc.eicFragSize = 4;
+        return sc;
+    }
+};
+
+/** The block path: convStage / denseStage on `threads` threads. */
+StageResult
+blockStage(const StageCase &c, int threads)
+{
+    ThreadPool pool(threads);
+    StageResult r;
+    r.perImage.resize(static_cast<size_t>(c.act.dim(0)));
+    const sim::StageScale sc = c.scale(r);
+    sim::StageEngines se;
+    se.replicas = c.replicas;
+    se.imageIds = c.ids.data();
+    se.perImage = r.perImage.data();
+    r.out = c.g.k > 0
+        ? sim::convStage(c.act, se, *c.mapped, c.bias, c.chan, c.g.outC,
+                         c.g.k, c.g.stride, c.g.pad, 8, sc, pool, &r.stats)
+        : sim::denseStage(c.act, se, *c.mapped, c.bias, c.g.outC, 8, sc,
+                          pool, &r.stats);
+    return r;
+}
+
+/**
+ * The per-vector pipeline the block path replaced, composed by hand:
+ * lower to an im2col matrix, quantize one vector per presentation,
+ * run replica slices through mvmKeyed, fold per-image stats, and
+ * dequantize each output through the digital output stage.
+ */
+StageResult
+referenceStage(const StageCase &c)
+{
+    ThreadPool pool(1);
+    StageResult r;
+    const int64_t n = c.act.dim(0);
+    r.perImage.resize(static_cast<size_t>(n));
+    const sim::StageScale sc = c.scale(r);
+    const bool conv = c.g.k > 0;
+    Tensor cols;
+    int64_t rows = c.act.dim(1), count = n, ppi = 1;
+    Shape shape = {n, c.g.outC};
+    const float *base = c.act.data();
+    int64_t j_stride = rows, r_stride = 1;
+    if (conv) {
+        im2colInto(c.act, c.g.k, c.g.k, c.g.stride, c.g.pad, cols);
+        rows = cols.dim(0);
+        count = cols.dim(1);
+        ppi = count / n;
+        const int oh = convOutDim(static_cast<int>(c.g.h), c.g.k,
+                                  c.g.stride, c.g.pad);
+        shape = {n, c.g.outC, oh, ppi / oh};
+        base = cols.data();
+        j_stride = 1;
+        r_stride = count;
+    }
+    std::vector<float> scales;
+    const auto q = sim::quantizePresentations(
+        pool, count, rows, 8, sc, scales, base, j_stride, r_stride,
+        &r.stats, ppi, r.perImage.data());
+
+    const size_t p = static_cast<size_t>(count);
+    std::vector<uint64_t> keys(p);
+    for (size_t j = 0; j < p; ++j)
+        keys[j] = c.ids[j / static_cast<size_t>(ppi)] *
+                static_cast<uint64_t>(ppi) +
+            j % static_cast<size_t>(ppi);
+    std::vector<arch::EngineStats> per(p);
+    std::vector<std::vector<double>> raw;
+    const size_t reps = c.replicas.size();
+    for (size_t rep = 0; rep < reps; ++rep) {
+        auto part = c.replicas[rep]->mvmKeyed(q, p * rep / reps,
+                                              p * (rep + 1) / reps,
+                                              keys.data(), &r.stats,
+                                              per.data(), &pool);
+        for (auto &v : part)
+            raw.push_back(std::move(v));
+    }
+    for (size_t j = 0; j < p; ++j)
+        r.perImage[j / static_cast<size_t>(ppi)].merge(per[j]);
+
+    r.out = Tensor(shape);
+    float *po = r.out.data();
+    for (int64_t j = 0; j < count; ++j) {
+        const auto &rj = raw[static_cast<size_t>(j)];
+        for (int oc = 0; oc < c.g.outC; ++oc) {
+            const size_t u = static_cast<size_t>(oc);
+            const float s = c.chan.empty() ? 1.0f : c.chan[u];
+            const float deq = u < rj.size()
+                ? arch::dequantize(rj[u], c.mapped->scale,
+                                   scales[static_cast<size_t>(j)])
+                : 0.0f;
+            po[((j / ppi) * c.g.outC + oc) * ppi + j % ppi] =
+                s * deq + c.bias[u];
+        }
+    }
+    return r;
+}
+
+void
+expectSameStage(const StageResult &a, const StageResult &b)
+{
+    ASSERT_EQ(a.out.shape(), b.out.shape());
+    EXPECT_EQ(std::memcmp(a.out.data(), b.out.data(),
+                          static_cast<size_t>(a.out.numel()) *
+                              sizeof(float)),
+              0);
+    expectStatsIdentical(a.stats, b.stats);
+    ASSERT_EQ(a.perImage.size(), b.perImage.size());
+    for (size_t i = 0; i < a.perImage.size(); ++i)
+        expectStatsIdentical(a.perImage[i], b.perImage[i]);
+    EXPECT_EQ(a.maxima, b.maxima);
+    EXPECT_EQ(a.eic.histogram().total(), b.eic.histogram().total());
+    for (int bin = 0; bin <= 8; ++bin)
+        EXPECT_EQ(a.eic.histogram().bin(bin), b.eic.histogram().bin(bin));
+}
+
+TEST(BlockStage, BitIdenticalToPerVectorPipeline)
+{
+    const std::vector<StageGeom> geoms = {
+        {3, 7, 9, 3, 1, 1, 6, false},   // odd H/W, pad 1
+        {4, 9, 7, 3, 2, 0, 5, true},    // stride 2, no pad
+        {2, 8, 8, 3, 2, 1, 6, false},   // stride 2, pad 1
+        {5, 7, 7, 1, 1, 0, 6, true},    // 1x1
+        {5, 9, 9, 1, 2, 0, 4, false},   // 1x1 stride-2 projection
+        {37, 1, 1, 0, 1, 0, 10, false}, // dense
+    };
+    Rng rng(4242);
+    for (size_t gi = 0; gi < geoms.size(); ++gi) {
+        const StageGeom &g = geoms[gi];
+        SCOPED_TRACE(::testing::Message() << "geometry " << gi);
+        const bool conv = g.k > 0;
+        Tensor weight(conv ? Shape{g.outC, g.inC, g.k, g.k}
+                           : Shape{g.outC, g.inC});
+        Tensor grad(weight.shape());
+        weight.fillGaussian(rng, 0.0f, 0.4f);
+        admm::LayerState st;
+        st.name = "block-stage";
+        st.param = {"w", &weight, &grad, conv, !conv};
+        admm::WeightView v = conv ? admm::WeightView::conv(weight)
+                                  : admm::WeightView::dense(weight);
+        st.plan = conv
+            ? admm::FragmentPlan::forConv(g.outC, g.inC, g.k, 4,
+                                          admm::PolarizationPolicy::CMajor)
+            : admm::FragmentPlan::forDense(g.outC, g.inC, 4);
+        st.signs = admm::computeSigns(v, st.plan);
+        admm::projectPolarization(v, st.plan, *st.signs);
+        admm::QuantSpec qs;
+        qs.bits = 8;
+        st.quantScale = admm::projectQuantize(v, qs);
+        arch::MappingConfig mcfg;
+        mcfg.xbarRows = 32;
+        mcfg.xbarCols = 32;
+        mcfg.fragSize = 4;
+        mcfg.inputBits = 8;
+        const arch::MappedLayer mapped = arch::mapLayer(st, mcfg);
+
+        StageCase c;
+        c.g = g;
+        c.mapped = &mapped;
+        c.act = conv ? Tensor({2, g.inC, g.h, g.w}) : Tensor({3, g.inC});
+        c.act.fillUniform(rng, -0.3f, 1.0f);   // negatives map to 0
+        c.ids = {5, 9, 2};
+        c.bias.resize(static_cast<size_t>(g.outC));
+        for (auto &b : c.bias)
+            b = static_cast<float>(rng.gaussian(0.0, 0.1));
+        if (g.chanScale) {
+            c.chan.resize(static_cast<size_t>(g.outC));
+            for (auto &s : c.chan)
+                s = static_cast<float>(rng.gaussian(1.0, 0.2));
+        }
+
+        arch::EngineConfig noisy;
+        noisy.adcBits = 4;
+        noisy.cell.variationSigma = 0.1;
+        noisy.readNoiseSigma = 0.05;
+        for (const arch::EngineConfig &ecfg : {arch::EngineConfig{}, noisy}) {
+            std::vector<std::unique_ptr<arch::CrossbarEngine>> engines;
+            for (int rep = 0; rep < 3; ++rep)
+                engines.push_back(
+                    std::make_unique<arch::CrossbarEngine>(mapped, ecfg));
+            for (auto mode : {arch::ScaleMode::PerPresentation,
+                              arch::ScaleMode::Static}) {
+                c.mode = mode;
+                // A grid topping out at 0.6 clips the upper values.
+                c.staticScale = 0.6f / 255.0f;
+                for (size_t reps = 1; reps <= 3; ++reps) {
+                    c.replicas.clear();
+                    for (size_t rep = 0; rep < reps; ++rep)
+                        c.replicas.push_back(engines[rep].get());
+                    const StageResult want = referenceStage(c);
+                    if (mode == arch::ScaleMode::Static)
+                        EXPECT_GT(want.stats.quantClipped, 0u);
+                    for (int threads : {1, 3, 4}) {
+                        SCOPED_TRACE(::testing::Message()
+                                     << "noise " << ecfg.readNoiseSigma
+                                     << ", static "
+                                     << (mode == arch::ScaleMode::Static)
+                                     << ", replicas " << reps
+                                     << ", threads " << threads);
+                        expectSameStage(blockStage(c, threads), want);
+                    }
+                }
+            }
+        }
+    }
 }
 
 } // namespace

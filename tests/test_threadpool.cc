@@ -1,8 +1,8 @@
 /**
  * @file
  * ThreadPool unit tests: full range coverage, grain edge cases,
- * worker-id ranges, exception propagation, nested reuse, and
- * determinism of the static sharding.
+ * worker-id ranges, exception propagation, nested reuse, and the
+ * by-index determinism of chunk claiming.
  */
 
 #include <gtest/gtest.h>
@@ -10,6 +10,7 @@
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "common/threadpool.hh"
@@ -70,19 +71,44 @@ TEST(ThreadPool, WorkerIdsStayInRange)
     EXPECT_TRUE(ok.load());
 }
 
-TEST(ThreadPool, ShardingIsDeterministic)
+TEST(ThreadPool, ClaimedChunksGiveIdenticalByIndexOutputs)
 {
-    // The (index -> worker) mapping is a pure function of the range,
-    // the grain and the thread count: two identical runs agree.
-    ThreadPool pool(4);
-    std::vector<int> first(300), second(300);
-    pool.parallelFor(0, 300, 11, [&](int64_t i, int w) {
-        first[static_cast<size_t>(i)] = w;
-    });
-    pool.parallelFor(0, 300, 11, [&](int64_t i, int w) {
-        second[static_cast<size_t>(i)] = w;
-    });
-    EXPECT_EQ(first, second);
+    // Shards claim chunks from a shared counter, so which worker runs
+    // an index varies run to run. The contract callers rely on does
+    // not: every index runs exactly once, on a worker id in range,
+    // each shard's indices increase, and results written by index are
+    // the same for any thread count and any repeat.
+    const int64_t n = 300;
+    auto run = [&](int threads) {
+        ThreadPool pool(threads);
+        std::vector<uint64_t> out(static_cast<size_t>(n));
+        std::vector<std::atomic<int>> hits(static_cast<size_t>(n));
+        for (auto &h : hits)
+            h = 0;
+        std::vector<int64_t> last(static_cast<size_t>(threads), -1);
+        std::atomic<bool> ok{true};
+        pool.parallelFor(0, n, 11, [&](int64_t i, int w) {
+            if (w < 0 || w >= threads) {
+                ok = false;
+                return;
+            }
+            // Only shard w writes last[w].
+            if (i <= last[static_cast<size_t>(w)])
+                ok = false;
+            last[static_cast<size_t>(w)] = i;
+            hits[static_cast<size_t>(i)]++;
+            uint64_t x = static_cast<uint64_t>(i) * 0x9e3779b97f4a7c15ULL;
+            out[static_cast<size_t>(i)] = x ^ (x >> 29);
+        });
+        EXPECT_TRUE(ok.load()) << threads << " threads";
+        for (const auto &h : hits)
+            EXPECT_EQ(h.load(), 1) << threads << " threads";
+        return out;
+    };
+    const auto want = run(1);
+    for (int threads = 1; threads <= 8; ++threads)
+        for (int rep = 0; rep < 3; ++rep)
+            EXPECT_EQ(run(threads), want) << threads << " threads";
 }
 
 TEST(ThreadPool, ExceptionsPropagateFromWorkers)
@@ -104,11 +130,18 @@ TEST(ThreadPool, ExceptionsPropagateFromWorkers)
 TEST(ThreadPool, ExceptionsPropagateFromCallerShard)
 {
     ThreadPool pool(2);
-    // Chunk 0 belongs to the calling thread (shard 0).
+    // Chunks go to whichever shard claims them first. The worker holds
+    // its first chunk until the calling thread (shard 0) has claimed
+    // one, so the throw comes from the caller's shard.
+    std::atomic<bool> caller_in{false};
     EXPECT_THROW(
-        pool.parallelFor(0, 100, 1, [&](int64_t i, int) {
-            if (i == 0)
+        pool.parallelFor(0, 100, 1, [&](int64_t, int w) {
+            if (w == 0) {
+                caller_in = true;
                 throw std::logic_error("caller boom");
+            }
+            while (!caller_in.load())
+                std::this_thread::yield();
         }),
         std::logic_error);
 }

@@ -37,7 +37,7 @@ TEST(FragmentEic, EqualsBruteForceMax)
         int brute = 0;
         for (uint32_t v : vals)
             brute = std::max(brute, effectiveBits(v));
-        EXPECT_EQ(fragmentEic(vals), brute);
+        EXPECT_EQ(fragmentEic(vals.data(), vals.size()), brute);
     }
 }
 
@@ -47,13 +47,13 @@ TEST(FragmentEic, PaperFigure7Example)
     // inp3 = ...0000 0110 (3 bits), inp4 = ...0011 0100 (6 bits)
     // -> required EIC is 7, set by inp2.
     std::vector<uint32_t> frag = {0x2b, 0x4b, 0x06, 0x34};
-    EXPECT_EQ(fragmentEic(frag), 7);
+    EXPECT_EQ(fragmentEic(frag.data(), frag.size()), 7);
 }
 
 TEST(FragmentEic, AllZeroFragmentSkipsEverything)
 {
     std::vector<uint32_t> frag(8, 0);
-    EXPECT_EQ(fragmentEic(frag), 0);
+    EXPECT_EQ(fragmentEic(frag.data(), frag.size()), 0);
 }
 
 TEST(ShiftRegisterBank, DrainCyclesMatchEic)
@@ -69,7 +69,8 @@ TEST(ShiftRegisterBank, DrainCyclesMatchEic)
         bank.load(vals);
         // Skip the leading all-zero cycles the way the controller does:
         // remainingCycles is exactly the EIC.
-        EXPECT_EQ(bank.remainingCycles(), fragmentEic(vals));
+        EXPECT_EQ(bank.remainingCycles(),
+                  fragmentEic(vals.data(), vals.size()));
 
         // Shift through all 16 cycles; count cycles until drained.
         int drained_after = 16;
@@ -136,8 +137,8 @@ TEST_P(EicMonotonicityTest, LargerFragmentsNeedMoreCycles)
         v = static_cast<uint32_t>(std::min(x, 65535.0));
     }
     EicStats small(16), big(16);
-    small.recordVector(stream, frag);
-    big.recordVector(stream, frag * 2);
+    small.recordVector(stream.data(), stream.size(), frag);
+    big.recordVector(stream.data(), stream.size(), frag * 2);
     EXPECT_LE(small.averageEic(), big.averageEic() + 1e-9);
 }
 
@@ -170,10 +171,11 @@ TEST(EicStatsDeathTest, RecordVectorNamesOutOfRangeValue)
     // offending value, its position and the grid instead.
     EicStats s(8);
     const std::vector<uint32_t> vals = {1, 2, 300, 4};
-    EXPECT_DEATH(s.recordVector(vals, 2), "300.*index 2.*8-bit");
+    EXPECT_DEATH(s.recordVector(vals.data(), vals.size(), 2),
+                 "300.*index 2.*8-bit");
     // The full grid range itself is fine.
     const std::vector<uint32_t> ok = {0, 255};
-    s.recordVector(ok, 2);
+    s.recordVector(ok.data(), ok.size(), 2);
     EXPECT_EQ(s.histogram().total(), 1u);
 }
 
