@@ -143,6 +143,10 @@ main()
     RuntimeReport ideal_rep;
     const double ideal_acc = ideal_rt.accuracy(test, labels, &ideal_rep);
 
+    // Each sweep point deploys its table on this copy: the live
+    // calibrator borrows `graph`, and every attachTo overwrites the
+    // previous point's scales.
+    compile::Graph deployed = graph;
     std::vector<CalibResult> results;
     for (CalibPolicy policy : kPolicies) {
         // One calibrator per policy: observe() accumulates, so each
@@ -156,11 +160,11 @@ main()
                                    cal.images(),
                                    calib_images - cal.images()));
             const auto table = cal.table();
+            table.attachTo(deployed);
 
             RuntimeConfig scfg = benchConfig();
             scfg.scaleMode = arch::ScaleMode::Static;
-            scfg.calibration = &table;
-            GraphRuntime rt(graph, states, scfg);
+            GraphRuntime rt(deployed, states, scfg);
             RuntimeReport rep;
 
             CalibResult r;

@@ -98,9 +98,6 @@ class FragmentPlan
     /** Number of fragments per column (last may be partial). */
     int64_t fragmentsPerCol() const;
 
-    /** Total fragments in the layer. */
-    int64_t totalFragments() const { return fragmentsPerCol() * cols_; }
-
     /** Natural row index of position p in the policy ordering. */
     int64_t orderedRow(int64_t p) const;
 
@@ -144,7 +141,6 @@ class SignMap
     void set(int64_t col, int64_t frag, int8_t sign);
 
     int64_t cols() const { return cols_; }
-    int64_t fragsPerCol() const { return fragsPerCol_; }
 
     /** Count of positive-sign fragments (for diagnostics). */
     int64_t countPositive() const;

@@ -428,17 +428,14 @@ CrossbarEngine::CrossbarEngine(const MappedLayer &layer, EngineConfig cfg)
                       case reram::FaultKind::StuckLrs:
                         v = lrs;
                         any_here = true;
-                        ++faultyCells_;
                         break;
                       case reram::FaultKind::StuckHrs:
                         v = 0.0;
                         any_here = true;
-                        ++faultyCells_;
                         break;
                       case reram::FaultKind::Drift:
                         v *= f.driftAt(r, cc);
                         any_here = true;
-                        ++faultyCells_;
                         break;
                       case reram::FaultKind::None:
                         break;

@@ -315,9 +315,6 @@ class CrossbarEngine
     /** Crossbars whose used window carries at least one fault. */
     int64_t faultyCrossbars() const { return faultyCrossbars_; }
 
-    /** Stuck or drifted cells within the used windows. */
-    int64_t faultyCells() const { return faultyCells_; }
-
     /** Crossbars on the exact-integer path (XbarTile::nib). */
     int64_t exactCrossbars() const { return exactCrossbars_; }
 
@@ -373,7 +370,6 @@ class CrossbarEngine
     int outputExtent_ = 0;         //!< 1 + max natural output index
     double worstStepNs_ = 0.0;     //!< slowest crossbar's per-step time
     int64_t faultyCrossbars_ = 0;  //!< tiles overlaid with any fault
-    int64_t faultyCells_ = 0;      //!< stuck/drifted cells (used window)
     int64_t exactCrossbars_ = 0;   //!< tiles stored as nibble planes
 };
 

@@ -1,22 +1,11 @@
 #include "compile/calibration.hh"
 
-#include <fstream>
-#include <sstream>
+#include <utility>
 
 #include "common/logging.hh"
 #include "compile/graph.hh"
-#include "nn/serialize.hh"
 
 namespace forms::compile {
-
-namespace {
-
-constexpr const char *kMagic = "forms-calibration v2";
-// v1 tables (no `eic` lines) still load; their entries just carry no
-// measured bit-level activity.
-constexpr const char *kMagicV1 = "forms-calibration v1";
-
-} // namespace
 
 void
 CalibrationTable::set(CalibEntry e)
@@ -56,6 +45,7 @@ CalibrationTable::attachTo(Graph &g) const
                       e.node.c_str(), opName(n.op));
             }
             n.inScale = e.scale;
+            n.inBits = inputBits_;
             if (e.eicFragments > 0 && inputBits_ > 0) {
                 n.eicDensity = e.avgEic /
                     static_cast<float>(inputBits_);
@@ -68,108 +58,6 @@ CalibrationTable::attachTo(Graph &g) const
                   e.node.c_str());
         }
     }
-}
-
-void
-CalibrationTable::save(std::ostream &os) const
-{
-    os << kMagic << "\n";
-    os << "input-bits " << inputBits_ << "\n";
-    for (const CalibEntry &e : entries_) {
-        os << "scale " << e.node << " " << e.observations << " "
-           << nn::encodeFloat(e.range) << " " << nn::encodeFloat(e.scale)
-           << "\n";
-        if (e.eicFragments > 0) {
-            os << "eic " << e.node << " " << e.eicFragments << " "
-               << nn::encodeFloat(e.avgEic) << "\n";
-        }
-    }
-    os << "end\n";
-    FORMS_ASSERT(os.good(), "stream failure while saving calibration");
-}
-
-void
-CalibrationTable::save(const std::string &path) const
-{
-    std::ofstream os(path);
-    if (!os)
-        fatal("cannot open '%s' for writing", path.c_str());
-    save(os);
-}
-
-CalibrationTable
-CalibrationTable::load(std::istream &is)
-{
-    std::string line;
-    if (!std::getline(is, line) || (line != kMagic && line != kMagicV1))
-        fatal("bad calibration header (expected '%s')", kMagic);
-
-    CalibrationTable table;
-    bool saw_end = false;
-    while (std::getline(is, line)) {
-        if (line.empty())
-            continue;
-        if (line == "end") {
-            saw_end = true;
-            break;
-        }
-        std::istringstream ls(line);
-        std::string tag;
-        ls >> tag;
-        if (tag == "input-bits") {
-            int bits = 0;
-            if (!(ls >> bits) || bits < 1 || bits > 31)
-                fatal("bad calibration line: '%s'", line.c_str());
-            table.inputBits_ = bits;
-        } else if (tag == "scale") {
-            CalibEntry e;
-            std::string range_tok, scale_tok;
-            if (!(ls >> e.node >> e.observations >> range_tok >>
-                  scale_tok))
-                fatal("bad calibration line: '%s'", line.c_str());
-            e.range = nn::parseFloat(range_tok, "calibration range");
-            e.scale = nn::parseFloat(scale_tok, "calibration scale");
-            if (e.scale <= 0.0f)
-                fatal("calibration entry '%s' has non-positive scale",
-                      e.node.c_str());
-            table.set(std::move(e));
-        } else if (tag == "eic") {
-            std::string node, eic_tok;
-            uint64_t fragments = 0;
-            if (!(ls >> node >> fragments >> eic_tok) || fragments == 0)
-                fatal("bad calibration line: '%s'", line.c_str());
-            // eic lines annotate an already-parsed scale entry.
-            CalibEntry *have = nullptr;
-            for (CalibEntry &cand : table.entries_)
-                if (cand.node == node)
-                    have = &cand;
-            if (!have) {
-                fatal("calibration eic line for '%s' precedes its "
-                      "scale entry", node.c_str());
-            }
-            have->avgEic = nn::parseFloat(eic_tok, "calibration eic");
-            have->eicFragments = fragments;
-            if (have->avgEic < 0.0f)
-                fatal("calibration entry '%s' has negative eic",
-                      node.c_str());
-        } else {
-            fatal("bad calibration line: '%s'", line.c_str());
-        }
-    }
-    if (!saw_end)
-        fatal("truncated calibration table (no 'end')");
-    if (table.inputBits_ == 0)
-        fatal("calibration table missing input-bits");
-    return table;
-}
-
-CalibrationTable
-CalibrationTable::load(const std::string &path)
-{
-    std::ifstream is(path);
-    if (!is)
-        fatal("cannot open '%s' for reading", path.c_str());
-    return load(is);
 }
 
 } // namespace forms::compile

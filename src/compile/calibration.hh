@@ -7,34 +7,18 @@
  * scale of the unsigned bit-serial DAC feeding it — the fixed hardware
  * input grid FORMS assumes (ISAAC-style pipelines freeze activation
  * scales at deployment time). Tables are built offline by
- * sim::Calibrator from a calibration split, attached to a graph's
- * input edges with attachTo(), and serialized in the same
- * line-oriented hex-float format as nn/serialize model files, so a
- * model and its calibration travel together between processes.
+ * sim::Calibrator from a calibration split and deployed by attachTo(),
+ * which stamps them onto a graph's input edges: the graph is the only
+ * way a calibration reaches an executor.
  *
- * Thread-safety: build and load from one thread; a const table is
- * safe to share across runtimes.
- *
- * Format (line-oriented, locale-independent):
- *   forms-calibration v2
- *   input-bits <bits>
- *   scale <node-name> <observations> <range-hex> <scale-hex>
- *   eic <node-name> <fragments> <avg-eic-hex>
- *   ...
- *   end
- *
- * `eic` lines carry the node's measured bit-level activity (average
- * fragment EIC over `fragments` recorded fragments, hex-float for an
- * exact round trip) and are written only for entries that recorded
- * any; v1 files (no eic lines) still load, yielding unmeasured
- * entries.
+ * Thread-safety: build from one thread; a const table is safe to
+ * attach to any number of graphs.
  */
 
 #ifndef FORMS_COMPILE_CALIBRATION_HH
 #define FORMS_COMPILE_CALIBRATION_HH
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -54,9 +38,9 @@ struct CalibEntry
      * Measured bit-level activity: average fragment EIC over the
      * calibration split's quantized presentations (fragmented the way
      * the engine fragments its input rows). 0 with eicFragments == 0
-     * means the calibrator did not measure EIC for this node (e.g. a
-     * v1 table). Feeds Node::eicDensity via attachTo and the
-     * WorkModel::EicTime schedule objective.
+     * means the calibrator did not measure EIC for this node. Feeds
+     * Node::eicDensity via attachTo and the WorkModel::EicTime
+     * schedule objective.
      */
     float avgEic = 0.0f;
     uint64_t eicFragments = 0; //!< fragments avgEic was measured over
@@ -83,22 +67,16 @@ class CalibrationTable
 
     /**
      * Stamp every entry's scale onto the matching matrix node's
-     * `Node::inScale` (its input edge) — and, for entries with a
+     * `Node::inScale` (its input edge), together with the table's
+     * inputBits() as `Node::inBits` — and, for entries with a
      * measured EIC, the node's `Node::eicDensity`
      * (avgEic / inputBits) — so the graph carries its own
-     * calibration; fatal()s when an entry names no live matrix node —
-     * a table from a different model is a deployment error, not a
-     * warning.
+     * calibration. Attaching a second table overwrites the scale and
+     * resolution of every node it names. fatal()s when an entry names
+     * no live matrix node — a table from a different model is a
+     * deployment error, not a warning.
      */
     void attachTo(Graph &g) const;
-
-    /** Serialize (hex floats — exact round trip). */
-    void save(std::ostream &os) const;
-    void save(const std::string &path) const;
-
-    /** Parse a saved table; fatal() on format errors. */
-    static CalibrationTable load(std::istream &is);
-    static CalibrationTable load(const std::string &path);
 
   private:
     std::vector<CalibEntry> entries_;  //!< insertion order (deterministic)

@@ -78,9 +78,17 @@ struct Node
      * of the unsigned bit-serial DAC feeding it), stamped onto the
      * node's input edge by compile::CalibrationTable::attachTo. 0
      * means uncalibrated: executors in arch::ScaleMode::Static then
-     * require a table in their RuntimeConfig instead.
+     * refuse the node.
      */
     float inScale = 0.0f;
+
+    /**
+     * Input grid resolution (DAC bits) `inScale` was calibrated for,
+     * stamped with it by attachTo; executors refuse a scale whose
+     * resolution differs from their mapping's. 0 means a hand-set
+     * scale of unrecorded resolution.
+     */
+    int inBits = 0;
 
     /**
      * Measured input bit-density of a matrix node: calibrated average

@@ -44,17 +44,6 @@ CrossbarFaults::firstDeadColumn(int limit) const
     return -1;
 }
 
-int64_t
-CrossbarFaults::faultyCellsIn(int used_rows, int used_cols) const
-{
-    int64_t n = 0;
-    for (int r = 0; r < used_rows; ++r)
-        for (int c = 0; c < used_cols; ++c)
-            if (at(r, c) != FaultKind::None)
-                ++n;
-    return n;
-}
-
 CrossbarFaults
 FaultMap::draw(uint64_t fault_key, int phys_id, int rows, int cols) const
 {

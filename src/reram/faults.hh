@@ -95,9 +95,6 @@ struct CrossbarFaults
 
     /** First dead column in [0, limit), or -1 when none. */
     int firstDeadColumn(int limit) const;
-
-    /** Count of stuck/drifted cells within the used window. */
-    int64_t faultyCellsIn(int used_rows, int used_cols) const;
 };
 
 /**

@@ -29,7 +29,6 @@ Calibrator::Calibrator(const compile::Graph &graph,
     // Observation pass: idealized per-presentation scales (so nothing
     // clips while measuring), recording into this calibrator.
     rcfg.scaleMode = arch::ScaleMode::PerPresentation;
-    rcfg.calibration = nullptr;
     rcfg.recorder = &recorder_;
     runtime_ = std::make_unique<PipelineRuntime>(graph, layers, rcfg);
 }

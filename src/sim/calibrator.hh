@@ -29,10 +29,14 @@
  *
  *     sim::Calibrator cal(graph, states, rcfg, {});
  *     cal.observe(calib_split);              // repeat per batch
- *     auto table = cal.table();
- *     table.attachTo(graph);                 // or rcfg.calibration = &table
+ *     compile::Graph deployed = graph;       // cal borrows `graph`
+ *     cal.table().attachTo(deployed);
  *     rcfg.scaleMode = arch::ScaleMode::Static;
- *     sim::PipelineRuntime rt(graph, states, rcfg);
+ *     sim::PipelineRuntime rt(deployed, states, rcfg);
+ *
+ * The calibrator's runtime borrows `graph`, so attach to a copy while
+ * the calibrator lives (or to `graph` once it is gone). The attached
+ * scales are the only way a calibration reaches a stage.
  */
 
 #ifndef FORMS_SIM_CALIBRATOR_HH

@@ -99,7 +99,7 @@ buildNodeExecs(const compile::Graph &g, const std::vector<int> &topo,
             } else {
                 e.bias = tensorToVector(n.conv->bias());
             }
-            e.scale = resolveStageScale(cfg, n.name, n.inScale);
+            e.scale = resolveStageScale(cfg, n.name, n.inScale, n.inBits);
             break;
         }
         case compile::Op::Dense: {
@@ -112,7 +112,7 @@ buildNodeExecs(const compile::Graph &g, const std::vector<int> &topo,
             programReplicas(e, id, *st, cfg, pools);
             e.outC = n.dense->outDim();
             e.bias = tensorToVector(n.dense->bias());
-            e.scale = resolveStageScale(cfg, n.name, n.inScale);
+            e.scale = resolveStageScale(cfg, n.name, n.inScale, n.inBits);
             break;
         }
         case compile::Op::BatchNorm: {

@@ -87,9 +87,9 @@ using PhaseSink =
  * program identical conductances),
  * snapshot eval-mode BN affines, copy conv/pool geometry and the
  * digital output stage, and resolve each matrix node's
- * input-quantization scale (in arch::ScaleMode::Static, from
- * cfg.calibration or the node's attached Node::inScale — fatal()s
- * when neither covers a programmed node).
+ * input-quantization scale (in arch::ScaleMode::Static, from the
+ * node's attached Node::inScale — fatal()s when a programmed node has
+ * none, or when its Node::inBits differs from cfg.mapping.inputBits).
  *
  * @param layers per-layer compression state, matched to matrix nodes
  *        by weight-tensor identity; fatal()s when a node has none

@@ -234,22 +234,7 @@ double
 chipBusyNs(const std::vector<PhaseInterval> &phases,
            const TilePipeline &tile)
 {
-    if (phases.empty())
-        return 0.0;
-    if (!tile.overlap) {
-        double busy = 0.0;
-        for (const PhaseInterval &p : phases)
-            busy += p.quantNs + p.computeNs;
-        return busy;
-    }
-    // Two-phase chained overlap: the first quantization cannot hide
-    // behind anything; afterwards each node's compute runs while the
-    // next node's quantization fills, so each link costs the longer
-    // of the two; the last compute drains unhidden.
-    double busy = phases.front().quantNs;
-    for (size_t k = 0; k + 1 < phases.size(); ++k)
-        busy += std::max(phases[k].computeNs, phases[k + 1].quantNs);
-    return busy + phases.back().computeNs;
+    return placePhases(phases, tile, 0.0, [](size_t, double, double) {});
 }
 
 double

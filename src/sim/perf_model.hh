@@ -26,9 +26,11 @@
 #ifndef FORMS_SIM_PERF_MODEL_HH
 #define FORMS_SIM_PERF_MODEL_HH
 
+#include <algorithm>
 #include <map>
 #include <mutex>
 #include <utility>
+#include <vector>
 
 #include "admm/report.hh"
 #include "reram/components.hh"
@@ -229,15 +231,49 @@ struct PhaseInterval
 };
 
 /**
- * Busy time of one chip executing `phases` (its programmed nodes'
- * per-phase intervals, in topological order) for one micro-batch.
- * Serial: sum of (quant + compute). Overlapped: node k+1's
- * quantization hides behind node k's compute,
+ * Place `phases` (one chip's programmed nodes' per-phase intervals,
+ * in topological order) on a timeline opening at `start` ns, calling
+ * place(k, quant_start_ns, compute_start_ns) for each phase in order,
+ * and return when the last compute phase ends. Serial: each node's
+ * quantization then its compute. Overlapped: node k+1's quantization
+ * starts with node k's compute and node k+1's compute starts when the
+ * slower of the two finishes, so
  *
- *     busy = q_1 + sum_{k=1}^{K-1} max(c_k, q_{k+1}) + c_K,
+ *     end - start = q_1 + sum_{k=1}^{K-1} max(c_k, q_{k+1}) + c_K,
  *
  * which never exceeds the serial time and never undercuts the pure
  * compute sum (docs/SCHEDULING.md derives it).
+ */
+template <class Place>
+double
+placePhases(const std::vector<PhaseInterval> &phases,
+            const TilePipeline &tile, double start, Place &&place)
+{
+    double t = start;
+    if (!tile.overlap) {
+        for (size_t k = 0; k < phases.size(); ++k) {
+            place(k, t, t + phases[k].quantNs);
+            t += phases[k].quantNs + phases[k].computeNs;
+        }
+        return t;
+    }
+    if (phases.empty())
+        return t;
+    double quant_at = t;
+    t += phases.front().quantNs;
+    for (size_t k = 0;; ++k) {
+        place(k, quant_at, t);
+        if (k + 1 == phases.size())
+            break;
+        quant_at = t;
+        t += std::max(phases[k].computeNs, phases[k + 1].quantNs);
+    }
+    return t + phases.back().computeNs;
+}
+
+/**
+ * Busy time of one chip executing `phases` for one micro-batch: the
+ * span placePhases() lays them out over from 0.
  */
 double chipBusyNs(const std::vector<PhaseInterval> &phases,
                   const TilePipeline &tile);

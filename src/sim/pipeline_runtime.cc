@@ -424,7 +424,7 @@ PipelineRuntime::run(const Tensor &batch, const uint64_t *ids,
  * is reserved for wall-clock host spans). Track 1 carries the
  * per-(stage, micro-batch) busy slice whose durations sum exactly to
  * ChipReport::busyNs; tracks 2 and 3 carry the quant and ADC
- * sub-phases, placed by the same two-phase recurrence as
+ * sub-phases, placed by sim::placePhases, the recurrence behind
  * sim::chipBusyNs (with overlap, node k's ADC phase and node k+1's
  * quantization start together and the next segment opens when both
  * finish). Inter-stage Transfer records become flow arrows from the
@@ -503,40 +503,15 @@ PipelineRuntime::emitTrace(
                 const auto &ph = phases[static_cast<size_t>(c)]
                                        [static_cast<size_t>(m)];
                 const auto &names = chip_names[static_cast<size_t>(c)];
-                if (ph.empty())
-                    continue;
-                double t = start_ns;
-                if (cfg_.tile.overlap) {
-                    // Mirror of chipBusyNs: q1 runs alone, then adc_k
-                    // and quant_{k+1} start together; the segment
-                    // closes when the slower of the two finishes.
-                    tr.slice(pid, 2, names[0], "quant", t / 1e3,
-                             ph[0].quantNs / 1e3);
-                    t += ph[0].quantNs;
-                    for (size_t k = 0; k < ph.size(); ++k) {
-                        tr.slice(pid, 3, names[k], "adc", t / 1e3,
+                placePhases(
+                    ph, cfg_.tile, start_ns,
+                    [&](size_t k, double quant_ns, double adc_ns) {
+                        tr.slice(pid, 2, names[k], "quant",
+                                 quant_ns / 1e3, ph[k].quantNs / 1e3);
+                        tr.slice(pid, 3, names[k], "adc", adc_ns / 1e3,
                                  ph[k].computeNs / 1e3,
                                  {{"eic_fraction", ph[k].eicFraction()}});
-                        if (k + 1 < ph.size()) {
-                            tr.slice(pid, 2, names[k + 1], "quant",
-                                     t / 1e3, ph[k + 1].quantNs / 1e3);
-                            t += std::max(ph[k].computeNs,
-                                          ph[k + 1].quantNs);
-                        } else {
-                            t += ph[k].computeNs;
-                        }
-                    }
-                } else {
-                    for (size_t k = 0; k < ph.size(); ++k) {
-                        tr.slice(pid, 2, names[k], "quant", t / 1e3,
-                                 ph[k].quantNs / 1e3);
-                        t += ph[k].quantNs;
-                        tr.slice(pid, 3, names[k], "adc", t / 1e3,
-                                 ph[k].computeNs / 1e3,
-                                 {{"eic_fraction", ph[k].eicFraction()}});
-                        t += ph[k].computeNs;
-                    }
-                }
+                    });
             }
         }
     }

@@ -20,10 +20,6 @@
 #include "arch/zero_skip.hh"
 #include "nn/network.hh"
 
-namespace forms::compile {
-class CalibrationTable;
-} // namespace forms::compile
-
 namespace forms::obs {
 class MetricsRegistry;
 } // namespace forms::obs
@@ -54,16 +50,13 @@ struct RuntimeConfig
     ThreadPool *pool = nullptr;   //!< null = ThreadPool::global()
 
     /**
-     * Activation quantization mode (DESIGN.md §2). Static requires a
-     * calibrated scale for every programmed stage: either `calibration`
-     * below, or scales attached to the graph via
-     * compile::CalibrationTable::attachTo. Construction fatal()s
-     * on a programmed stage with neither.
+     * Activation quantization mode (DESIGN.md §2). Static requires
+     * every programmed stage's graph node to carry a scale calibrated
+     * at mapping.inputBits, attached by
+     * compile::CalibrationTable::attachTo. Construction fatal()s on a
+     * programmed stage without one.
      */
     arch::ScaleMode scaleMode = arch::ScaleMode::PerPresentation;
-
-    /** Static scales, keyed by layer/node name (borrowed, may be null). */
-    const compile::CalibrationTable *calibration = nullptr;
 
     /** Calibration observation sink (borrowed; null in normal runs). */
     RangeRecorder *recorder = nullptr;

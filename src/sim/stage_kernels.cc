@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "compile/calibration.hh"
 #include "sim/runtime.hh"
 #include "tensor/ops.hh"
 
@@ -10,32 +9,26 @@ namespace forms::sim {
 
 StageScale
 resolveStageScale(const RuntimeConfig &cfg, const std::string &name,
-                  float attached_scale)
+                  float attached_scale, int attached_bits)
 {
     StageScale sc;
     sc.mode = cfg.scaleMode;
     if (cfg.scaleMode == arch::ScaleMode::Static) {
-        if (cfg.calibration &&
-            cfg.calibration->inputBits() != cfg.mapping.inputBits) {
-            fatal("runtime: calibration table was built for a %d-bit "
-                  "input grid but the mapping uses %d bits — its "
-                  "scales would mis-span the DAC range; recalibrate "
-                  "at the deployment resolution",
-                  cfg.calibration->inputBits(), cfg.mapping.inputBits);
-        }
-        const compile::CalibEntry *e =
-            cfg.calibration ? cfg.calibration->find(name) : nullptr;
-        if (e)
-            sc.staticScale = e->scale;
-        else if (attached_scale > 0.0f)
-            sc.staticScale = attached_scale;
-        else {
+        if (attached_scale <= 0.0f) {
             fatal("runtime: ScaleMode::Static but stage '%s' has no "
-                  "calibrated scale — run sim::Calibrator and pass "
-                  "the table in RuntimeConfig::calibration (or attach "
-                  "it to the graph with CalibrationTable::attachTo)",
+                  "calibrated scale — run sim::Calibrator and attach "
+                  "its table to the graph with "
+                  "CalibrationTable::attachTo",
                   name.c_str());
         }
+        if (attached_bits != 0 && attached_bits != cfg.mapping.inputBits) {
+            fatal("runtime: stage '%s' carries a scale calibrated at "
+                  "%d input bits but the mapping uses %d — it would "
+                  "mis-span the DAC range; recalibrate at the "
+                  "deployment resolution",
+                  name.c_str(), attached_bits, cfg.mapping.inputBits);
+        }
+        sc.staticScale = attached_scale;
     }
     if (cfg.recorder) {
         sc.record = &cfg.recorder->maxima[name];

@@ -64,15 +64,17 @@ struct StageScale
 /**
  * Resolve one programmed stage's quantization from the runtime
  * config — the single place all executors derive a StageScale.
- * Static mode takes the calibration-table entry when one covers the
- * stage, else `attached_scale` (a scale carried on the graph node's
- * input edge by CalibrationTable::attachTo; pass 0 when none); a
- * stage covered by neither fatal()s here, at construction time, not
- * mid-batch.
+ * Static mode takes `attached_scale`, the scale carried on the graph
+ * node's input edge (Node::inScale, stamped by
+ * CalibrationTable::attachTo; 0 when none), calibrated for an
+ * `attached_bits`-bit input grid (Node::inBits; 0 when unrecorded).
+ * A stage with no scale, or with one calibrated at a resolution other
+ * than cfg.mapping.inputBits, fatal()s here, at construction time,
+ * not mid-batch.
  */
 StageScale resolveStageScale(const RuntimeConfig &cfg,
                              const std::string &name,
-                             float attached_scale = 0.0f);
+                             float attached_scale, int attached_bits = 0);
 
 /**
  * Quantize `count` presentations as separate vectors, through the

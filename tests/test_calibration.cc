@@ -6,14 +6,14 @@
  * AND EngineStats (including the new saturation counters)
  * bit-identical across thread counts, micro-batch sizes and 1/2/4
  * chip counts, and identical across both executors — with ADC
- * quantization, device variation and read noise enabled. Also: table
- * serialization round-trips exactly, attachTo carries scales on the
- * graph itself, and the clip counters are exact on synthetic outliers.
+ * quantization, device variation and read noise enabled. Also:
+ * attachTo carries scales (and their input resolution) on the graph
+ * itself, a second attach overwrites them, a scale calibrated at
+ * another resolution is refused, and the clip counters are exact on
+ * synthetic outliers.
  */
 
 #include <gtest/gtest.h>
-
-#include <sstream>
 
 #include "compile/calibration.hh"
 #include "compile/passes.hh"
@@ -44,7 +44,10 @@ noisyConfig(ThreadPool *pool)
     return cfg;
 }
 
-/** Compile + fold + compress a scaled ResNet and calibrate it. */
+/**
+ * Compile + fold + compress a scaled ResNet, calibrate it and attach
+ * the table to the graph.
+ */
 struct CalibratedResNet
 {
     std::unique_ptr<nn::Network> net;
@@ -69,19 +72,22 @@ struct CalibratedResNet
         ThreadPool pool(4);
         sim::CalibratorConfig ccfg;
         ccfg.policy = policy;
-        sim::Calibrator cal(graph, states, noisyConfig(&pool), ccfg);
-        cal.observe(calib);
-        EXPECT_EQ(cal.images(), 6);
-        table = cal.table();
+        {
+            sim::Calibrator cal(graph, states, noisyConfig(&pool), ccfg);
+            cal.observe(calib);
+            EXPECT_EQ(cal.images(), 6);
+            table = cal.table();
+        }
+        table.attachTo(graph);
     }
 };
 
+/** noisyConfig on the graph-attached static scales. */
 sim::RuntimeConfig
-staticConfig(ThreadPool *pool, const compile::CalibrationTable *table)
+staticConfig(ThreadPool *pool)
 {
     sim::RuntimeConfig cfg = noisyConfig(pool);
     cfg.scaleMode = arch::ScaleMode::Static;
-    cfg.calibration = table;
     return cfg;
 }
 
@@ -125,7 +131,7 @@ TEST(Calibration, StaticBitIdenticalAcrossThreadsMicroBatchesAndChips)
     {
         ThreadPool pool(1);
         sim::GraphRuntime rt(c.graph, c.states,
-                             staticConfig(&pool, &c.table));
+                             staticConfig(&pool));
         sim::RuntimeReport rep;
         ref_logits = rt.forward(batch, &rep);
         for (const auto &l : rep.layers)
@@ -153,7 +159,7 @@ TEST(Calibration, StaticBitIdenticalAcrossThreadsMicroBatchesAndChips)
         compile::ScheduleConfig scfg;
         scfg.chips = k.chips;
         sim::PipelineRuntimeConfig pcfg;
-        pcfg.runtime = staticConfig(&pool, &c.table);
+        pcfg.runtime = staticConfig(&pool);
         pcfg.microBatch = k.microBatch;
         sim::PipelineRuntime rt(c.graph,
                                 compile::Schedule::partition(c.graph,
@@ -194,21 +200,25 @@ TEST(Calibration, GraphAndPipelineRuntimesAgreeBitwiseOnAStraightLineNet)
     Rng crng(532);
     Tensor calib({4, 1, 12, 12});
     calib.fillUniform(crng, 0.0f, 1.0f);
-    sim::Calibrator cal(graph, states, noisyConfig(&pool), {});
-    cal.observe(calib);
-    const auto table = cal.table();
+    compile::CalibrationTable table;
+    {
+        sim::Calibrator cal(graph, states, noisyConfig(&pool), {});
+        cal.observe(calib);
+        table = cal.table();
+    }
+    table.attachTo(graph);
 
     Tensor batch({3, 1, 12, 12});
     batch.fillUniform(crng, 0.0f, 1.0f);
 
-    sim::GraphRuntime gr(graph, states, staticConfig(&pool, &table));
+    sim::GraphRuntime gr(graph, states, staticConfig(&pool));
     sim::RuntimeReport grep;
     const Tensor b = gr.forward(batch, &grep);
 
     compile::ScheduleConfig scfg;
     scfg.chips = 2;
     sim::PipelineRuntimeConfig pcfg;
-    pcfg.runtime = staticConfig(&pool, &table);
+    pcfg.runtime = staticConfig(&pool);
     pcfg.microBatch = 2;
     sim::PipelineRuntime pr(graph,
                             compile::Schedule::partition(graph, scfg),
@@ -223,58 +233,9 @@ TEST(Calibration, GraphAndPipelineRuntimesAgreeBitwiseOnAStraightLineNet)
                              prep.nodes.layers[i].stats);
 }
 
-TEST(CalibrationTable, SerializationRoundTripsExactly)
-{
-    CalibratedResNet c(541, sim::CalibPolicy::Percentile);
-    std::stringstream ss;
-    c.table.save(ss);
-    const auto loaded = compile::CalibrationTable::load(ss);
-
-    EXPECT_EQ(loaded.inputBits(), c.table.inputBits());
-    ASSERT_EQ(loaded.size(), c.table.size());
-    uint64_t measured = 0;
-    for (size_t i = 0; i < c.table.size(); ++i) {
-        const auto &a = c.table.entries()[i];
-        const auto &b = loaded.entries()[i];
-        EXPECT_EQ(a.node, b.node);
-        EXPECT_EQ(a.observations, b.observations);
-        // Hex floats round-trip bit-exactly.
-        EXPECT_EQ(a.range, b.range);
-        EXPECT_EQ(a.scale, b.scale);
-        // The EIC annotation rides along, also bit-exactly.
-        EXPECT_EQ(a.avgEic, b.avgEic);
-        EXPECT_EQ(a.eicFragments, b.eicFragments);
-        measured += a.eicFragments;
-    }
-    // The calibrator measures bit activity on every observed node, so
-    // the round trip above actually exercised the eic lines.
-    EXPECT_GT(measured, 0u);
-}
-
-TEST(CalibrationTable, V1FilesWithoutEicLinesStillLoad)
-{
-    // Tables serialized before the EIC annotation existed carry the
-    // v1 magic and no eic lines; they must load as unmeasured entries
-    // (density falls back to 1.0 in the EicTime work model).
-    std::stringstream ss;
-    ss << "forms-calibration v1\n"
-          "input-bits 8\n"
-          "scale conv1 24 0x1p+0 0x1.010102p-8\n"
-          "end\n";
-    const auto loaded = compile::CalibrationTable::load(ss);
-    EXPECT_EQ(loaded.inputBits(), 8);
-    ASSERT_EQ(loaded.size(), 1u);
-    const auto &e = loaded.entries()[0];
-    EXPECT_EQ(e.node, "conv1");
-    EXPECT_EQ(e.observations, 24u);
-    EXPECT_EQ(e.avgEic, 0.0f);
-    EXPECT_EQ(e.eicFragments, 0u);
-}
-
 TEST(CalibrationTable, AttachToStampsEicDensities)
 {
     CalibratedResNet c(581);
-    c.table.attachTo(c.graph);
     const float bits = static_cast<float>(c.table.inputBits());
     size_t stamped = 0;
     for (int id = 0; id < c.graph.capacity(); ++id) {
@@ -295,47 +256,61 @@ TEST(CalibrationTable, AttachToStampsEicDensities)
     EXPECT_NE(c.graph.dump().find("eic_density="), std::string::npos);
 }
 
+/** Every matrix node's attached scale and resolution equal `t`'s. */
+void
+expectAttached(const compile::Graph &g, const compile::CalibrationTable &t)
+{
+    for (int id = 0; id < g.capacity(); ++id) {
+        if (!g.alive(id))
+            continue;
+        const compile::Node &n = g.node(id);
+        if (n.op != compile::Op::Conv && n.op != compile::Op::Dense)
+            continue;
+        const compile::CalibEntry *e = t.find(n.name);
+        ASSERT_NE(e, nullptr) << n.name;
+        EXPECT_EQ(n.inScale, e->scale) << n.name;
+        EXPECT_EQ(n.inBits, t.inputBits()) << n.name;
+    }
+}
+
 TEST(CalibrationTable, AttachToCarriesScalesOnTheGraph)
 {
     CalibratedResNet c(551);
-    c.table.attachTo(c.graph);
-    for (int id = 0; id < c.graph.capacity(); ++id) {
-        if (!c.graph.alive(id))
-            continue;
-        const compile::Node &n = c.graph.node(id);
-        if (n.op != compile::Op::Conv && n.op != compile::Op::Dense)
-            continue;
-        const compile::CalibEntry *e = c.table.find(n.name);
-        ASSERT_NE(e, nullptr) << n.name;
-        EXPECT_EQ(n.inScale, e->scale) << n.name;
-    }
+    expectAttached(c.graph, c.table);
     EXPECT_NE(c.graph.dump().find("in_scale="), std::string::npos);
 
-    // A runtime built from the graph-attached scales (no table in the
-    // config) is bit-identical to one using the table directly.
+    // A second table attached over the first overwrites every scale:
+    // the re-attached graph runs bit-identically to a graph that only
+    // ever carried the second table.
+    CalibratedResNet pct(551, sim::CalibPolicy::Percentile);
+    size_t moved = 0;
+    for (const compile::CalibEntry &e : c.table.entries())
+        moved += pct.table.find(e.node)->scale != e.scale;
+    ASSERT_GT(moved, 0u) << "the two policies calibrated equal scales";
+    pct.table.attachTo(c.graph);
+    expectAttached(c.graph, pct.table);
+
     Rng rng(552);
     Tensor batch({2, 3, 32, 32});
     batch.fillUniform(rng, 0.0f, 1.0f);
     ThreadPool pool(4);
-    sim::RuntimeConfig attached = noisyConfig(&pool);
-    attached.scaleMode = arch::ScaleMode::Static;
-    sim::GraphRuntime rt_attached(c.graph, c.states, attached);
-    sim::GraphRuntime rt_table(c.graph, c.states,
-                               staticConfig(&pool, &c.table));
+    sim::GraphRuntime rt_reattached(c.graph, c.states, staticConfig(&pool));
+    sim::GraphRuntime rt_pct(pct.graph, pct.states, staticConfig(&pool));
     EXPECT_TRUE(
-        rt_attached.forward(batch).equals(rt_table.forward(batch)));
+        rt_reattached.forward(batch).equals(rt_pct.forward(batch)));
 }
 
 TEST(CalibrationTable, MismatchedInputGridIsFatalAtConstruction)
 {
-    // A table calibrated for one DAC resolution must not silently
-    // deploy on another: the scales would mis-span the grid.
+    // Scales calibrated for one DAC resolution must not silently
+    // deploy on another: they would mis-span the grid.
     CalibratedResNet c(571);
     ThreadPool pool(2);
-    sim::RuntimeConfig cfg = staticConfig(&pool, &c.table);
+    sim::RuntimeConfig cfg = staticConfig(&pool);
     cfg.mapping.inputBits = 4;   // the table was calibrated at 8
     EXPECT_DEATH(sim::GraphRuntime(c.graph, c.states, cfg),
-                 "calibration table");
+                 "stage '.+' carries a scale calibrated at 8 input bits "
+                 "but the mapping uses 4");
 }
 
 TEST(SaturationCounters, ExactOnSyntheticOutliers)
@@ -391,7 +366,7 @@ TEST(SaturationCounters, SurfaceThroughRuntimeReportsOnOutlierBatches)
     CalibratedResNet c(561);
     ThreadPool pool(4);
     sim::GraphRuntime rt(c.graph, c.states,
-                         staticConfig(&pool, &c.table));
+                         staticConfig(&pool));
 
     // In-range batch: the abs-max table was calibrated on [0,1)
     // uniform inputs, so a similar batch should barely clip.
@@ -406,7 +381,7 @@ TEST(SaturationCounters, SurfaceThroughRuntimeReportsOnOutlierBatches)
     Tensor outlier({2, 3, 32, 32});
     outlier.fillUniform(rng, 0.0f, 10.0f);
     sim::GraphRuntime rt2(c.graph, c.states,
-                          staticConfig(&pool, &c.table));
+                          staticConfig(&pool));
     sim::RuntimeReport outlier_rep;
     rt2.forward(outlier, &outlier_rep);
 

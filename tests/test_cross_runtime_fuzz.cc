@@ -215,8 +215,9 @@ TEST(CrossRuntimeFuzz, GraphAndPipelineRuntimesAgreeBitwise)
         Tensor batch({2, 3, kHw, kHw});
         batch.fillUniform(rng, 0.0f, 1.0f);
 
-        // Every third graph deploys a calibrated static scale.
-        compile::CalibrationTable table;
+        // Every third graph deploys a calibrated static scale, attached
+        // to the graph (with its measured bit densities) before any
+        // runtime borrows it.
         const bool use_static = g % 3 == 0;
         ThreadPool ref_pool(1 + static_cast<int>(rng.below(4)));
         sim::RuntimeConfig rcfg = noisyConfig(&ref_pool);
@@ -226,11 +227,14 @@ TEST(CrossRuntimeFuzz, GraphAndPipelineRuntimesAgreeBitwise)
             ccfg.policy = rng.bernoulli(0.5)
                 ? sim::CalibPolicy::AbsMax
                 : sim::CalibPolicy::Percentile;
-            sim::Calibrator cal(graph, states, rcfg, ccfg);
-            cal.observe(batch);
-            table = cal.table();
+            compile::CalibrationTable table;
+            {
+                sim::Calibrator cal(graph, states, rcfg, ccfg);
+                cal.observe(batch);
+                table = cal.table();
+            }
+            table.attachTo(graph);
             rcfg.scaleMode = arch::ScaleMode::Static;
-            rcfg.calibration = &table;
         }
 
         sim::GraphRuntime gr(graph, states, rcfg);
@@ -278,15 +282,14 @@ TEST(CrossRuntimeFuzz, GraphAndPipelineRuntimesAgreeBitwise)
         }
         EXPECT_EQ(prep.nodes.presentations, grep.presentations);
 
-        // EIC-timing axis: stamp the calibrated bit densities on the
-        // graph and re-partition under WorkModel::EicTime — the
+        // EIC-timing axis: re-partition under WorkModel::EicTime with
+        // the calibrated bit densities attached above — the
         // annotations move only modeled time, so even when the
         // zero-skip-aware DP picks a different partition the logits
         // and per-node stats must stay bitwise identical to the
         // reference.
         if (use_static) {
             ++eic_graphs;
-            table.attachTo(graph);
             bool stamped = false;
             for (int id = 0; id < graph.capacity(); ++id)
                 if (graph.alive(id) &&
