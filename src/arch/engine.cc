@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <limits>
 
 namespace forms::arch {
 
@@ -334,7 +333,8 @@ EngineConfig::validate() const
 }
 
 CrossbarEngine::CrossbarEngine(const MappedLayer &layer, EngineConfig cfg)
-    : layer_(layer), cfg_(cfg),
+    // The mapping is validated before adc_ sizes a lossless ADC from it.
+    : layer_((layer.cfg.validate(), layer)), cfg_(cfg),
       adc_({cfg.adcBits > 0
                 ? cfg.adcBits
                 : reram::AdcModel::losslessBits(layer.cfg.fragSize,
@@ -579,8 +579,6 @@ void
 CrossbarEngine::mvmOne(const uint32_t *inputs, uint64_t key, double *out,
                        EngineStats &stats) const
 {
-    std::fill(out, out + outputExtent_, 0.0);
-
     const int m = layer_.cfg.fragSize;
     const int cells = layer_.cfg.cellsPerWeight();
     const int in_bits = layer_.cfg.inputBits;
@@ -593,6 +591,11 @@ CrossbarEngine::mvmOne(const uint32_t *inputs, uint64_t key, double *out,
     static thread_local std::vector<uint32_t> in_vals;
     static thread_local std::vector<uint16_t> code_idx;
     static thread_local std::vector<const uint8_t *> active;
+    // The outputs accumulate in a worker-private row and are stored
+    // once: neighbouring presentations' out-block rows share cache
+    // lines but run on different workers.
+    static thread_local std::vector<double> row;
+    row.assign(static_cast<size_t>(outputExtent_), 0.0);
 
     EngineStats local;
     local.presentations = 1;
@@ -710,12 +713,13 @@ CrossbarEngine::mvmOne(const uint32_t *inputs, uint64_t key, double *out,
                     weight_sum += acc[static_cast<size_t>(wc * cells + s)] *
                         cellWeight_[static_cast<size_t>(s)];
                 }
-                out[static_cast<size_t>(
+                row[static_cast<size_t>(
                     xb.outputIndex[static_cast<size_t>(wc)])] +=
                     static_cast<double>(xb.sign(wc, f)) * weight_sum;
             }
         }
     }
+    std::copy(row.begin(), row.end(), out);
 
     // ADC-limited serial time: each (fragment, bit) step converts
     // cell_cols columns on adcsPerCrossbar parallel ADCs. Crossbars
@@ -804,11 +808,15 @@ CrossbarEngine::mvmKeyed(const std::vector<std::vector<uint32_t>> &batch,
 uint32_t
 roundCode(double d, double top)
 {
+    // Selects on non-constants and bit arithmetic only, so the loops
+    // inlining this vectorize (DESIGN.md §6): NaN fails d < top, and
+    // the sign-bit mask clears every negative d, -0 included.
     d = d < top ? d : top;
-    d = d > 0.0 ? d : 0.0;
-    const int32_t t = static_cast<int32_t>(d);
-    return static_cast<uint32_t>(t) +
-        static_cast<uint32_t>(d - static_cast<double>(t) >= 0.5);
+    const uint64_t b = bitsOf(d);
+    d = fromBits(b & ((b >> 63) - 1));
+    const double t = static_cast<double>(static_cast<int32_t>(d));
+    return static_cast<uint32_t>(
+        static_cast<int32_t>(t + (d - t >= 0.5 ? 1.0 : 0.0)));
 }
 
 float
@@ -816,14 +824,21 @@ quantizeActivations(const float *x, size_t n, int bits, uint32_t *q)
 {
     FORMS_ASSERT(bits >= 1 && bits <= 31, "bad activation bits");
     // The scale comes from the finite values only: one +inf must not
-    // quantize the rest of the presentation to 0. A value above the
-    // running max is positive, so it is finite iff <= FLT_MAX.
-    float mx = 0.0f;
-    for (size_t i = 0; i < n; ++i)
-        mx = x[i] > mx && x[i] <= std::numeric_limits<float>::max()
-            ? x[i] : mx;
+    // quantize the rest of the presentation to 0. On their bit
+    // patterns as int32, the positive finite floats are exactly
+    // (0, 0x7f800000) and order as their values, so the largest one is
+    // an integer max over a select that drops the rest.
+    int32_t mx = 0;
+    for (size_t i = 0; i < n; ++i) {
+        int32_t v;
+        std::memcpy(&v, x + i, sizeof v);
+        v = v < 0x7f800000 ? v : 0;
+        mx = v > mx ? v : mx;
+    }
+    float fmx;
+    std::memcpy(&fmx, &mx, sizeof fmx);
     const uint32_t qmax = (1u << bits) - 1;
-    const float scale = mx > 0.0f ? mx / static_cast<float>(qmax) : 1.0f;
+    const float scale = mx > 0 ? fmx / static_cast<float>(qmax) : 1.0f;
     // lround(x / scale) capped at qmax, for the float quotient: +inf
     // and NaN saturate, non-positive values give 0.
     const double top = static_cast<double>(qmax);
@@ -843,14 +858,20 @@ quantizeActivationsStatic(const float *x, size_t n, int bits, float scale,
     const uint32_t qmax = (1u << bits) - 1;
     const double top = static_cast<double>(qmax);
     const double s = static_cast<double>(scale);
-    // Non-positive values become +0 first, whose code is 0 for any
-    // scale; NaN stays NaN. A code at or past qmax + 0.5 (inf and NaN
-    // included) saturates and counts as clipped.
+    const double lim = top + 0.5;
+    // Non-positive values (sign set, magnitude <= inf's) become +0
+    // first, whose code is 0 for any scale; NaN stays NaN. A code at or
+    // past qmax + 0.5 (inf and NaN included) saturates and counts as
+    // clipped: bits of 1.0 >> 61 are 1, of 0.0 are 0.
     uint64_t clipped = 0;
     for (size_t i = 0; i < n; ++i) {
-        const float v = x[i] <= 0.0f ? 0.0f : x[i];
-        const double code = static_cast<double>(v) / s;
-        clipped += !(code < top + 0.5);
+        int32_t v;
+        std::memcpy(&v, x + i, sizeof v);
+        v &= ~((v >> 31) & (((v & 0x7fffffff) - 0x7f800001) >> 31));
+        float f;
+        std::memcpy(&f, &v, sizeof f);
+        const double code = static_cast<double>(f) / s;
+        clipped += bitsOf(code < lim ? 0.0 : 1.0) >> 61;
         q[i] = roundCode(code, top);
     }
     return clipped;

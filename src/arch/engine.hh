@@ -320,9 +320,10 @@ class CrossbarEngine
 
   private:
     /**
-     * Execute one presentation into out[0, outputExtent_). Const, with
-     * thread-local scratch and read-only tiles, so concurrent calls
-     * from pool workers are safe.
+     * Execute one presentation into out[0, outputExtent_), accumulated
+     * in a thread-local row and stored once. Const, with thread-local
+     * scratch and read-only tiles, so concurrent calls from pool
+     * workers are safe.
      */
     void mvmOne(const uint32_t *inputs, uint64_t key, double *out,
                 EngineStats &stats) const;
@@ -395,7 +396,7 @@ uint32_t roundCode(double d, double top);
  * Quantize n nonnegative activations at x into q, `bits` unsigned ints
  * on the per-presentation grid: scale = (largest finite value) / qmax,
  * q = lround(x / scale) clamped to qmax. Non-positive values map to 0;
- * +inf and NaN saturate at qmax. Exact and branch-free (DESIGN.md §3).
+ * +inf and NaN saturate at qmax. Exact and branch-free (DESIGN.md §6).
  * @return the scale
  */
 float quantizeActivations(const float *x, size_t n, int bits,
@@ -405,7 +406,7 @@ float quantizeActivations(const float *x, size_t n, int bits,
  * Quantize n activations at x into q against a frozen grid:
  * q = lround(x / scale) clamped to [0, 2^bits - 1]. Negative values
  * map to zero (unsigned bit-serial encoding); values past the grid max
- * (and NaN) saturate. Exact and branch-free (DESIGN.md §3).
+ * (and NaN) saturate. Exact and branch-free (DESIGN.md §6).
  * @return the number of saturated values
  */
 uint64_t quantizeActivationsStatic(const float *x, size_t n, int bits,

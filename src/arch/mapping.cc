@@ -4,11 +4,30 @@
 
 namespace forms::arch {
 
+void
+MappingConfig::validate() const
+{
+    FORMS_ASSERT(cellBits >= 1 && cellBits <= 8,
+                 "MappingConfig::cellBits = %d outside [1, 8]", cellBits);
+    FORMS_ASSERT(weightBits >= 1 && weightBits <= 31,
+                 "MappingConfig::weightBits = %d outside [1, 31]",
+                 weightBits);
+    FORMS_ASSERT(inputBits >= 1 && inputBits <= 31,
+                 "MappingConfig::inputBits = %d outside [1, 31]", inputBits);
+    FORMS_ASSERT(fragSize >= 1 && xbarRows >= 1 && xbarRows % fragSize == 0,
+                 "MappingConfig::fragSize = %d must be >= 1 and divide "
+                 "xbarRows = %d", fragSize, xbarRows);
+    FORMS_ASSERT(xbarCols >= cellsPerWeight(),
+                 "MappingConfig::xbarCols = %d holds no weight of %d cells",
+                 xbarCols, cellsPerWeight());
+    FORMS_ASSERT(spareXbars >= 0, "MappingConfig::spareXbars = %d < 0",
+                 spareXbars);
+}
+
 MappedLayer
 mapLayer(const admm::LayerState &state, const MappingConfig &cfg)
 {
-    FORMS_ASSERT(cfg.xbarRows % cfg.fragSize == 0,
-                 "crossbar rows must be a multiple of the fragment size");
+    cfg.validate();
     FORMS_ASSERT(state.plan.fragSize() == cfg.fragSize,
                  "plan fragment size %d != mapping fragment size %d",
                  state.plan.fragSize(), cfg.fragSize);

@@ -38,6 +38,15 @@ struct MappingConfig
 
     /** Weight columns that fit on one crossbar. */
     int weightColsPerXbar() const { return xbarCols / cellsPerWeight(); }
+
+    /**
+     * Abort, naming the field, unless cellBits is in [1, 8],
+     * weightBits and inputBits are in [1, 31], fragSize >= 1 divides
+     * xbarRows >= 1, xbarCols holds at least one weight's cells, and
+     * spareXbars >= 0. mapLayer and the CrossbarEngine constructor
+     * call it.
+     */
+    void validate() const;
 };
 
 /** One weight's placement: magnitude plus indices. */

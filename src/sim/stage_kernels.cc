@@ -1,6 +1,7 @@
 #include "sim/stage_kernels.hh"
 
 #include <algorithm>
+#include <memory>
 
 #include "sim/runtime.hh"
 #include "tensor/ops.hh"
@@ -55,7 +56,7 @@ struct PresentationBlock
 {
     int64_t count = 0;
     int64_t rows = 0;
-    std::vector<uint32_t> q;
+    std::unique_ptr<uint32_t[]> q;   //!< count x rows, every code written
     std::vector<float> scales;
 };
 
@@ -78,7 +79,9 @@ quantizeBlock(ThreadPool &tp, int64_t count, int64_t rows, int bits,
     const bool is_static = sc.mode == arch::ScaleMode::Static;
     const size_t n = static_cast<size_t>(count);
     const size_t u_rows = static_cast<size_t>(rows);
-    PresentationBlock blk{count, rows, std::vector<uint32_t>(n * u_rows),
+    // Not value-initialised: each worker writes its own rows in full.
+    PresentationBlock blk{count, rows, std::unique_ptr<uint32_t[]>(
+                              new uint32_t[n * u_rows]),
                           std::vector<float>(n, is_static ? sc.staticScale
                                                           : 0.0f)};
     std::vector<uint64_t> clipped(is_static ? n : 0, 0);
@@ -90,7 +93,7 @@ quantizeBlock(ThreadPool &tp, int64_t count, int64_t rows, int bits,
         buf.resize(u_rows);
         const size_t s = static_cast<size_t>(j);
         const float *x = patch(j, buf.data());
-        uint32_t *q = blk.q.data() + s * u_rows;
+        uint32_t *q = blk.q.get() + s * u_rows;
         if (sc.record) {
             float mx = 0.0f;
             for (size_t r = 0; r < u_rows; ++r)
@@ -134,8 +137,8 @@ quantizeBlock(ThreadPool &tp, int64_t count, int64_t rows, int bits,
     // by presentation, so the histogram is bit-identical for any
     // thread count (and only calibration runs pay for it).
     if (sc.eicStats)
-        for (size_t at = 0; at < blk.q.size(); at += u_rows)
-            sc.eicStats->recordVector(blk.q.data() + at, u_rows,
+        for (size_t at = 0; at < n * u_rows; at += u_rows)
+            sc.eicStats->recordVector(blk.q.get() + at, u_rows,
                                       sc.eicFragSize);
     return blk;
 }
@@ -147,7 +150,7 @@ quantizeBlock(ThreadPool &tp, int64_t count, int64_t rows, int bits,
  * presentations per image, used to expand per-image stream ids into
  * per-presentation keys.
  */
-std::vector<double>
+std::unique_ptr<double[]>
 replicatedMvm(const StageEngines &eng, const PresentationBlock &blk,
               int64_t ppi, arch::EngineStats *stats, ThreadPool &tp,
               size_t ext)
@@ -177,14 +180,15 @@ replicatedMvm(const StageEngines &eng, const PresentationBlock &blk,
     // keys, which reproduces the exact outputs and stat fold of one
     // engine running the whole batch.
     const size_t r_count = eng.replicas.size();
-    std::vector<double> out(p * ext);
+    // Not value-initialised: mvmBlock stores every row in full.
+    std::unique_ptr<double[]> out(new double[p * ext]);
     for (size_t r = 0; r < r_count; ++r) {
         const size_t lo = p * r / r_count;
         const size_t hi = p * (r + 1) / r_count;
         const arch::EngineStats before = acc ? *acc : arch::EngineStats{};
-        eng.replicas[r]->mvmBlock(blk.q.data(),
+        eng.replicas[r]->mvmBlock(blk.q.get(),
                                   static_cast<size_t>(blk.rows), lo, hi,
-                                  keys.data(), out.data(), ext, acc,
+                                  keys.data(), out.get(), ext, acc,
                                   per_out, &tp);
         if (eng.onPhase) {
             PhaseSample ps;
@@ -230,7 +234,7 @@ matrixStage(const Shape &shape, int64_t count, int64_t rows, int64_t ppi,
     const size_t ext =
         static_cast<size_t>(engines.replicas[0]->outputExtent());
     std::vector<float> scales;
-    std::vector<double> raw;
+    std::unique_ptr<double[]> raw;
     {
         PresentationBlock blk = quantizeBlock(
             tp, count, rows, input_bits, sc, patch, stats, ppi,
@@ -242,19 +246,21 @@ matrixStage(const Shape &shape, int64_t count, int64_t rows, int64_t ppi,
     // out[oc] = chan_scale[oc] * deq[oc] + bias[oc]. Channels past the
     // engine's output extent were pruned away entirely (the mapper
     // compacts them): all their weights are zero, so they
-    // legitimately dequantize to 0.
+    // legitimately dequantize to 0. A worker fills whole output planes
+    // (img, oc), ppi contiguous floats each, and at least 256 floats
+    // per chunk, so workers share no lines but at chunk ends.
     Tensor out(shape);
     float *po = out.data();
-    tp.parallelFor(0, count, 16, [&](int64_t j, int) {
-        const float in_scale = scales[static_cast<size_t>(j)];
-        const double *rj = raw.data() + static_cast<size_t>(j) * ext;
-        const int64_t img = j / ppi, pix = j % ppi;
-        for (int64_t oc = 0; oc < out_c; ++oc) {
-            const size_t u = static_cast<size_t>(oc);
-            const float s = chan_scale.empty() ? 1.0f : chan_scale[u];
+    tp.parallelFor(0, count / ppi * out_c, std::max<int64_t>(1, 256 / ppi),
+                   [&](int64_t plane, int) {
+        const size_t u = static_cast<size_t>(plane % out_c);
+        const float s = chan_scale.empty() ? 1.0f : chan_scale[u];
+        const size_t j0 = static_cast<size_t>(plane / out_c * ppi);
+        for (size_t j = j0; j < j0 + static_cast<size_t>(ppi); ++j) {
             const float deq = u < ext
-                ? arch::dequantize(rj[u], mapped.scale, in_scale) : 0.0f;
-            po[(img * out_c + oc) * ppi + pix] = s * deq + bias[u];
+                ? arch::dequantize(raw[j * ext + u], mapped.scale, scales[j])
+                : 0.0f;
+            po[plane * ppi + static_cast<int64_t>(j - j0)] = s * deq + bias[u];
         }
     });
     return out;
@@ -289,8 +295,8 @@ quantizePresentations(ThreadPool &tp, int64_t count, int64_t rows,
     scales = std::move(blk.scales);
     std::vector<std::vector<uint32_t>> q(static_cast<size_t>(count));
     for (size_t j = 0; j < q.size(); ++j)
-        q[j].assign(blk.q.begin() + static_cast<ptrdiff_t>(j) * rows,
-                    blk.q.begin() + static_cast<ptrdiff_t>(j + 1) * rows);
+        q[j].assign(blk.q.get() + j * static_cast<size_t>(rows),
+                    blk.q.get() + (j + 1) * static_cast<size_t>(rows));
     return q;
 }
 
@@ -322,11 +328,14 @@ convStage(const Tensor &act, const StageEngines &engines,
         const int64_t img = j / plane, pix = j % plane;
         const int y0 = static_cast<int>(pix / ow) * stride - pad;
         const int x0 = static_cast<int>(pix % ow) * stride - pad;
+        // Only border patches test each element against the input.
+        const bool inside = y0 >= 0 && y0 + k <= h && x0 >= 0 && x0 + k <= w;
         float *dst = buf;
         for (int64_t c = 0; c < c_in; ++c)
             for (int iy = y0; iy < y0 + k; ++iy)
                 for (int ix = x0; ix < x0 + k; ++ix)
-                    *dst++ = iy >= 0 && iy < h && ix >= 0 && ix < w
+                    *dst++ = inside ||
+                            (iy >= 0 && iy < h && ix >= 0 && ix < w)
                         ? pa[((img * c_in + c) * h + iy) * w + ix] : 0.0f;
         return buf;
     };

@@ -12,7 +12,8 @@
  * input codes and count x outputExtent engine outputs (DESIGN.md §3).
  *
  * The kernels here carry the DESIGN.md §3 determinism contract: all
- * parallel loops write disjoint elements, per-presentation randomness
+ * parallel loops write disjoint elements (a worker fills whole block
+ * rows or output planes of its own), per-presentation randomness
  * is keyed by each image's stream id (StageEngines::imageIds), and
  * per-batch EngineStats come back merged in presentation order.
  */

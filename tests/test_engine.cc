@@ -738,6 +738,13 @@ TEST(Engine, ValidateNamesTheBadField)
     c = EngineConfig();
     c.adcBits = 30;
     EXPECT_EQ(CrossbarEngine(mapped, c).adcBitsInUse(), 30);
+
+    // The layer's mapping is checked too, before the lossless ADC width
+    // is derived from it: cellBits = 0 would otherwise slice by zero.
+    MappedLayer spoiled = mapped;
+    spoiled.cfg.cellBits = 0;
+    EXPECT_DEATH(CrossbarEngine(spoiled, EngineConfig()),
+                 "MappingConfig::cellBits");
 }
 
 TEST(Engine, RepeatedSumEqualsAdditionChain)
@@ -918,6 +925,132 @@ TEST(Engine, PointerQuantizersEqualLroundOnEdgeCases)
                                     -denorm};
             expectQuantizersMatchLround(d, bits, 1e-40f);
         }
+    }
+}
+
+/**
+ * The quantizer loops as written before they were made branch-free,
+ * transcribed scalar: the references the vectorized loops must equal
+ * code for code, in scale bits and in clip count.
+ */
+uint32_t
+scalarRoundCode(double d, double top)
+{
+    d = d < top ? d : top;
+    d = d > 0.0 ? d : 0.0;
+    const int32_t t = static_cast<int32_t>(d);
+    return static_cast<uint32_t>(t) +
+        static_cast<uint32_t>(d - static_cast<double>(t) >= 0.5);
+}
+
+float
+scalarQuantize(const float *x, size_t n, int bits, uint32_t *q)
+{
+    float mx = 0.0f;
+    for (size_t i = 0; i < n; ++i)
+        mx = x[i] > mx && x[i] <= std::numeric_limits<float>::max()
+            ? x[i] : mx;
+    const uint32_t qmax = (1u << bits) - 1;
+    const float scale = mx > 0.0f ? mx / static_cast<float>(qmax) : 1.0f;
+    for (size_t i = 0; i < n; ++i)
+        q[i] = scalarRoundCode(static_cast<double>(x[i] / scale),
+                               static_cast<double>(qmax));
+    return scale;
+}
+
+uint64_t
+scalarQuantizeStatic(const float *x, size_t n, int bits, float scale,
+                     uint32_t *q)
+{
+    const double top = static_cast<double>((1u << bits) - 1);
+    uint64_t clipped = 0;
+    for (size_t i = 0; i < n; ++i) {
+        const float v = x[i] <= 0.0f ? 0.0f : x[i];
+        const double code =
+            static_cast<double>(v) / static_cast<double>(scale);
+        clipped += !(code < top + 0.5);
+        q[i] = scalarRoundCode(code, top);
+    }
+    return clipped;
+}
+
+TEST(Engine, BranchFreeQuantizersEqualScalarLoopsOnRandomBlocks)
+{
+    const float inf = std::numeric_limits<float>::infinity();
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const float denorm = std::numeric_limits<float>::denorm_min();
+    Rng rng(0x5eed);
+    auto uniform = [&] {
+        return static_cast<double>(rng.next() >> 11) * 0x1p-53;
+    };
+    // One block: interleaved zeros, negatives, +-inf, +-NaN,
+    // +-subnormals, FLT_MAX, wide-range normals and values within one
+    // ulp of (k + 0.5) * grid for the grid the block will quantize on.
+    auto block = [&](size_t n, uint32_t qmax, float grid) {
+        std::vector<float> x(n);
+        for (float &v : x) {
+            const auto pick = rng.next() % 12;
+            const float k = std::floor(static_cast<float>(
+                uniform() * static_cast<double>(qmax)));
+            const float half = (k + 0.5f) * grid;
+            switch (pick) {
+              case 0: v = 0.0f; break;
+              case 1: v = -0.0f; break;
+              case 2: v = -static_cast<float>(uniform() * 100.0); break;
+              case 3: v = rng.next() & 1 ? inf : -inf; break;
+              case 4: v = rng.next() & 1 ? nan : -nan; break;
+              case 5:
+                v = denorm * static_cast<float>(1 + rng.next() % 1000);
+                v = rng.next() & 1 ? v : -v;
+                break;
+              case 6: v = std::numeric_limits<float>::max(); break;
+              case 7:
+                v = static_cast<float>(std::exp2(uniform() * 80.0 - 40.0));
+                break;
+              default: {
+                const float toward[] = {-inf, half, inf};
+                v = std::nextafter(half, toward[rng.next() % 3]);
+                break;
+              }
+            }
+        }
+        return x;
+    };
+    const int bit_widths[] = {1, 3, 8, 16, 31};
+    const float scales[] = {0.01f, 1.0f, 1e-20f, denorm, 3e38f, inf};
+    for (int trial = 0; trial < 400; ++trial) {
+        const int bits = bit_widths[trial % 5];
+        const uint32_t qmax = (1u << bits) - 1;
+        const size_t n = rng.next() % 300;
+        const float s = scales[rng.next() % 6];
+        std::vector<float> x = block(n, qmax, s);
+        // Per-presentation grid: the block's own finite max sets it,
+        // so aim some values near a half of that grid. The reference
+        // runs again after, as one of them may have been the max.
+        std::vector<uint32_t> want(n), got(n, 0xdeadbeefu);
+        const float grid = scalarQuantize(x.data(), n, bits, want.data());
+        for (size_t i = 0; i + 1 < n; i += 2)
+            if (rng.next() % 2)
+                x[i] = std::nextafter(
+                    (std::floor(static_cast<float>(uniform() * qmax)) +
+                     0.5f) * grid, rng.next() & 1 ? inf : -inf);
+        const float ref_scale = scalarQuantize(x.data(), n, bits,
+                                               want.data());
+        const float got_scale = quantizeActivations(x.data(), n, bits,
+                                                    got.data());
+        EXPECT_EQ(got, want) << "trial " << trial;
+        EXPECT_EQ(std::memcmp(&got_scale, &ref_scale, sizeof got_scale), 0)
+            << "trial " << trial;
+
+        x = block(n, qmax, s);
+        std::fill(got.begin(), got.end(), 0xdeadbeefu);
+        const uint64_t want_clipped =
+            scalarQuantizeStatic(x.data(), n, bits, s, want.data());
+        EXPECT_EQ(quantizeActivationsStatic(x.data(), n, bits, s,
+                                            got.data()),
+                  want_clipped)
+            << "trial " << trial;
+        EXPECT_EQ(got, want) << "trial " << trial;
     }
 }
 

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "arch/mapping.hh"
 
 namespace forms::arch {
@@ -181,6 +183,45 @@ TEST(Mapping, RejectsFragmentSizeMismatch)
     TestLayer layer(4, 2, 3, 4, 8);
     MappingConfig cfg = smallConfig(8);   // plan built with frag 4
     EXPECT_DEATH(mapLayer(layer.state, cfg), "");
+}
+
+TEST(Mapping, ValidateNamesTheBadField)
+{
+    struct Case
+    {
+        const char *field;
+        void (*spoil)(MappingConfig &);
+    };
+    const Case cases[] = {
+        {"cellBits", [](MappingConfig &c) { c.cellBits = 0; }},
+        {"cellBits", [](MappingConfig &c) { c.cellBits = 9; }},
+        {"weightBits", [](MappingConfig &c) { c.weightBits = 0; }},
+        {"weightBits", [](MappingConfig &c) { c.weightBits = 32; }},
+        {"inputBits", [](MappingConfig &c) { c.inputBits = 0; }},
+        {"inputBits", [](MappingConfig &c) { c.inputBits = 32; }},
+        {"fragSize", [](MappingConfig &c) { c.fragSize = 0; }},
+        {"fragSize", [](MappingConfig &c) { c.fragSize = 3; }},
+        {"xbarRows", [](MappingConfig &c) { c.xbarRows = 0; }},
+        {"xbarCols", [](MappingConfig &c) { c.xbarCols = 3; }},
+        {"spareXbars", [](MappingConfig &c) { c.spareXbars = -1; }},
+    };
+    for (const Case &k : cases) {
+        MappingConfig cfg = smallConfig(4);
+        k.spoil(cfg);
+        EXPECT_DEATH(cfg.validate(),
+                     std::string("MappingConfig::.*") + k.field)
+            << k.field;
+    }
+    smallConfig(4).validate();
+}
+
+TEST(Mapping, ZeroFragmentSizeDiesWithItsNameNotSigfpe)
+{
+    // xbarRows % fragSize would divide by zero before any other check.
+    TestLayer layer(4, 2, 3, 4, 8);
+    MappingConfig cfg = smallConfig(4);
+    cfg.fragSize = 0;
+    EXPECT_DEATH(mapLayer(layer.state, cfg), "MappingConfig::fragSize");
 }
 
 } // namespace

@@ -36,7 +36,8 @@ buildMappedLayer(int frag, Tensor &weight, Tensor &grad, uint64_t seed)
     st.name = "runtime-test";
     st.param = {"w", &weight, &grad, true, false};
     st.plan = admm::FragmentPlan::forConv(
-        16, 16, 3, frag, admm::PolarizationPolicy::CMajor);
+        static_cast<int>(weight.dim(0)), static_cast<int>(weight.dim(1)), 3,
+        frag, admm::PolarizationPolicy::CMajor);
     admm::WeightView v = admm::WeightView::conv(weight);
     st.signs = admm::computeSigns(v, st.plan);
     admm::projectPolarization(v, st.plan, *st.signs);
@@ -67,18 +68,19 @@ samplePresentations(size_t count, size_t rows, uint64_t seed)
 /**
  * Run `batch` through mvmBlock with keys 0..n-1, on a block whose rows
  * are padded past the presentation length and whose out-block rows are
- * padded past the output extent, so the strides are honoured.
+ * padded by `gap` past the output extent, so the strides are honoured.
  */
 std::vector<std::vector<double>>
 blockMvm(arch::CrossbarEngine &engine,
          const std::vector<std::vector<uint32_t>> &batch,
-         arch::EngineStats *stats = nullptr, ThreadPool *pool = nullptr)
+         arch::EngineStats *stats = nullptr, ThreadPool *pool = nullptr,
+         size_t gap = 2)
 {
     const size_t n = batch.size();
     const size_t rows = n ? batch[0].size() : 0;
     const size_t in_stride = rows + 3;
     const size_t ext = static_cast<size_t>(engine.outputExtent());
-    const size_t out_stride = ext + 2;
+    const size_t out_stride = ext + gap;
     std::vector<uint32_t> in(n * in_stride, 0xdeadbeefu);
     for (size_t j = 0; j < n; ++j)
         std::copy(batch[j].begin(), batch[j].end(),
@@ -94,7 +96,9 @@ blockMvm(arch::CrossbarEngine &engine,
         const auto row = out.begin() + static_cast<ptrdiff_t>(j * out_stride);
         outs[j].assign(row, row + static_cast<ptrdiff_t>(ext));
         // The padding past the extent is never written.
-        EXPECT_EQ(out[j * out_stride + ext], -1.0);
+        for (size_t g = ext; g < out_stride; ++g)
+            EXPECT_EQ(out[j * out_stride + g], -1.0)
+                << "presentation " << j << " gap slot " << g - ext;
     }
     return outs;
 }
@@ -232,6 +236,45 @@ TEST(MvmBatch, RepeatedBatchOnOneNoisyEngineIsBitIdentical)
     EXPECT_EQ(first, second);
     expectStatsIdentical(first_stats, second_stats);
     EXPECT_EQ(first_stats.presentations, batch.size());
+}
+
+TEST(MvmBatch, PrivateRowsMatchSerialForAnyExtentAndThreadCount)
+{
+    // Each presentation accumulates in a worker-private row and stores
+    // [0, outputExtent) once. Extents from 1 to 16 doubles put 8 to 1/2
+    // rows on one cache line; every row must equal the serial mvm loop
+    // bit for bit and every stride-gap sentinel must survive, on exact
+    // and noisy tiles alike.
+    for (int out_c : {1, 3, 8, 16}) {
+        Tensor weight({out_c, 16, 3, 3}), grad({out_c, 16, 3, 3});
+        const arch::MappedLayer mapped =
+            buildMappedLayer(8, weight, grad, 40 + out_c);
+        const auto batch = samplePresentations(29, 16 * 9, out_c);
+        arch::EngineConfig noisy;
+        noisy.adcBits = 5;
+        noisy.readNoiseSigma = 0.05;
+        for (const arch::EngineConfig &ecfg : {arch::EngineConfig{}, noisy}) {
+            arch::CrossbarEngine engine(mapped, ecfg);
+            ASSERT_EQ(engine.outputExtent(), out_c);
+            arch::EngineStats serial_stats;
+            std::vector<std::vector<double>> serial;
+            for (size_t j = 0; j < batch.size(); ++j)
+                serial.push_back(engine.mvm(batch[j], &serial_stats, j));
+            for (int threads : {1, 2, 3, 4, 8}) {
+                ThreadPool pool(threads);
+                arch::EngineStats stats;
+                const auto rows = blockMvm(engine, batch, &stats, &pool, 5);
+                ASSERT_EQ(rows.size(), serial.size());
+                for (size_t j = 0; j < rows.size(); ++j)
+                    EXPECT_EQ(std::memcmp(rows[j].data(), serial[j].data(),
+                                          rows[j].size() * sizeof(double)),
+                              0)
+                        << out_c << " outputs, " << threads
+                        << " threads, presentation " << j;
+                expectStatsIdentical(stats, serial_stats);
+            }
+        }
+    }
 }
 
 /** Geometry of one matrix stage under test; k == 0 means dense. */
