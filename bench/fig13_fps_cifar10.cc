@@ -7,8 +7,8 @@
  * raw-physics speedups are both printed.
  *
  * A second section compiles a CIFAR-10-geometry conv net
- * (compile::lowerNetwork) and measures it on the functional
- * GraphRuntime: serial vs parallel host wall-time for the same batch
+ * (compile::lowerNetwork) and measures it on the functional single-chip
+ * PipelineRuntime: serial vs parallel host wall-time for the same batch
  * (bit-identical outputs), written to BENCH_runtime.json so the perf
  * trajectory is machine-trackable.
  */
@@ -20,7 +20,7 @@
 #include "compile/passes.hh"
 #include "nn/layers.hh"
 #include "obs/run_manifest.hh"
-#include "sim/graph_runtime.hh"
+#include "sim/pipeline_runtime.hh"
 #include "sim/perf_model.hh"
 
 using namespace forms;
@@ -67,9 +67,9 @@ runtimeBench()
     ThreadPool parallel_pool(ThreadPool::defaultThreads());
 
     rcfg.pool = &serial_pool;
-    GraphRuntime serial_rt(graph, states, rcfg);
+    PipelineRuntime serial_rt(graph, states, rcfg);
     rcfg.pool = &parallel_pool;
-    GraphRuntime parallel_rt(graph, states, rcfg);
+    PipelineRuntime parallel_rt(graph, states, rcfg);
 
     // Warm-up (page in the programmed tiles), then take the best of
     // three timed runs per configuration — a single sample on a busy

@@ -6,7 +6,7 @@
  * for comparison.
  *
  * A second section runs the ResNet zoo (buildResNetSmall /
- * buildResNetDeep) end to end through the compiled GraphRuntime —
+ * buildResNetDeep) end to end through a single-chip PipelineRuntime —
  * lower, fold BN, compress, map — and writes wall-time / fps and the
  * per-node breakdown to BENCH_graph.json so CI tracks the DAG
  * executor's perf alongside BENCH_runtime.json.
@@ -20,7 +20,7 @@
 #include "nn/layers.hh"
 #include "nn/zoo.hh"
 #include "obs/run_manifest.hh"
-#include "sim/graph_runtime.hh"
+#include "sim/pipeline_runtime.hh"
 #include "sim/perf_model.hh"
 
 using namespace forms;
@@ -31,8 +31,8 @@ namespace {
 /**
  * Per-layer modeled latency/energy breakdown from the functional
  * batched runtime: a VGG-flavoured stack compiled to a graph and run
- * on GraphRuntime (scaled spatial extent so the functional simulation
- * stays affordable).
+ * on a single-chip PipelineRuntime (scaled spatial extent so the
+ * functional simulation stays affordable).
  */
 void
 runtimeBreakdown()
@@ -58,7 +58,7 @@ runtimeBreakdown()
     rcfg.mapping.fragSize = 8;
     rcfg.mapping.inputBits = 8;
     rcfg.engine.adcBits = 4;
-    GraphRuntime rt(graph, states, rcfg);
+    PipelineRuntime rt(graph, states, rcfg);
 
     RuntimeReport rep;
     rt.forward(batch, &rep);
@@ -80,7 +80,7 @@ runtimeBreakdown()
                    rep.modelTimeNs() / 1e3, rep.modelEnergyPj() / 1e3));
 }
 
-/** One network's GraphRuntime measurement. */
+/** One network's single-chip runtime measurement. */
 struct GraphBenchResult
 {
     std::string name;
@@ -111,7 +111,7 @@ runGraphNet(const std::string &name, nn::Network &net, int64_t images)
     rcfg.mapping.fragSize = 8;
     rcfg.mapping.inputBits = 8;
     rcfg.engine.adcBits = 4;
-    GraphRuntime rt(graph, states, rcfg);
+    PipelineRuntime rt(graph, states, rcfg);
     r.crossbars = rt.totalCrossbars();
 
     Rng rng(7);

@@ -29,7 +29,7 @@
  * adc_skipped_cycles / eic_fraction, per mode and per chip) and
  * per-chip utilization — and the headline fps gain / bubble drop of
  * eic_time over the contiguous baseline. Also cross-checks that
- * pipelined logits are bit-identical to GraphRuntime in every mode at
+ * pipelined logits are bit-identical to one chip's in every mode at
  * every chip count (the DESIGN.md §5 contract — chips and replicas
  * shard the model, not the arithmetic; the EIC annotations move only
  * modeled time, never numerics).
@@ -53,7 +53,6 @@
 #include "obs/run_manifest.hh"
 #include "obs/trace.hh"
 #include "sim/calibrator.hh"
-#include "sim/graph_runtime.hh"
 #include "sim/pipeline_runtime.hh"
 
 using namespace forms;
@@ -225,7 +224,7 @@ runNet(const std::string &name, nn::Network &net)
     batch.fillUniform(rng, 0.0f, 1.0f);
 
     // Bit-identity reference: the plain DAG executor on one engine set.
-    GraphRuntime gref(graph, states, benchConfig());
+    PipelineRuntime gref(graph, states, benchConfig());
     const Tensor ref_logits = gref.forward(batch);
 
     for (int chips : kChipCounts) {

@@ -8,7 +8,7 @@
  * size and reduction policy.
  *
  * A scaled ResNet is trained on a synthetic task, BN-folded,
- * compressed and run on GraphRuntime three ways: idealized
+ * compressed and run on a single-chip PipelineRuntime three ways: idealized
  * per-presentation scales (the accuracy upper bound no real DAC grid
  * can reach), and static scales calibrated with the abs-max and
  * moving-percentile policies at several calibration split sizes.
@@ -29,7 +29,7 @@
 #include "nn/zoo.hh"
 #include "obs/run_manifest.hh"
 #include "sim/calibrator.hh"
-#include "sim/graph_runtime.hh"
+#include "sim/pipeline_runtime.hh"
 
 using namespace forms;
 using namespace forms::sim;
@@ -139,7 +139,7 @@ main()
 
     // Idealized reference: per-presentation max scales.
     RuntimeConfig ideal_cfg = benchConfig();
-    GraphRuntime ideal_rt(graph, states, ideal_cfg);
+    PipelineRuntime ideal_rt(graph, states, ideal_cfg);
     RuntimeReport ideal_rep;
     const double ideal_acc = ideal_rt.accuracy(test, labels, &ideal_rep);
 
@@ -164,7 +164,7 @@ main()
 
             RuntimeConfig scfg = benchConfig();
             scfg.scaleMode = arch::ScaleMode::Static;
-            GraphRuntime rt(deployed, states, scfg);
+            PipelineRuntime rt(deployed, states, scfg);
             RuntimeReport rep;
 
             CalibResult r;

@@ -31,7 +31,6 @@
 #include "nn/zoo.hh"
 #include "obs/run_manifest.hh"
 #include "reram/faults.hh"
-#include "sim/graph_runtime.hh"
 #include "sim/pipeline_runtime.hh"
 
 using namespace forms;
@@ -130,7 +129,7 @@ main()
     const Tensor &test = data.test().images;
     const std::vector<int> &labels = data.test().labels;
 
-    GraphRuntime clean_rt(graph, states, benchConfig());
+    PipelineRuntime clean_rt(graph, states, benchConfig());
     const double clean_acc = clean_rt.accuracy(test, labels);
 
     // ---- column-kill sweep: no-spares vs remapped onto spares ----
@@ -146,7 +145,7 @@ main()
         {
             RuntimeConfig cfg = benchConfig();
             cfg.faults = &map;
-            GraphRuntime rt(graph, states, cfg);
+            PipelineRuntime rt(graph, states, cfg);
             p.faulted = rt.accuracy(test, labels);
         }
         {
@@ -154,7 +153,7 @@ main()
             cfg.faults = &map;
             cfg.remapFaults = true;
             cfg.mapping.spareXbars = kSpares;
-            GraphRuntime rt(graph, states, cfg);
+            PipelineRuntime rt(graph, states, cfg);
             p.remapped = rt.accuracy(test, labels);
         }
         p.recovered = recoveredFraction(clean_acc, p.faulted,
@@ -173,7 +172,7 @@ main()
         reram::FaultMap map(fc);
         RuntimeConfig cfg = benchConfig();
         cfg.faults = &map;
-        GraphRuntime rt(graph, states, cfg);
+        PipelineRuntime rt(graph, states, cfg);
         stuck_points.emplace_back(rate, rt.accuracy(test, labels));
     }
 

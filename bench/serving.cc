@@ -1,7 +1,7 @@
 /**
  * @file
  * Online-serving bench: Poisson request arrivals against the dynamic
- * micro-batching serve::Server over a GraphRuntime backend.
+ * micro-batching serve::Server over a single-chip PipelineBackend.
  *
  * Sweeps offered load from well under to well over the measured
  * offline capacity and reports, per rate: achieved throughput,
@@ -34,7 +34,7 @@
 #include "obs/run_manifest.hh"
 #include "serve/backends.hh"
 #include "serve/server.hh"
-#include "sim/graph_runtime.hh"
+#include "sim/pipeline_runtime.hh"
 
 using namespace forms;
 
@@ -99,11 +99,11 @@ main()
     rcfg.engine.adcBits = 3;
     rcfg.engine.cell.variationSigma = 0.1;
     rcfg.engine.readNoiseSigma = 0.02;
-    sim::GraphRuntime rt(graph, states, rcfg);
-    serve::GraphBackend backend(rt);
+    sim::PipelineRuntime rt(graph, states, rcfg);
+    serve::PipelineBackend backend(rt);
 
     // Reference: separately programmed engines, single requests.
-    sim::GraphRuntime ref_rt(graph, states, rcfg);
+    sim::PipelineRuntime ref_rt(graph, states, rcfg);
 
     // Request corpus, shared across sweep points: request i is
     // (image_i, id=i), so one reference forward per id suffices.

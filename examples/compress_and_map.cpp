@@ -10,8 +10,8 @@
  * the graph IR, fold the BatchNorm layers into the convs' digital
  * output stage (the ADMM-constrained weights map unchanged), and
  * print the crossbar allocation per graph node of the resulting
- * GraphRuntime — the deployable artifact — plus its accuracy on the
- * simulated crossbars.
+ * single-chip PipelineRuntime — the deployable artifact — plus its
+ * accuracy on the simulated crossbars.
  */
 
 #include <algorithm>
@@ -23,7 +23,7 @@
 #include "compile/passes.hh"
 #include "nn/trainer.hh"
 #include "nn/zoo.hh"
-#include "sim/graph_runtime.hh"
+#include "sim/pipeline_runtime.hh"
 
 using namespace forms;
 
@@ -116,7 +116,7 @@ main()
     rcfg.mapping.fragSize = acfg.fragSize;
     rcfg.mapping.inputBits = 12;
     rcfg.engine.adcBits = 4;
-    sim::GraphRuntime rt(graph, comp.layers(), rcfg);
+    sim::PipelineRuntime rt(graph, comp.layers(), rcfg);
 
     Table gt({"Node", "Output shape", "Crossbars"});
     for (const auto &a : rt.allocation()) {

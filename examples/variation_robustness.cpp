@@ -8,10 +8,11 @@
  * and killed bitline columns that the spare-crossbar remap pass
  * (arch/remap.hh) repairs exactly.
  *
- * Runs on the compiled GraphRuntime path — the same lower + BN-fold +
- * snapshotCompress pipeline the benches and the serving stack use —
- * so every knob here (variation sigma, fault rates, spare budget) is
- * the exact knob a deployment would set (docs/RESILIENCE.md).
+ * Runs on the compiled single-chip PipelineRuntime path — the same
+ * lower + BN-fold + snapshotCompress pipeline the benches and the
+ * serving stack use — so every knob here (variation sigma, fault rates,
+ * spare budget) is the exact knob a deployment would set
+ * (docs/RESILIENCE.md).
  */
 
 #include <cstdio>
@@ -23,7 +24,7 @@
 #include "nn/trainer.hh"
 #include "nn/zoo.hh"
 #include "reram/faults.hh"
-#include "sim/graph_runtime.hh"
+#include "sim/pipeline_runtime.hh"
 
 using namespace forms;
 using namespace forms::sim;
@@ -102,20 +103,20 @@ main()
     Table t({"Sigma", "Clean (%)", "Aged cells (%)",
              "Dead cols (%)", "Dead cols + remap (%)"});
     for (double sigma : {0.0, 0.05, 0.1, 0.2}) {
-        GraphRuntime clean(graph, states, baseConfig(sigma));
+        PipelineRuntime clean(graph, states, baseConfig(sigma));
 
         RuntimeConfig acfg_rt = baseConfig(sigma);
         acfg_rt.faults = &aged_map;
-        GraphRuntime aged_rt(graph, states, acfg_rt);
+        PipelineRuntime aged_rt(graph, states, acfg_rt);
 
         RuntimeConfig dcfg_rt = baseConfig(sigma);
         dcfg_rt.faults = &dead_map;
-        GraphRuntime dead_rt(graph, states, dcfg_rt);
+        PipelineRuntime dead_rt(graph, states, dcfg_rt);
 
         RuntimeConfig rcfg_rt = dcfg_rt;
         rcfg_rt.remapFaults = true;
         rcfg_rt.mapping.spareXbars = 32;
-        GraphRuntime remap_rt(graph, states, rcfg_rt);
+        PipelineRuntime remap_rt(graph, states, rcfg_rt);
 
         t.row().cell(sigma, 2)
             .cell(clean.accuracy(test, labels) * 100.0, 1)

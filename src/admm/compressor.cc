@@ -2,6 +2,13 @@
 
 namespace forms::admm {
 
+namespace {
+
+constexpr float kRho = 2e-3f;            //!< augmented-Lagrangian penalty
+constexpr int kSignRefreshEpochs = 2;    //!< paper's M: refresh every M epochs
+
+} // namespace
+
 WeightView
 LayerState::view() const
 {
@@ -95,7 +102,7 @@ AdmmCompressor::admmEpochs(int epochs,
             const float *z = st.z.data();
             const float *u = st.u.data();
             for (int64_t i = 0; i < st.param.value->numel(); ++i)
-                g[i] += cfg_.rho * (w[i] - z[i] + u[i]);
+                g[i] += kRho * (w[i] - z[i] + u[i]);
         }
     });
 
@@ -103,11 +110,10 @@ AdmmCompressor::admmEpochs(int epochs,
     trainer.setEpochHook([this, &proj, refresh_signs](int epoch) {
         for (auto &st : layers_) {
             if (refresh_signs && st.signs &&
-                cfg_.signRefreshEpochs > 0 &&
-                (epoch + 1) % cfg_.signRefreshEpochs == 0) {
+                (epoch + 1) % kSignRefreshEpochs == 0) {
                 // Recompute the target sign from the live weights
                 // (paper: update target signs every M epochs).
-                st.signs = computeSigns(st.view(), st.plan, cfg_.signRule);
+                st.signs = computeSigns(st.view(), st.plan);
             }
             // Z-update: project W + U onto the constraint set.
             st.z = *st.param.value;
@@ -167,7 +173,7 @@ AdmmCompressor::phasePolarize()
     // Initial signs from the (pruned) model — paper: the sign of each
     // fragment is determined by the structurally pruned model.
     for (auto &st : layers_)
-        st.signs = computeSigns(st.view(), st.plan, cfg_.signRule);
+        st.signs = computeSigns(st.view(), st.plan);
 
     admmEpochs(cfg_.admmEpochsPerPhase, [this](LayerState &st) {
         WeightView zv = st.param.isConvWeight
@@ -179,7 +185,7 @@ AdmmCompressor::phasePolarize()
 
     // Final signs + hard projection; fine-tune preserves them.
     for (auto &st : layers_) {
-        st.signs = computeSigns(st.view(), st.plan, cfg_.signRule);
+        st.signs = computeSigns(st.view(), st.plan);
         WeightView v = st.view();
         if (st.mask)
             applyMask(v, *st.mask);

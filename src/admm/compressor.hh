@@ -40,14 +40,11 @@ struct AdmmConfig
     // P: fragment polarization.
     int fragSize = 8;
     PolarizationPolicy policy = PolarizationPolicy::CMajor;
-    SignRule signRule = SignRule::SumRule;
-    int signRefreshEpochs = 2;   //!< paper's M: refresh signs every M epochs
 
     // Q: quantization.
     int quantBits = 8;
 
     // ADMM schedule.
-    float rho = 2e-3f;
     int admmEpochsPerPhase = 4;
     int finetuneEpochs = 3;
 

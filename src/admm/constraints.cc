@@ -112,28 +112,15 @@ applyMask(WeightView view, const PruneMask &mask)
 }
 
 SignMap
-computeSigns(const WeightView &view, const FragmentPlan &plan,
-             SignRule rule)
+computeSigns(const WeightView &view, const FragmentPlan &plan)
 {
     SignMap signs(plan.cols(), plan.fragmentsPerCol());
     for (int64_t j = 0; j < plan.cols(); ++j) {
         for (int64_t f = 0; f < plan.fragmentsPerCol(); ++f) {
-            double sum = 0.0, pos_energy = 0.0, neg_energy = 0.0;
-            for (int64_t r : plan.fragmentRowIndices(f)) {
-                const double v = view.get(r, j);
-                sum += v;
-                if (v > 0)
-                    pos_energy += v * v;
-                else
-                    neg_energy += v * v;
-            }
-            int8_t s;
-            if (rule == SignRule::SumRule) {
-                s = sum >= 0.0 ? 1 : -1;        // paper Eq. (2)
-            } else {
-                s = pos_energy >= neg_energy ? 1 : -1;
-            }
-            signs.set(j, f, s);
+            double sum = 0.0;
+            for (int64_t r : plan.fragmentRowIndices(f))
+                sum += view.get(r, j);
+            signs.set(j, f, sum >= 0.0 ? 1 : -1);   // paper Eq. (2)
         }
     }
     return signs;

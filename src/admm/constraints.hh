@@ -58,19 +58,12 @@ PruneMask extractMask(const WeightView &view);
 /** Zero every element whose row or column is masked out. */
 void applyMask(WeightView view, const PruneMask &mask);
 
-/** Fragment-sign selection rule. */
-enum class SignRule
-{
-    SumRule,     //!< paper Eq. (2): sign of the fragment weight sum
-    MinEnergy,   //!< exact Euclidean projection: keep the heavier orthant
-};
-
 /**
- * Compute fragment signs for the current weights under `rule`.
- * Zero-sum fragments are assigned +1 (paper convention: sum >= 0).
+ * Compute fragment signs for the current weights: the sign of each
+ * fragment's weight sum (paper Eq. (2)). Zero-sum fragments are
+ * assigned +1 (paper convention: sum >= 0).
  */
-SignMap computeSigns(const WeightView &view, const FragmentPlan &plan,
-                     SignRule rule = SignRule::SumRule);
+SignMap computeSigns(const WeightView &view, const FragmentPlan &plan);
 
 /**
  * Projection onto P given fixed fragment signs: weights whose sign

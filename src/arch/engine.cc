@@ -450,7 +450,7 @@ CrossbarEngine::CrossbarEngine(const MappedLayer &layer, EngineConfig cfg)
             const int rows_here =
                 std::min(layer_.cfg.fragSize, xb.rows - f * layer_.cfg.fragSize);
             tile.fragReadEpj[static_cast<size_t>(f)] = reram::readEnergyPj(
-                cfg_.cell, rows_here, std::max(1, tile.cellCols), sample_ns);
+                rows_here, std::max(1, tile.cellCols), sample_ns);
         }
         // Exact tile: noiseless reads and integer levels in
         // [0, maxLevel]. The scan runs a row at a time and stops after

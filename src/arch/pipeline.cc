@@ -6,6 +6,13 @@
 
 namespace forms::arch {
 
+namespace {
+
+constexpr int kBaseStages = 22;    //!< paper: 22-stage pipeline
+constexpr int kPoolingStages = 4;  //!< +4 when the layer max-pools
+
+} // namespace
+
 PipelineTiming
 layerPipelineTiming(const PipelineConfig &cfg, uint64_t presentations,
                     double bit_cycles_per_presentation, bool pools)
@@ -13,7 +20,7 @@ layerPipelineTiming(const PipelineConfig &cfg, uint64_t presentations,
     FORMS_ASSERT(bit_cycles_per_presentation >= 0.0,
                  "negative initiation interval");
     PipelineTiming t;
-    const int depth = cfg.baseStages + (pools ? cfg.poolingStages : 0);
+    const int depth = kBaseStages + (pools ? kPoolingStages : 0);
     // The crossbar/ADC stage is the initiation interval: a new
     // presentation can enter only every `bit_cycles` cycles.
     const double ii = std::max(1.0, bit_cycles_per_presentation);

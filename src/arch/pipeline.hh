@@ -19,10 +19,7 @@ namespace forms::arch {
 /** Pipeline timing parameters. */
 struct PipelineConfig
 {
-    int baseStages = 22;       //!< paper: 22-stage pipeline
-    int poolingStages = 4;     //!< +4 when the layer max-pools
     double cycleNs = 15.0;     //!< one pipeline cycle (ADC slot time)
-    int inputBits = 16;
 };
 
 /** Per-layer pipeline occupancy summary. */

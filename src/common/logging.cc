@@ -1,6 +1,5 @@
 #include "common/logging.hh"
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -11,28 +10,26 @@ namespace forms {
 
 namespace {
 
-/** -1 = not yet resolved from the environment. */
-std::atomic<int> g_logLevel{-1};
-
-LogLevel
-levelFromEnv()
+/**
+ * True when FORMS_LOG=warn silences inform(); read once. Unknown
+ * values complain once and keep the default (info).
+ */
+bool
+informSilenced()
 {
-    const char *env = std::getenv("FORMS_LOG");
-    if (!env || !*env)
-        return LogLevel::Info;
-    if (std::strcmp(env, "debug") == 0)
-        return LogLevel::Debug;
-    if (std::strcmp(env, "info") == 0)
-        return LogLevel::Info;
-    if (std::strcmp(env, "warn") == 0)
-        return LogLevel::Warn;
-    // Can't use warn() here (it consults the level being resolved);
-    // print the complaint directly, unconditionally.
-    std::fprintf(stderr,
-                 "warn: FORMS_LOG='%s' not one of debug|info|warn — "
-                 "using info\n",
-                 env);
-    return LogLevel::Info;
+    static const bool silenced = [] {
+        const char *env = std::getenv("FORMS_LOG");
+        if (!env || !*env || std::strcmp(env, "info") == 0)
+            return false;
+        if (std::strcmp(env, "warn") == 0)
+            return true;
+        std::fprintf(stderr,
+                     "warn: FORMS_LOG='%s' not one of info|warn — "
+                     "using info\n",
+                     env);
+        return false;
+    }();
+    return silenced;
 }
 
 /** Serializes emission so parallel workers' messages never interleave. */
@@ -68,25 +65,6 @@ emit(const char *tag, const char *fmt, va_list ap)
 }
 
 } // namespace
-
-LogLevel
-logLevel()
-{
-    int lvl = g_logLevel.load(std::memory_order_relaxed);
-    if (lvl < 0) {
-        lvl = static_cast<int>(levelFromEnv());
-        // A concurrent first caller resolves the same env value, so
-        // losing this race is harmless.
-        g_logLevel.store(lvl, std::memory_order_relaxed);
-    }
-    return static_cast<LogLevel>(lvl);
-}
-
-void
-setLogLevel(LogLevel level)
-{
-    g_logLevel.store(static_cast<int>(level), std::memory_order_relaxed);
-}
 
 void
 fatal(const char *fmt, ...)
@@ -128,8 +106,6 @@ panicAt(const char *expr, const char *file, int line, const char *fmt,
 void
 warn(const char *fmt, ...)
 {
-    if (logLevel() > LogLevel::Warn)
-        return;
     va_list ap;
     va_start(ap, fmt);
     emit("warn", fmt, ap);
@@ -139,22 +115,11 @@ warn(const char *fmt, ...)
 void
 inform(const char *fmt, ...)
 {
-    if (logLevel() > LogLevel::Info)
+    if (informSilenced())
         return;
     va_list ap;
     va_start(ap, fmt);
     emit("info", fmt, ap);
-    va_end(ap);
-}
-
-void
-debug(const char *fmt, ...)
-{
-    if (logLevel() > LogLevel::Debug)
-        return;
-    va_list ap;
-    va_start(ap, fmt);
-    emit("debug", fmt, ap);
     va_end(ap);
 }
 

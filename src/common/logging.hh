@@ -1,14 +1,13 @@
 /**
  * @file
  * Status / error reporting in the gem5 spirit: fatal() for user error,
- * panic() for internal invariant violations, warn()/inform()/debug()
- * for non-fatal status messages.
+ * panic() for internal invariant violations, warn()/inform() for
+ * non-fatal status messages.
  *
- * Non-fatal messages are filtered by a process-wide level, read once
- * from the FORMS_LOG environment variable (debug | info | warn;
- * default info, so debug() is silent unless asked for) and overridable
- * in-process with setLogLevel(). fatal()/panic() always print —
- * terminating without saying why is never the right verbosity.
+ * inform() is silenced by FORMS_LOG=warn, read once from the
+ * environment (info | warn; default info). warn(), fatal() and
+ * panic() always print — terminating without saying why is never the
+ * right verbosity.
  */
 
 #ifndef FORMS_COMMON_LOGGING_HH
@@ -18,24 +17,6 @@
 #include <string>
 
 namespace forms {
-
-/** Minimum severity that prints; ordered most to least verbose. */
-enum class LogLevel
-{
-    Debug = 0,  //!< everything, including debug()
-    Info = 1,   //!< inform() and up (the default)
-    Warn = 2,   //!< warn() only (of the filterable calls)
-};
-
-/**
- * Current filter level: FORMS_LOG env (debug | info | warn) on first
- * use, unless overridden by setLogLevel(). Unknown env values warn
- * once and fall back to Info.
- */
-LogLevel logLevel();
-
-/** Override the filter level process-wide (testing / embedding hook). */
-void setLogLevel(LogLevel level);
 
 /**
  * Terminate because of a user-caused, unrecoverable condition
@@ -49,15 +30,11 @@ void setLogLevel(LogLevel level);
  */
 [[noreturn]] void panic(const char *fmt, ...);
 
-/** Alert the user that something may be wrong but execution continues.
- *  Printed at LogLevel::Warn and below. */
+/** Alert the user that something may be wrong but execution continues. */
 void warn(const char *fmt, ...);
 
-/** Print an informational status message (LogLevel::Info and below). */
+/** Print an informational status message (silent under FORMS_LOG=warn). */
 void inform(const char *fmt, ...);
-
-/** Developer-facing detail; silent unless FORMS_LOG=debug. */
-void debug(const char *fmt, ...);
 
 /** printf-style formatting into a std::string. */
 std::string strfmt(const char *fmt, ...);

@@ -1,12 +1,39 @@
 #include "compile/schedule.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 
 #include "common/logging.hh"
 #include "nn/layers.hh"
 
 namespace forms::compile {
+
+void
+ScheduleConfig::validate() const
+{
+    if (chips < 1)
+        fatal("ScheduleConfig::chips = %d, need at least 1", chips);
+    if (!chipSpecs.empty() && chipSpecs.size() != static_cast<size_t>(chips))
+        fatal("ScheduleConfig::chipSpecs has %zu entries for %d chips "
+              "(need none or one per chip)", chipSpecs.size(), chips);
+    const auto positive = [](double v) { return std::isfinite(v) && v > 0.0; };
+    for (size_t c = 0; c < chipSpecs.size(); ++c) {
+        const ChipSpec &spec = chipSpecs[c];
+        if (!positive(spec.capacity))
+            fatal("ScheduleConfig::chipSpecs[%zu].capacity = %g, need a "
+                  "finite value > 0", c, spec.capacity);
+        if (!positive(spec.adcScale))
+            fatal("ScheduleConfig::chipSpecs[%zu].adcScale = %g, need a "
+                  "finite value > 0", c, spec.adcScale);
+        if (!positive(spec.linkIn))
+            fatal("ScheduleConfig::chipSpecs[%zu].linkIn = %g, need a "
+                  "finite value > 0", c, spec.linkIn);
+    }
+    if (!std::isfinite(replicateThreshold) || replicateThreshold < 0.0)
+        fatal("ScheduleConfig::replicateThreshold = %g, need a finite "
+              "value >= 0 (0 = no replication)", replicateThreshold);
+}
 
 double
 nodeWork(const Node &n, WorkModel model)
@@ -112,10 +139,11 @@ struct From
 Schedule
 Schedule::partition(const Graph &g, const ScheduleConfig &cfg)
 {
+    cfg.validate();
     const std::vector<int> topo = g.topoOrder();
     const int n = static_cast<int>(topo.size());
     FORMS_ASSERT(n > 0, "partition: empty graph");
-    const int requested = std::max(1, cfg.chips);
+    const int requested = cfg.chips;
 
     // Topo position of each node id, and prefix sums of node work so
     // any contiguous stage's work is O(1) to evaluate.
@@ -178,10 +206,6 @@ Schedule::partition(const Graph &g, const ScheduleConfig &cfg)
     // x ADC rate for the ADC-latency models — and the inverse link
     // weight.
     std::vector<ChipSpec> specs = cfg.chipSpecs;
-    if (!specs.empty() && static_cast<int>(specs.size()) != cfg.chips) {
-        fatal("partition: chipSpecs vector has %zu entries for %d "
-              "chips", specs.size(), cfg.chips);
-    }
     // When the chip count was clamped, the trailing specs have no
     // stage to describe.
     specs.resize(static_cast<size_t>(chips), ChipSpec{});
@@ -191,11 +215,6 @@ Schedule::partition(const Graph &g, const ScheduleConfig &cfg)
     std::vector<double> inv_link(static_cast<size_t>(chips), 1.0);
     for (int s = 0; s < chips; ++s) {
         const ChipSpec &spec = specs[static_cast<size_t>(s)];
-        if (spec.capacity <= 0.0)
-            fatal("partition: chip %d capacity must be positive", s);
-        if (spec.adcScale <= 0.0 || spec.linkIn <= 0.0)
-            fatal("partition: chip %d adcScale/linkIn must be "
-                  "positive", s);
         capacity[static_cast<size_t>(s)] =
             spec.capacity * (timed ? spec.adcScale : 1.0);
         inv_link[static_cast<size_t>(s)] = 1.0 / spec.linkIn;

@@ -29,8 +29,8 @@
  * across intermediate stages); the hop leaving a replicated
  * producer's stage is flagged `mergeReplicas` — the R presentation
  * slices rejoin into one tensor there. The pipelined executor
- * (sim/pipeline_runtime.hh) charges each hop with a configurable
- * latency/energy cost (sim::InterChipLink).
+ * (sim/pipeline_runtime.hh) charges each hop with the inter-chip
+ * link's latency/energy cost (sim::interChipTransferNs/Pj).
  *
  * The partitioner is an exact dynamic program over (topo cut
  * position, chips consumed). It minimizes, lexicographically:
@@ -137,7 +137,7 @@ struct ScheduleConfig
     /**
      * Heterogeneous per-chip cost vectors (empty = homogeneous fleet).
      * When non-empty it must have exactly `chips` entries
-     * (partition() fatal()s otherwise); if the chip count is clamped
+     * (validate() fatal()s otherwise); if the chip count is clamped
      * to a smaller live node count, trailing entries are ignored. An
      * all-default vector reproduces the homogeneous partitions
      * bit-for-bit (tests/test_schedule.cc pins this).
@@ -164,6 +164,14 @@ struct ScheduleConfig
 
     /** Balance objective's work measure (see WorkModel). */
     WorkModel workModel = WorkModel::Macs;
+
+    /**
+     * fatal(), naming the field, unless chips >= 1, chipSpecs is
+     * empty or holds exactly `chips` entries, every entry's capacity,
+     * adcScale and linkIn is finite and > 0, and replicateThreshold
+     * is finite and >= 0. Schedule::partition calls it first.
+     */
+    void validate() const;
 };
 
 /**

@@ -60,6 +60,9 @@ DatasetConfig::imagenetLike(uint64_t seed)
 
 namespace {
 
+/** Sigma of a sample's multiplicative prototype jitter. */
+constexpr float kScaleJitter = 0.25f;
+
 /** Separable 3x3 box smoothing to give prototypes spatial structure. */
 Tensor
 smooth(const Tensor &img)
@@ -124,7 +127,7 @@ SyntheticImageDataset::makeSplit(int per_class, Rng &rng,
     for (int k = 0; k < cfg_.classes; ++k) {
         const Tensor &proto = protos[static_cast<size_t>(k)];
         for (int s = 0; s < per_class; ++s, ++idx) {
-            const float alpha = 1.0f + cfg_.scaleJitter *
+            const float alpha = 1.0f + kScaleJitter *
                 static_cast<float>(rng.gaussian());
             float *dst = split.images.data() + idx * img_sz;
             for (int64_t i = 0; i < img_sz; ++i) {

@@ -41,7 +41,6 @@ struct DatasetConfig
     int trainPerClass = 64;
     int testPerClass = 16;
     float noise = 0.55f;   //!< additive Gaussian sample noise
-    float scaleJitter = 0.25f;  //!< multiplicative prototype jitter
     uint64_t seed = 1;
 
     /**

@@ -1,12 +1,20 @@
 #include "nn/trainer.hh"
 
-#include "common/logging.hh"
-
 namespace forms::nn {
+
+namespace {
+
+constexpr float kLr = 0.05f;           //!< initial learning rate
+constexpr float kMomentum = 0.9f;
+constexpr float kWeightDecay = 5e-4f;  //!< on conv/dense weights only
+constexpr float kLrDecay = 0.5f;       //!< multiplied in every kLrDecayEpochs
+constexpr int kLrDecayEpochs = 8;
+
+} // namespace
 
 Trainer::Trainer(Network &net, const SyntheticImageDataset &data,
                  TrainConfig cfg)
-    : net_(net), data_(data), cfg_(cfg), rng_(cfg.seed), lrNow_(cfg.lr)
+    : net_(net), data_(data), cfg_(cfg), rng_(cfg.seed), lrNow_(kLr)
 {
 }
 
@@ -55,8 +63,8 @@ Trainer::sgdUpdate()
         for (int64_t j = 0; j < w.numel(); ++j) {
             float grad = pg[j];
             if (decay)
-                grad += cfg_.weightDecay * pw[j];
-            pv[j] = cfg_.momentum * pv[j] - lrNow_ * grad;
+                grad += kWeightDecay * pw[j];
+            pv[j] = kMomentum * pv[j] - lrNow_ * grad;
             pw[j] += pv[j];
         }
     }
@@ -91,10 +99,8 @@ Trainer::run()
     TrainResult res;
     auto order = data_.trainOrder();
     for (int epoch = 0; epoch < cfg_.epochs; ++epoch) {
-        if (epoch > 0 && cfg_.lrDecayEpochs > 0 &&
-            epoch % cfg_.lrDecayEpochs == 0) {
-            lrNow_ *= cfg_.lrDecay;
-        }
+        if (epoch > 0 && epoch % kLrDecayEpochs == 0)
+            lrNow_ *= kLrDecay;
         shuffle(order, rng_);
         double loss_acc = 0.0;
         int batches = 0;
@@ -107,9 +113,6 @@ Trainer::run()
         res.finalTrainLoss = batches ? loss_acc / batches : 0.0;
         if (epochHook_)
             epochHook_(epoch);
-        if (cfg_.verbose) {
-            inform("epoch %d: loss %.4f", epoch, res.finalTrainLoss);
-        }
     }
     res.testAccuracy = evalTest();
     return res;

@@ -1,9 +1,10 @@
 /**
  * @file
- * SGD trainer for the DNN substrate. Supports momentum, weight decay,
- * step learning-rate decay, and a per-step hook through which the ADMM
- * framework injects its augmented-Lagrangian gradient terms and mask /
- * sign re-projection (polarization-preserving updates).
+ * SGD trainer for the DNN substrate: learning rate 0.05, momentum 0.9,
+ * weight decay 5e-4 on conv/dense weights, and the learning rate
+ * halved every 8 epochs. Per-step hooks let the ADMM framework inject
+ * its augmented-Lagrangian gradient terms and mask / sign
+ * re-projection (polarization-preserving updates).
  */
 
 #ifndef FORMS_NN_TRAINER_HH
@@ -21,13 +22,7 @@ struct TrainConfig
 {
     int epochs = 10;
     int batchSize = 32;
-    float lr = 0.05f;
-    float momentum = 0.9f;
-    float weightDecay = 5e-4f;
-    float lrDecay = 0.5f;     //!< multiplied in every lrDecayEpochs
-    int lrDecayEpochs = 8;
     uint64_t seed = 7;
-    bool verbose = false;
 };
 
 /** Result of a training run. */

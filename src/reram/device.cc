@@ -17,16 +17,23 @@ programLevel(int level, const CellConfig &cfg, Rng *rng)
     return static_cast<double>(level) * factor;
 }
 
+namespace {
+
+constexpr double kGMinUs = 2.0;       //!< off conductance, microsiemens
+constexpr double kGMaxUs = 100.0;     //!< on conductance
+constexpr double kReadVoltage = 0.2;  //!< volts on an active row
+
+} // namespace
+
 double
-readEnergyPj(const CellConfig &cfg, int active_rows, int cols,
-             double step_ns)
+readEnergyPj(int active_rows, int cols, double step_ns)
 {
     // E = V^2 * G * t per active cell; using the mid-range conductance
     // as the representative value. Units: V^2 * uS * ns = 1e-6 W*ns
     // = 1e-6 * 1e3 mW*ns = 1e-3 pJ, hence the 1e-3 factor.
-    const double g_mid = 0.5 * (cfg.gMinUs + cfg.gMaxUs);
+    const double g_mid = 0.5 * (kGMinUs + kGMaxUs);
     const double per_cell =
-        cfg.readVoltage * cfg.readVoltage * g_mid * step_ns * 1e-3;
+        kReadVoltage * kReadVoltage * g_mid * step_ns * 1e-3;
     return per_cell * static_cast<double>(active_rows) *
         static_cast<double>(cols);
 }

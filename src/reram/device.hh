@@ -27,9 +27,6 @@ namespace forms::reram {
 struct CellConfig
 {
     int bitsPerCell = 2;        //!< bits stored per cell
-    double gMinUs = 2.0;        //!< minimum (off) conductance, microsiemens
-    double gMaxUs = 100.0;      //!< maximum (on) conductance
-    double readVoltage = 0.2;   //!< volts on an active row
     double variationSigma = 0.0;//!< log-normal sigma (0 = ideal devices)
 
     /** Number of programmable levels. */
@@ -51,11 +48,11 @@ double programLevel(int level, const CellConfig &cfg, Rng *rng);
 
 /**
  * Crossbar read energy for one bit-serial step over `active_rows` rows
- * and `cols` bitlines (pJ): V^2 * G * t per active cell, using the
- * mid-range conductance as the representative load.
+ * and `cols` bitlines (pJ): V^2 * G * t per active cell at a 0.2 V
+ * read voltage, using the mid-range conductance of the 2-100 uS cell
+ * as the representative load.
  */
-double readEnergyPj(const CellConfig &cfg, int active_rows, int cols,
-                    double step_ns);
+double readEnergyPj(int active_rows, int cols, double step_ns);
 
 /**
  * Decompose a magnitude into per-cell levels, least-significant cell

@@ -7,6 +7,9 @@ namespace forms::reram {
 
 namespace {
 
+/** Log-normal sigma of a drifted cell's factor. */
+constexpr double kDriftSigma = 0.1;
+
 /** splitmix64 finalizer, the same mixer the engine seeds streams with. */
 uint64_t
 mix64(uint64_t x)
@@ -92,7 +95,7 @@ FaultMap::draw(uint64_t fault_key, int phys_id, int rows, int cols) const
                 // Always consume the factor draw so the stream shape
                 // is independent of earlier stuck outcomes.
                 const double factor =
-                    cell_rng.lognormal(0.0, cfg_.driftSigma);
+                    cell_rng.lognormal(0.0, kDriftSigma);
                 if (k == FaultKind::None) {
                     k = FaultKind::Drift;
                     f.drift[i] = factor;

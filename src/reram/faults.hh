@@ -21,8 +21,8 @@
  *  - stuck-at-HRS: cell reads as level 0;
  *  - column-kill:  an entire physical bitline is dead (reads as 0) —
  *    the only fault class the spare-crossbar remap pass repairs;
- *  - drift:        a multiplicative log-normal factor on the
- *    programmed analog level (aged device).
+ *  - drift:        a multiplicative log-normal factor (sigma 0.1) on
+ *    the programmed analog level (aged device).
  */
 
 #ifndef FORMS_RERAM_FAULTS_HH
@@ -40,7 +40,7 @@ enum class FaultKind : uint8_t
     None = 0,
     StuckLrs,   //!< reads as CellConfig::maxLevel()
     StuckHrs,   //!< reads as level 0
-    Drift,      //!< programmed level times a log-normal factor
+    Drift,      //!< programmed level times a lognormal(0, 0.1) factor
 };
 
 /** Fault rates applied independently per crossbar. */
@@ -50,7 +50,6 @@ struct FaultConfig
     double stuckHrsRate = 0.0;    //!< per-cell P(stuck at HRS)
     double columnKillRate = 0.0;  //!< per-physical-column P(dead)
     double driftRate = 0.0;       //!< per-cell P(drifted)
-    double driftSigma = 0.1;      //!< log-normal sigma of drifted cells
     uint64_t seed = 2024;         //!< fleet-wide fault seed
 
     /** True when any rate is non-zero (a map worth drawing). */

@@ -17,8 +17,8 @@ FailoverBackend::FailoverBackend(const compile::Graph &graph,
     : graph_(graph), layers_(layers), cfg_(std::move(cfg)),
       sched_(std::move(sched))
 {
-    const int chips = std::max(1, sched_.chips);
-    alive_.assign(static_cast<size_t>(chips), 1);
+    sched_.validate();
+    alive_.assign(static_cast<size_t>(sched_.chips), 1);
     rebuild();
     FORMS_ASSERT(rt_ != nullptr,
                  "failover backend: initial build produced no runtime");

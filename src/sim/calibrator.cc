@@ -7,6 +7,13 @@
 
 namespace forms::sim {
 
+namespace {
+
+/** Percentile policy: fraction of presentation maxima covered. */
+constexpr double kPercentile = 0.995;
+
+} // namespace
+
 const char *
 calibPolicyName(CalibPolicy policy)
 {
@@ -22,10 +29,6 @@ Calibrator::Calibrator(const compile::Graph &graph,
                        RuntimeConfig rcfg, CalibratorConfig ccfg)
     : ccfg_(ccfg), inputBits_(rcfg.mapping.inputBits)
 {
-    FORMS_ASSERT(ccfg_.percentile > 0.0 && ccfg_.percentile <= 1.0,
-                 "calibrator: percentile must be in (0, 1]");
-    FORMS_ASSERT(ccfg_.headroom > 0.0,
-                 "calibrator: headroom must be positive");
     // Observation pass: idealized per-presentation scales (so nothing
     // clips while measuring), recording into this calibrator.
     rcfg.scaleMode = arch::ScaleMode::PerPresentation;
@@ -68,12 +71,10 @@ Calibrator::table() const
             std::vector<float> sorted(maxima);
             std::sort(sorted.begin(), sorted.end());
             size_t rank = static_cast<size_t>(std::ceil(
-                ccfg_.percentile * static_cast<double>(sorted.size())));
+                kPercentile * static_cast<double>(sorted.size())));
             rank = std::max<size_t>(1, rank);
             range = sorted[std::min(sorted.size() - 1, rank - 1)];
         }
-        range = static_cast<float>(static_cast<double>(range) *
-                                   ccfg_.headroom);
         // A node whose calibration inputs were all non-positive (e.g.
         // dead channels) still needs a valid grid.
         if (range <= 0.0f)

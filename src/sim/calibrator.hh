@@ -16,8 +16,8 @@
  * - AbsMax: range = the largest presentation max ever observed. No
  *   clipping on the calibration split; outlier presentations stretch
  *   the grid and cost resolution everywhere else.
- * - Percentile: range = a moving percentile of the per-presentation
- *   max distribution (default p99.5). Trades rare saturation
+ * - Percentile: range = the p99.5 nearest-rank percentile of the
+ *   per-presentation max distribution. Trades rare saturation
  *   (counted at inference in EngineStats::quantClipped) for a finer
  *   grid over the common range.
  *
@@ -53,7 +53,7 @@ namespace forms::sim {
 enum class CalibPolicy
 {
     AbsMax,      //!< largest observed presentation max
-    Percentile,  //!< moving percentile of the presentation maxima
+    Percentile,  //!< p99.5 of the presentation maxima
 };
 
 /** Short mnemonic, e.g. "absmax". */
@@ -63,12 +63,6 @@ const char *calibPolicyName(CalibPolicy policy);
 struct CalibratorConfig
 {
     CalibPolicy policy = CalibPolicy::AbsMax;
-
-    /** Percentile policy: fraction of presentation maxima covered. */
-    double percentile = 0.995;
-
-    /** Safety multiplier applied to the reduced range. */
-    double headroom = 1.0;
 };
 
 /**

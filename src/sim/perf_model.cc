@@ -237,18 +237,31 @@ chipBusyNs(const std::vector<PhaseInterval> &phases,
     return placePhases(phases, tile, 0.0, [](size_t, double, double) {});
 }
 
+namespace {
+
+constexpr double kLinkLatencyNs = 50.0;  //!< fixed per-hop serialization
+constexpr double kLinkGbPerSec = 25.0;   //!< bytes stream at this rate
+constexpr double kLinkPjPerByte = 1.0;   //!< transfer energy per byte
+constexpr double kQuantNsPerValue = 0.5; //!< 2 GHz, one value per cycle
+
+} // namespace
+
 double
-InterChipLink::transferNs(int64_t bytes) const
+TilePipeline::quantNs(uint64_t values) const
 {
-    const double stream_ns = gbPerSec > 0.0
-        ? static_cast<double>(bytes) / gbPerSec : 0.0;
-    return latencyNs + stream_ns;
+    return kQuantNsPerValue * static_cast<double>(values);
 }
 
 double
-InterChipLink::transferPj(int64_t bytes) const
+interChipTransferNs(int64_t bytes)
 {
-    return pjPerByte * static_cast<double>(bytes);
+    return kLinkLatencyNs + static_cast<double>(bytes) / kLinkGbPerSec;
+}
+
+double
+interChipTransferPj(int64_t bytes)
+{
+    return kLinkPjPerByte * static_cast<double>(bytes);
 }
 
 std::vector<ReferencePoint>

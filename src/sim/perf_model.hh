@@ -149,25 +149,17 @@ class PerfModel
 };
 
 /**
- * Inter-chip link cost model for the multi-chip pipeline scheduler
+ * Inter-chip link cost for the multi-chip pipeline scheduler
  * (compile/schedule.hh + sim/pipeline_runtime.hh). A tensor hopping
- * one chip boundary pays a fixed serialization latency plus a
- * bandwidth-proportional term; energy is charged per byte moved. The
- * defaults model a short-reach SerDes-class link; they are knobs, not
- * paper data (the paper evaluates a single chip).
+ * one chip boundary pays a fixed 50 ns serialization latency plus
+ * its bytes streamed at 25 GB/s; energy is 1 pJ per byte moved. The
+ * constants model a short-reach SerDes-class link, not paper data
+ * (the paper evaluates a single chip).
  */
-struct InterChipLink
-{
-    double latencyNs = 50.0;   //!< fixed per-hop serialization latency
-    double gbPerSec = 25.0;    //!< link bandwidth (bytes stream at this rate)
-    double pjPerByte = 1.0;    //!< transfer energy per byte
+double interChipTransferNs(int64_t bytes);
 
-    /** Modeled time for one hop of `bytes` (fixed + bandwidth term). */
-    double transferNs(int64_t bytes) const;
-
-    /** Modeled energy for one hop of `bytes`. */
-    double transferPj(int64_t bytes) const;
-};
+/** Modeled energy for one inter-chip hop of `bytes` (pJ). */
+double interChipTransferPj(int64_t bytes);
 
 /**
  * Intra-chip tile pipeline timing model (FORMS inherits ISAAC's
@@ -179,26 +171,17 @@ struct InterChipLink
  * k's ADC phase drains the tail of the presentation stream, so a
  * chip's busy time for one micro-batch follows the two-phase chained
  * recurrence in chipBusyNs(); with it clear the phases serialize.
- * The quantization throughput is a knob, not paper data (the paper
- * reports only the ADC-limited path).
+ * The quantizer is modeled as a fully pipelined 2 GHz fixed-point
+ * unit, one value per cycle (0.5 ns/value), not paper data (the
+ * paper reports only the ADC-limited path).
  */
 struct TilePipeline
 {
     /** Overlap layer L's ADC phase with layer L+1's quantization. */
     bool overlap = true;
 
-    /**
-     * Digital input-quantization time per activation scalar (ns).
-     * The default models a fully pipelined 2 GHz fixed-point
-     * quantizer, one value per cycle.
-     */
-    double quantNsPerValue = 0.5;
-
     /** Quantization-phase time for `values` activation scalars. */
-    double quantNs(uint64_t values) const
-    {
-        return quantNsPerValue * static_cast<double>(values);
-    }
+    double quantNs(uint64_t values) const;
 };
 
 /**

@@ -25,7 +25,7 @@ PipelineRuntime::PipelineRuntime(const compile::Graph &graph,
                                  std::vector<admm::LayerState> &layers,
                                  RuntimeConfig cfg)
     : PipelineRuntime(graph, compile::Schedule::singleChip(graph), layers,
-                      {cfg, std::numeric_limits<int>::max(), {}, {}, nullptr})
+                      {cfg, std::numeric_limits<int>::max(), {}, nullptr})
 {
 }
 
@@ -95,15 +95,6 @@ PipelineRuntime::forward(const Tensor &batch, RuntimeReport *rows)
 {
     const std::vector<uint64_t> ids = takeIds(batch.dim(0));
     return run(batch, ids.data(), nullptr, rows, nullptr);
-}
-
-Tensor
-PipelineRuntime::forwardRequests(const Tensor &batch, const uint64_t *ids,
-                                 std::vector<RuntimeReport> *per_request,
-                                 PipelineReport *report)
-{
-    return run(batch, ids, per_request, report ? &report->nodes : nullptr,
-               report);
 }
 
 Tensor
@@ -269,9 +260,9 @@ PipelineRuntime::run(const Tensor &batch, const uint64_t *ids,
                 const int64_t bytes = t.bytesPerSample * count;
                 xfer[static_cast<size_t>(t.toStage)]
                     [static_cast<size_t>(m)] +=
-                    cfg_.link.transferNs(bytes) / link_in;
+                    interChipTransferNs(bytes) / link_in;
                 xfer_pj[static_cast<size_t>(t.toStage)] +=
-                    cfg_.link.transferPj(bytes);
+                    interChipTransferPj(bytes);
             }
         }
 
@@ -538,18 +529,10 @@ PipelineRuntime::emitTrace(
             tr.flow(from_pid, 1, from_ns / 1e3, to_pid, 1, to_ns / 1e3,
                     producer, "transfer",
                     {{"bytes", static_cast<uint64_t>(bytes)},
-                     {"transfer_ns", cfg_.link.transferNs(bytes)},
+                     {"transfer_ns", interChipTransferNs(bytes)},
                      {"merge_replicas", t.mergeReplicas ? 1 : 0}});
         }
     }
-}
-
-double
-PipelineRuntime::accuracy(const Tensor &images,
-                          const std::vector<int> &labels,
-                          PipelineReport *report)
-{
-    return logitsAccuracy(forward(images, report), labels);
 }
 
 double

@@ -15,10 +15,10 @@
  * soon as its last consumer has run, joins residual branches with
  * fixed-order elementwise adds, and runs unfolded BatchNorm nodes
  * functionally in eval mode. Inter-stage edges are the schedule's
- * explicit Transfer records, charged with a sim::InterChipLink
- * latency/energy cost on the receiving stage; a `mergeReplicas`
- * record marks where a replicated producer's presentation slices
- * rejoin.
+ * explicit Transfer records, charged with the inter-chip link's
+ * latency/energy cost (sim::interChipTransferNs/Pj) on the receiving
+ * stage; a `mergeReplicas` record marks where a replicated producer's
+ * presentation slices rejoin.
  *
  * The pipeline overlap is a *timing model* layered on a functionally
  * exact execution: numerically, every micro-batch flows through the
@@ -97,7 +97,6 @@ struct PipelineRuntimeConfig
 {
     RuntimeConfig runtime;  //!< geometry, engine knobs, host pool
     int microBatch = 1;     //!< images per pipeline micro-batch
-    InterChipLink link;     //!< inter-chip transfer cost model
     TilePipeline tile;      //!< intra-chip phase-overlap timing model
 
     /**
@@ -236,8 +235,8 @@ class PipelineRuntime
      * @param layers per-layer compression state, matched to matrix
      *        nodes by weight-tensor identity — build *after*
      *        foldBatchNorm so projections see folded weights
-     * @param cfg geometry, engine knobs, micro-batch size, link and
-     *        tile-pipeline timing models
+     * @param cfg geometry, engine knobs, micro-batch size and the
+     *        tile-pipeline timing model
      */
     PipelineRuntime(const compile::Graph &graph,
                     compile::Schedule sched,
@@ -271,25 +270,20 @@ class PipelineRuntime
      * RuntimeReport (one per image, resized/merged in batch order) —
      * are bit-identical for any batch composition, arrival order,
      * micro-batch size, chip count and replication factor
-     * (docs/SERVING.md). Does not consume ids from the counter
+     * (docs/SERVING.md). Per-node stats of the whole batch merge
+     * into `rows` when given. Does not consume ids from the counter
      * forward() uses.
      */
     Tensor forwardRequests(const Tensor &batch, const uint64_t *ids,
                            std::vector<RuntimeReport> *per_request = nullptr,
-                           PipelineReport *report = nullptr);
+                           RuntimeReport *rows = nullptr);
 
-    /** forwardRequests() reporting only the per-node rows. */
-    Tensor forwardRequests(const Tensor &batch, const uint64_t *ids,
-                           std::vector<RuntimeReport> *per_request,
-                           RuntimeReport *rows);
-
-    /** Fraction of argmax(logits) == label over a labelled batch. */
+    /**
+     * Fraction of argmax(logits) == label over a labelled batch; the
+     * forward's per-node rows merge into `rows` when given.
+     */
     double accuracy(const Tensor &images, const std::vector<int> &labels,
-                    PipelineReport *report = nullptr);
-
-    /** accuracy() reporting only the per-node rows. */
-    double accuracy(const Tensor &images, const std::vector<int> &labels,
-                    RuntimeReport *rows);
+                    RuntimeReport *rows = nullptr);
 
     /**
      * Restart the forward() image-id counter at 0, so the next

@@ -154,19 +154,6 @@ resnet50(int64_t input_hw, bool imagenet_stem, int64_t classes)
 } // namespace
 
 Workload
-lenet5Mnist()
-{
-    Workload w;
-    w.name = "LeNet5-MNIST";
-    w.layers.push_back(convLayer("conv1", 1, 6, 5, 1, 2, 28, true));
-    w.layers.push_back(convLayer("conv2", 6, 16, 5, 1, 0, 14, true));
-    w.layers.push_back(denseLayer("fc1", 400, 120));
-    w.layers.push_back(denseLayer("fc2", 120, 84));
-    w.layers.push_back(denseLayer("fc3", 84, 10));
-    return w;
-}
-
-Workload
 vgg16Cifar()
 {
     Workload w;
@@ -188,31 +175,6 @@ vgg16Cifar()
     w.layers.push_back(denseLayer("fc1", 512, 512));
     w.layers.push_back(denseLayer("fc2", 512, 512));
     w.layers.push_back(denseLayer("fc3", 512, 10));
-    return w;
-}
-
-Workload
-vgg16Imagenet()
-{
-    Workload w;
-    w.name = "VGG16-ImageNet";
-    const struct { int64_t c; int reps; } stages[5] = {
-        {64, 2}, {128, 2}, {256, 3}, {512, 3}, {512, 3}};
-    int64_t hw = 224;
-    int64_t in_c = 3;
-    for (int s = 0; s < 5; ++s) {
-        for (int r = 0; r < stages[s].reps; ++r) {
-            const bool last = r == stages[s].reps - 1;
-            w.layers.push_back(convLayer(
-                strfmt("conv%d_%d", s + 1, r + 1), in_c, stages[s].c,
-                3, 1, 1, hw, last));
-            in_c = stages[s].c;
-        }
-        hw /= 2;
-    }
-    w.layers.push_back(denseLayer("fc1", 512 * 7 * 7, 4096));
-    w.layers.push_back(denseLayer("fc2", 4096, 4096));
-    w.layers.push_back(denseLayer("fc3", 4096, 1000));
     return w;
 }
 

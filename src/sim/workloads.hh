@@ -1,9 +1,9 @@
 /**
  * @file
  * Full-size workload specifications for the performance model: the
- * exact layer dimensions of LeNet-5, VGG-16 (CIFAR & ImageNet),
- * ResNet-18 and ResNet-50 (CIFAR-100 & ImageNet input sizes), plus the
- * per-network compression profiles reported in the paper's Tables I/II.
+ * exact layer dimensions of VGG-16 (CIFAR), ResNet-18 and ResNet-50
+ * (CIFAR-100 & ImageNet input sizes), plus the per-network
+ * compression profiles reported in the paper's Tables I/II.
  * Performance depends only on these dimensions and statistics — not on
  * trained weights — so the full-size networks are exact here even
  * though training runs on scaled models.
@@ -79,9 +79,7 @@ struct CompressionProfile
 };
 
 // Full-size workload builders.
-Workload lenet5Mnist();
 Workload vgg16Cifar();
-Workload vgg16Imagenet();
 Workload resnet18Cifar();
 Workload resnet18Imagenet();
 Workload resnet50Cifar();

@@ -37,8 +37,10 @@ Tensor im2col(const Tensor &input, int kh, int kw, int stride, int pad);
 
 /**
  * im2col writing into a caller-owned tensor, reallocating only when
- * the output geometry changes. The conv hot path passes a per-stage
- * scratch tensor so steady-state micro-batches are allocation-free.
+ * the output geometry changes. Conv stages do not call it: they
+ * gather each patch inside the quantizer (sim/stage_kernels.hh). It
+ * serves callers that repeat one geometry on a reused tensor, such
+ * as reference checks and kernel timing probes.
  */
 void im2colInto(const Tensor &input, int kh, int kw, int stride, int pad,
                 Tensor &out);

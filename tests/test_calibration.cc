@@ -21,7 +21,6 @@
 #include "nn/layers.hh"
 #include "nn/zoo.hh"
 #include "sim/calibrator.hh"
-#include "sim/graph_runtime.hh"
 #include "sim/pipeline_runtime.hh"
 #include "stats_testutil.hh"
 
@@ -95,7 +94,7 @@ TEST(Calibrator, TableCoversEveryProgrammedNodeWithPositiveScales)
 {
     CalibratedResNet c(501);
     ThreadPool pool(2);
-    sim::GraphRuntime rt(c.graph, c.states, noisyConfig(&pool));
+    sim::PipelineRuntime rt(c.graph, c.states, noisyConfig(&pool));
     EXPECT_EQ(c.table.size(), rt.programmedNodes());
     EXPECT_EQ(c.table.inputBits(), 8);
     for (const auto &e : c.table.entries()) {
@@ -125,12 +124,12 @@ TEST(Calibration, StaticBitIdenticalAcrossThreadsMicroBatchesAndChips)
     Tensor batch({4, 3, 32, 32});
     batch.fillUniform(rng, 0.0f, 1.0f);
 
-    // Reference: plain GraphRuntime, one thread.
+    // Reference: single-chip runtime, one thread.
     Tensor ref_logits;
     std::vector<arch::EngineStats> ref_stats;
     {
         ThreadPool pool(1);
-        sim::GraphRuntime rt(c.graph, c.states,
+        sim::PipelineRuntime rt(c.graph, c.states,
                              staticConfig(&pool));
         sim::RuntimeReport rep;
         ref_logits = rt.forward(batch, &rep);
@@ -179,7 +178,7 @@ TEST(Calibration, StaticBitIdenticalAcrossThreadsMicroBatchesAndChips)
 
 TEST(Calibration, GraphAndPipelineRuntimesAgreeBitwiseOnAStraightLineNet)
 {
-    // Straight-line net: the DAG GraphRuntime and the pipelined
+    // Straight-line net: the single-chip and the pipelined
     // runtime must produce identical logits and stats from the same
     // static calibration table.
     Rng rng(531);
@@ -211,7 +210,7 @@ TEST(Calibration, GraphAndPipelineRuntimesAgreeBitwiseOnAStraightLineNet)
     Tensor batch({3, 1, 12, 12});
     batch.fillUniform(crng, 0.0f, 1.0f);
 
-    sim::GraphRuntime gr(graph, states, staticConfig(&pool));
+    sim::PipelineRuntime gr(graph, states, staticConfig(&pool));
     sim::RuntimeReport grep;
     const Tensor b = gr.forward(batch, &grep);
 
@@ -294,8 +293,8 @@ TEST(CalibrationTable, AttachToCarriesScalesOnTheGraph)
     Tensor batch({2, 3, 32, 32});
     batch.fillUniform(rng, 0.0f, 1.0f);
     ThreadPool pool(4);
-    sim::GraphRuntime rt_reattached(c.graph, c.states, staticConfig(&pool));
-    sim::GraphRuntime rt_pct(pct.graph, pct.states, staticConfig(&pool));
+    sim::PipelineRuntime rt_reattached(c.graph, c.states, staticConfig(&pool));
+    sim::PipelineRuntime rt_pct(pct.graph, pct.states, staticConfig(&pool));
     EXPECT_TRUE(
         rt_reattached.forward(batch).equals(rt_pct.forward(batch)));
 }
@@ -308,7 +307,7 @@ TEST(CalibrationTable, MismatchedInputGridIsFatalAtConstruction)
     ThreadPool pool(2);
     sim::RuntimeConfig cfg = staticConfig(&pool);
     cfg.mapping.inputBits = 4;   // the table was calibrated at 8
-    EXPECT_DEATH(sim::GraphRuntime(c.graph, c.states, cfg),
+    EXPECT_DEATH(sim::PipelineRuntime(c.graph, c.states, cfg),
                  "stage '.+' carries a scale calibrated at 8 input bits "
                  "but the mapping uses 4");
 }
@@ -365,7 +364,7 @@ TEST(SaturationCounters, SurfaceThroughRuntimeReportsOnOutlierBatches)
 {
     CalibratedResNet c(561);
     ThreadPool pool(4);
-    sim::GraphRuntime rt(c.graph, c.states,
+    sim::PipelineRuntime rt(c.graph, c.states,
                          staticConfig(&pool));
 
     // In-range batch: the abs-max table was calibrated on [0,1)
@@ -380,7 +379,7 @@ TEST(SaturationCounters, SurfaceThroughRuntimeReportsOnOutlierBatches)
     // the first conv's grid.
     Tensor outlier({2, 3, 32, 32});
     outlier.fillUniform(rng, 0.0f, 10.0f);
-    sim::GraphRuntime rt2(c.graph, c.states,
+    sim::PipelineRuntime rt2(c.graph, c.states,
                           staticConfig(&pool));
     sim::RuntimeReport outlier_rep;
     rt2.forward(outlier, &outlier_rep);
@@ -394,7 +393,7 @@ TEST(SaturationCounters, SurfaceThroughRuntimeReportsOnOutlierBatches)
     EXPECT_GT(outlier_clips, normal_clips);
 
     // The idealized mode never clips anything.
-    sim::GraphRuntime ideal(c.graph, c.states, noisyConfig(&pool));
+    sim::PipelineRuntime ideal(c.graph, c.states, noisyConfig(&pool));
     sim::RuntimeReport ideal_rep;
     ideal.forward(outlier, &ideal_rep);
     for (const auto &l : ideal_rep.layers) {

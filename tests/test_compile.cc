@@ -16,7 +16,7 @@
 #include "nn/layers.hh"
 #include "nn/network.hh"
 #include "nn/zoo.hh"
-#include "sim/graph_runtime.hh"
+#include "sim/pipeline_runtime.hh"
 
 namespace forms {
 namespace {
@@ -298,8 +298,8 @@ TEST(FoldBatchNorm, BnFeedingResidualAddJoinStillFolds)
     Rng xrng(72);
     Tensor x({2, 3, 8, 8});
     x.fillUniform(xrng, 0.0f, 1.0f);
-    sim::GraphRuntime rt_folded(g, states, preciseConfig());
-    sim::GraphRuntime rt_unfolded(unfolded, states, preciseConfig());
+    sim::PipelineRuntime rt_folded(g, states, preciseConfig());
+    sim::PipelineRuntime rt_unfolded(unfolded, states, preciseConfig());
     const Tensor yf = rt_folded.forward(x);
     const Tensor yu = rt_unfolded.forward(x);
     const float tol = 1e-4f * std::max(1.0f, yu.maxAbs());
@@ -384,7 +384,7 @@ TEST(FoldBatchNorm, WeightsVsDigitalScaleAgreeOnIdentityShortcutBlock)
     EXPECT_EQ(compile::foldBatchNorm(g_w, compile::FoldMode::Weights),
               5);
     auto states_w = sim::snapshotCompress(net_w, 8, 8);
-    sim::GraphRuntime rt_w(g_w, states_w, preciseConfig());
+    sim::PipelineRuntime rt_w(g_w, states_w, preciseConfig());
     const Tensor y_w = rt_w.forward(x);
 
     // DigitalScale mode: compress first, then fold into the stage.
@@ -393,7 +393,7 @@ TEST(FoldBatchNorm, WeightsVsDigitalScaleAgreeOnIdentityShortcutBlock)
     EXPECT_EQ(
         compile::foldBatchNorm(g_d, compile::FoldMode::DigitalScale),
         5);
-    sim::GraphRuntime rt_d(g_d, states_d, preciseConfig());
+    sim::PipelineRuntime rt_d(g_d, states_d, preciseConfig());
     const Tensor y_d = rt_d.forward(x);
 
     // The two fold targets must agree with each other: identical sign

@@ -127,7 +127,7 @@ TEST_P(PolarizationTest, ProjectionClearsAllViolations)
     WeightView v = WeightView::conv(w);
     FragmentPlan plan = FragmentPlan::forConv(
         6, 4, 3, frag, PolarizationPolicy::CMajor);
-    SignMap signs = computeSigns(v, plan, SignRule::SumRule);
+    SignMap signs = computeSigns(v, plan);
     EXPECT_GT(countSignViolations(v, plan, signs), 0);
     projectPolarization(v, plan, signs);
     EXPECT_EQ(countSignViolations(v, plan, signs), 0);
@@ -180,26 +180,24 @@ TEST(Polarization, SumRuleMatchesPaperEquation)
     WeightView v = WeightView::conv(w);
     FragmentPlan plan = FragmentPlan::forConv(
         1, 1, 2, 4, PolarizationPolicy::WMajor);
-    SignMap signs = computeSigns(v, plan, SignRule::SumRule);
+    SignMap signs = computeSigns(v, plan);
     EXPECT_EQ(signs.get(0, 0), 1);   // sum = 0.5 >= 0
 }
 
-TEST(Polarization, MinEnergyPicksHeavierOrthant)
+TEST(Polarization, SumRuleFollowsTheFragmentSum)
 {
-    // Sum is positive but the negative side carries more energy.
+    // The sign flips exactly when the fragment sum crosses zero.
     Tensor w({1, 1, 2, 2});
     w.at(0) = 2.5f; w.at(1) = 0.0f; w.at(2) = -2.0f; w.at(3) = -2.0f;
     WeightView v = WeightView::conv(w);
     FragmentPlan plan = FragmentPlan::forConv(
         1, 1, 2, 4, PolarizationPolicy::WMajor);
-    EXPECT_EQ(computeSigns(v, plan, SignRule::SumRule).get(0, 0), -1);
-    EXPECT_EQ(computeSigns(v, plan, SignRule::MinEnergy).get(0, 0), -1);
+    EXPECT_EQ(computeSigns(v, plan).get(0, 0), -1);   // sum = -1.5
 
-    w.at(0) = 3.0f;   // sum now +... energy still favours negative
-    EXPECT_EQ(computeSigns(v, plan, SignRule::SumRule).get(0, 0), -1);
+    w.at(0) = 3.0f;
+    EXPECT_EQ(computeSigns(v, plan).get(0, 0), -1);   // sum = -1.0
     w.at(0) = 5.0f;
-    EXPECT_EQ(computeSigns(v, plan, SignRule::SumRule).get(0, 0), 1);
-    EXPECT_EQ(computeSigns(v, plan, SignRule::MinEnergy).get(0, 0), 1);
+    EXPECT_EQ(computeSigns(v, plan).get(0, 0), 1);    // sum = +1.0
 }
 
 TEST(Quantization, ResultsLieOnGrid)

@@ -4,7 +4,7 @@
  * builds random layer graphs (conv/BN/relu stacks, residual blocks
  * with identity and projection shortcuts, pooling), folds BN in a
  * randomly chosen mode, optionally calibrates a static activation
- * scale, and cross-checks GraphRuntime against PipelineRuntime —
+ * scale, and cross-checks the single-chip runtime against pipelines —
  * random thread counts, chip counts, micro-batch sizes,
  * stage-replication factors (random replicateThreshold/maxReplicas,
  * so heavy nodes spread across several replica chips) — for
@@ -39,7 +39,6 @@
 #include "serve/backends.hh"
 #include "serve/server.hh"
 #include "sim/calibrator.hh"
-#include "sim/graph_runtime.hh"
 #include "sim/pipeline_runtime.hh"
 #include "stats_testutil.hh"
 
@@ -237,7 +236,7 @@ TEST(CrossRuntimeFuzz, GraphAndPipelineRuntimesAgreeBitwise)
             rcfg.scaleMode = arch::ScaleMode::Static;
         }
 
-        sim::GraphRuntime gr(graph, states, rcfg);
+        sim::PipelineRuntime gr(graph, states, rcfg);
         sim::RuntimeReport grep;
         const Tensor ref = gr.forward(batch, &grep);
 
@@ -317,8 +316,8 @@ TEST(CrossRuntimeFuzz, GraphAndPipelineRuntimesAgreeBitwise)
         // Fault axis: the same DAG re-programmed under a seeded fault
         // map — stuck cells, drifted devices AND killed columns
         // repaired from a generous spare budget — stays a pure
-        // function of (seed, faultKey, physId): GraphRuntime and
-        // PipelineRuntime must agree bitwise on logits and per-node
+        // function of (seed, faultKey, physId): the single-chip and
+        // pipelined runtimes must agree bitwise on logits and per-node
         // stats, faults, remap and all (reram/faults.hh).
         {
             reram::FaultConfig fltc;
@@ -333,7 +332,7 @@ TEST(CrossRuntimeFuzz, GraphAndPipelineRuntimesAgreeBitwise)
             fcfg.faults = &fmap;
             fcfg.remapFaults = true;
             fcfg.mapping.spareXbars = 12;
-            sim::GraphRuntime fgr(graph, states, fcfg);
+            sim::PipelineRuntime fgr(graph, states, fcfg);
             sim::RuntimeReport fgrep;
             const Tensor fref = fgr.forward(batch, &fgrep);
             fault_perturbed += !fref.equals(ref);
@@ -512,7 +511,7 @@ TEST(CrossRuntimeFuzz, IdealDevicesAgreeBitwise)
                 cfg.remapFaults = true;
                 cfg.mapping.spareXbars = 12;
             }
-            sim::GraphRuntime gr(graph, states, cfg);
+            sim::PipelineRuntime gr(graph, states, cfg);
             sim::RuntimeReport grep;
             const Tensor ref = gr.forward(batch, &grep);
 

@@ -339,7 +339,6 @@ class PanelReference
             std::vector<double> epj;
             for (int fr = 0; fr < xb.fragsUsed; ++fr)
                 epj.push_back(reram::readEnergyPj(
-                    cfg.cell,
                     std::min(layer.cfg.fragSize,
                              xb.rows - fr * layer.cfg.fragSize),
                     std::max(1, cols), sample_ns));

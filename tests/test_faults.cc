@@ -17,7 +17,6 @@
 #include "compile/passes.hh"
 #include "nn/zoo.hh"
 #include "reram/faults.hh"
-#include "sim/graph_runtime.hh"
 #include "sim/pipeline_runtime.hh"
 #include "stats_testutil.hh"
 
@@ -145,14 +144,14 @@ TEST(FaultOverlay, ZeroRateMapIsBitwiseInert)
     batch.fillUniform(rng, 0.0f, 1.0f);
 
     ThreadPool pool(4);
-    sim::GraphRuntime clean(c.graph, c.states, noisyConfig(&pool));
+    sim::PipelineRuntime clean(c.graph, c.states, noisyConfig(&pool));
     sim::RuntimeReport clean_rep;
     const Tensor clean_logits = clean.forward(batch, &clean_rep);
 
     reram::FaultMap zero{reram::FaultConfig{}};
     sim::RuntimeConfig rcfg = noisyConfig(&pool);
     rcfg.faults = &zero;
-    sim::GraphRuntime faulted(c.graph, c.states, rcfg);
+    sim::PipelineRuntime faulted(c.graph, c.states, rcfg);
     sim::RuntimeReport rep;
     const Tensor logits = faulted.forward(batch, &rep);
 
@@ -171,7 +170,7 @@ TEST(FaultOverlay, StuckCellsPerturbLogitsDeterministically)
     batch.fillUniform(rng, 0.0f, 1.0f);
 
     ThreadPool pool(4);
-    sim::GraphRuntime clean(c.graph, c.states, noisyConfig(&pool));
+    sim::PipelineRuntime clean(c.graph, c.states, noisyConfig(&pool));
     const Tensor clean_logits = clean.forward(batch);
 
     reram::FaultConfig fc;
@@ -183,8 +182,8 @@ TEST(FaultOverlay, StuckCellsPerturbLogitsDeterministically)
 
     sim::RuntimeConfig rcfg = noisyConfig(&pool);
     rcfg.faults = &map;
-    sim::GraphRuntime faulted_a(c.graph, c.states, rcfg);
-    sim::GraphRuntime faulted_b(c.graph, c.states, rcfg);
+    sim::PipelineRuntime faulted_a(c.graph, c.states, rcfg);
+    sim::PipelineRuntime faulted_b(c.graph, c.states, rcfg);
     const Tensor a = faulted_a.forward(batch);
     const Tensor b = faulted_b.forward(batch);
 
@@ -205,7 +204,7 @@ TEST(Remap, ColumnKillWithSparesRecoversCleanLogitsExactly)
     batch.fillUniform(rng, 0.0f, 1.0f);
 
     ThreadPool pool(4);
-    sim::GraphRuntime clean(c.graph, c.states, noisyConfig(&pool));
+    sim::PipelineRuntime clean(c.graph, c.states, noisyConfig(&pool));
     sim::RuntimeReport clean_rep;
     const Tensor clean_logits = clean.forward(batch, &clean_rep);
 
@@ -218,7 +217,7 @@ TEST(Remap, ColumnKillWithSparesRecoversCleanLogitsExactly)
     rcfg.faults = &map;
     rcfg.remapFaults = true;
     rcfg.mapping.spareXbars = 16;
-    sim::GraphRuntime repaired(c.graph, c.states, rcfg);
+    sim::PipelineRuntime repaired(c.graph, c.states, rcfg);
     sim::RuntimeReport rep;
     const Tensor logits = repaired.forward(batch, &rep);
 
@@ -235,7 +234,7 @@ TEST(Remap, ColumnKillWithSparesRecoversCleanLogitsExactly)
     sim::RuntimeConfig broken = rcfg;
     broken.remapFaults = false;
     broken.mapping.spareXbars = 0;
-    sim::GraphRuntime unrepaired(c.graph, c.states, broken);
+    sim::PipelineRuntime unrepaired(c.graph, c.states, broken);
     EXPECT_FALSE(unrepaired.forward(batch).equals(clean_logits))
         << "fault map killed no used column; raise the rate or reseed";
 }
@@ -304,7 +303,7 @@ TEST(RemapDeathTest, SpareExhaustionNamesNodeCrossbarAndColumn)
 
     EXPECT_DEATH(
         {
-            sim::GraphRuntime rt(c.graph, c.states, rcfg);
+            sim::PipelineRuntime rt(c.graph, c.states, rcfg);
         },
         "remap: node .* dead cell column .* spare");
 }

@@ -1,9 +1,9 @@
 /**
  * @file
- * GraphRuntime tests: buildResNetSmall compiles (lower + BN-fold),
- * maps onto simulated crossbars, and runs end to end — with logits
- * AND merged per-node EngineStats bit-identical across 1, 4, and 8
- * threads, with ADC quantization, device variation and read noise all
+ * Single-chip PipelineRuntime tests: buildResNetSmall compiles (lower +
+ * BN-fold), maps onto simulated crossbars, and runs end to end — with
+ * logits AND merged per-node EngineStats bit-identical across 1, 4, and
+ * 8 threads, with ADC quantization, device variation and read noise all
  * enabled (the DESIGN.md §3 contract extended to DAG join nodes).
  */
 
@@ -13,7 +13,7 @@
 
 #include "compile/passes.hh"
 #include "nn/zoo.hh"
-#include "sim/graph_runtime.hh"
+#include "sim/pipeline_runtime.hh"
 #include "stats_testutil.hh"
 
 namespace forms {
@@ -64,7 +64,7 @@ TEST(GraphRuntime, ResNetBitIdenticalAcrossThreadCounts)
     sim::RuntimeReport ref_rep;
     for (int threads : {1, 4, 8}) {
         ThreadPool pool(threads);
-        sim::GraphRuntime rt(c.graph, c.states, noisyConfig(&pool));
+        sim::PipelineRuntime rt(c.graph, c.states, noisyConfig(&pool));
         sim::RuntimeReport rep;
         const Tensor logits = rt.forward(batch, &rep);
 
@@ -96,7 +96,7 @@ TEST(GraphRuntime, ProgramsEveryMatrixNodeAndReportsAllocation)
 {
     CompiledResNet c(61);
     ThreadPool pool(2);
-    sim::GraphRuntime rt(c.graph, c.states, noisyConfig(&pool));
+    sim::PipelineRuntime rt(c.graph, c.states, noisyConfig(&pool));
 
     EXPECT_EQ(rt.nodes(), c.graph.size());
     EXPECT_EQ(rt.programmedNodes(), 10u);
@@ -133,7 +133,7 @@ TEST(GraphRuntime, LosslessLogitsTrackFpReferenceOfProjectedWeights)
     rcfg.mapping.fragSize = 8;
     rcfg.mapping.inputBits = 16;
     rcfg.engine.adcBits = 0;
-    sim::GraphRuntime rt(c.graph, c.states, rcfg);
+    sim::PipelineRuntime rt(c.graph, c.states, rcfg);
     const Tensor logits = rt.forward(batch);
 
     ASSERT_EQ(logits.shape(), fp.shape());
@@ -180,7 +180,7 @@ TEST(GraphRuntime, DigitalScaleFoldTracksFpReference)
     rcfg.mapping.fragSize = 8;
     rcfg.mapping.inputBits = 16;
     rcfg.engine.adcBits = 0;
-    sim::GraphRuntime rt(graph, states, rcfg);
+    sim::PipelineRuntime rt(graph, states, rcfg);
     const Tensor logits = rt.forward(batch);
 
     ASSERT_EQ(logits.shape(), fp.shape());
@@ -198,7 +198,7 @@ TEST(GraphRuntime, ResetPresentationStreamsReproducesNoisyRuns)
 {
     CompiledResNet c(81);
     ThreadPool pool(4);
-    sim::GraphRuntime rt(c.graph, c.states, noisyConfig(&pool));
+    sim::PipelineRuntime rt(c.graph, c.states, noisyConfig(&pool));
 
     Rng rng(82);
     Tensor batch({1, 3, 32, 32});
@@ -216,7 +216,7 @@ TEST(GraphRuntime, ReportAccumulatesAcrossForwards)
 {
     CompiledResNet c(91);
     ThreadPool pool(4);
-    sim::GraphRuntime rt(c.graph, c.states, noisyConfig(&pool));
+    sim::PipelineRuntime rt(c.graph, c.states, noisyConfig(&pool));
 
     Rng rng(92);
     Tensor batch({1, 3, 32, 32});
@@ -238,7 +238,7 @@ TEST(GraphRuntime, AccuracyRunsAndIsBounded)
     CompiledResNet c(95);
     ThreadPool pool(4);
     sim::RuntimeConfig rcfg = noisyConfig(&pool);
-    sim::GraphRuntime rt(c.graph, c.states, rcfg);
+    sim::PipelineRuntime rt(c.graph, c.states, rcfg);
 
     Rng rng(96);
     Tensor images({3, 3, 32, 32});

@@ -16,7 +16,6 @@ namespace {
 
 using admm::FragmentPlan;
 using admm::PolarizationPolicy;
-using admm::SignRule;
 using admm::WeightView;
 
 /** Self-contained layer state for mapper tests. */
@@ -48,7 +47,7 @@ struct TestLayer
             state.mask = admm::extractMask(v);
             state.plan = state.plan.restrictedToRows(state.mask->rowKept);
         }
-        state.signs = admm::computeSigns(v, state.plan, SignRule::SumRule);
+        state.signs = admm::computeSigns(v, state.plan);
         admm::projectPolarization(v, state.plan, *state.signs);
 
         admm::QuantSpec q;

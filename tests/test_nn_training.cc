@@ -71,7 +71,6 @@ TEST(Trainer, TinyNetLearnsAboveChance)
     TrainConfig tc;
     tc.epochs = 8;
     tc.batchSize = 16;
-    tc.lr = 0.05f;
     Trainer trainer(*net, data, tc);
     auto res = trainer.run();
     // Chance is 0.25; the prototype task should be solidly learnable.

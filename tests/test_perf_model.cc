@@ -263,10 +263,20 @@ TEST(TilePipelineModel, OverlapBoundedByComputeSumAndSerialSum)
 
 TEST(TilePipelineModel, QuantNsScalesWithValueCount)
 {
-    TilePipeline tile;
-    tile.quantNsPerValue = 0.25;
-    EXPECT_DOUBLE_EQ(tile.quantNs(0), 0.0);
-    EXPECT_DOUBLE_EQ(tile.quantNs(1000), 250.0);
+    // A 2 GHz quantizer, one value per cycle: 0.5 ns per value.
+    const TilePipeline tile;
+    EXPECT_EQ(tile.quantNs(0), 0.0);
+    EXPECT_EQ(tile.quantNs(1), 0.5);
+    EXPECT_EQ(tile.quantNs(1000), 500.0);
+}
+
+TEST(InterChipLinkModel, FixedLatencyPlusBandwidthAndPerByteEnergy)
+{
+    // 50 ns per hop plus bytes at 25 GB/s; 1 pJ per byte.
+    EXPECT_EQ(interChipTransferNs(0), 50.0);
+    EXPECT_EQ(interChipTransferNs(1000), 90.0);
+    EXPECT_EQ(interChipTransferPj(0), 0.0);
+    EXPECT_EQ(interChipTransferPj(1000), 1000.0);
 }
 
 TEST_F(PerfFixture, TableVOrderingFormsFullOnTop)

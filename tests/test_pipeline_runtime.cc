@@ -4,7 +4,7 @@
  * the DESIGN.md §5 contract — logits and per-node EngineStats
  * bit-identical across thread counts (1/4/8), micro-batch sizes,
  * chip counts AND stage-replication factors, and bit-identical to
- * the single-graph GraphRuntime — with ADC quantization, device
+ * the single-chip runtime — with ADC quantization, device
  * variation and read noise all enabled. The intra-chip tile pipeline
  * is a timing model only: toggling it must change makespans, never
  * numbers.
@@ -15,7 +15,6 @@
 #include "compile/passes.hh"
 #include "nn/layers.hh"
 #include "nn/zoo.hh"
-#include "sim/graph_runtime.hh"
 #include "sim/pipeline_runtime.hh"
 #include "stats_testutil.hh"
 
@@ -106,7 +105,7 @@ TEST(PipelineRuntime, OneChipMatchesGraphRuntimeBitwise)
 
     ThreadPool pool(4);
     sim::RuntimeConfig gcfg = noisyConfig(&pool, 1).runtime;
-    sim::GraphRuntime gr(c.graph, c.states, gcfg);
+    sim::PipelineRuntime gr(c.graph, c.states, gcfg);
     sim::RuntimeReport grep;
     const Tensor ref = gr.forward(batch, &grep);
 
@@ -197,7 +196,7 @@ TEST(PipelineRuntime, ReplicatedStagesStayBitIdenticalToGraphRuntime)
     batch.fillUniform(rng, 0.0f, 1.0f);
 
     ThreadPool pool(4);
-    sim::GraphRuntime gr(c.graph, c.states, noisyConfig(&pool, 1).runtime);
+    sim::PipelineRuntime gr(c.graph, c.states, noisyConfig(&pool, 1).runtime);
     sim::RuntimeReport grep;
     const Tensor ref = gr.forward(batch, &grep);
 

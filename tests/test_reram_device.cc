@@ -92,11 +92,12 @@ TEST(ProgramLevel, ZeroLevelImmuneToVariation)
 
 TEST(ReadEnergy, PositiveAndLinearInActiveRows)
 {
-    CellConfig cfg;
-    const double e8 = readEnergyPj(cfg, 8, 128, 1.0);
-    const double e128 = readEnergyPj(cfg, 128, 128, 1.0);
+    const double e8 = readEnergyPj(8, 128, 1.0);
+    const double e128 = readEnergyPj(128, 128, 1.0);
     EXPECT_GT(e8, 0.0);
     EXPECT_EQ(e128 / e8, 16.0);
+    // V^2 * G_mid * t at 0.2 V and the 2-100 uS cell's 51 uS midpoint.
+    EXPECT_EQ(readEnergyPj(1, 1, 1.0), 0.2 * 0.2 * 51.0 * 1.0 * 1e-3);
 }
 
 TEST(Variation, ZeroSigmaIsIdentityOnGrid)

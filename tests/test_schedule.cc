@@ -3,13 +3,16 @@
  * Schedule partitioner tests: determinism (same graph + same config
  * => identical partition), contiguity in topological order, exact
  * balance behaviour on uniform chains, capacity awareness, transfer
- * materialization, chip-count clamping, the shape-free single-chip
- * schedule, and replicated stages (a
+ * materialization, chip-count clamping, config validation, the
+ * shape-free single-chip schedule, and replicated stages (a
  * bottleneck matrix node spread across several chips, with merge
  * Transfer records and balanced per-chip work).
  */
 
 #include <gtest/gtest.h>
+
+#include <limits>
+#include <string>
 
 #include "compile/passes.hh"
 #include "compile/schedule.hh"
@@ -582,13 +585,56 @@ TEST(HeterogeneousChips, MalformedSpecsDie)
     compile::ScheduleConfig wrong_count;
     wrong_count.chips = 2;
     wrong_count.chipSpecs.resize(3);
-    EXPECT_DEATH(compile::Schedule::partition(g, wrong_count), "");
+    EXPECT_DEATH(compile::Schedule::partition(g, wrong_count),
+                 "ScheduleConfig::chipSpecs has 3 entries for 2 chips");
 
     compile::ScheduleConfig bad_value;
     bad_value.chips = 2;
     bad_value.chipSpecs.resize(2);
     bad_value.chipSpecs[1].linkIn = 0.0;
-    EXPECT_DEATH(compile::Schedule::partition(g, bad_value), "");
+    EXPECT_DEATH(compile::Schedule::partition(g, bad_value),
+                 "ScheduleConfig::chipSpecs\\[1\\]\\.linkIn");
+}
+
+TEST(ScheduleConfigValidate, EachBadFieldDiesNamingIt)
+{
+    auto g = reluChain(8);
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+
+    compile::ScheduleConfig cfg;
+    cfg.chips = 0;
+    EXPECT_DEATH(compile::Schedule::partition(g, cfg),
+                 "ScheduleConfig::chips = 0");
+    cfg.chips = -3;
+    EXPECT_DEATH(compile::Schedule::partition(g, cfg),
+                 "ScheduleConfig::chips = -3");
+
+    // A NaN capacity would drop out of the DP's max() and then make
+    // the chip's modeled phase times NaN.
+    const auto spec_dies = [&](double compile::ChipSpec::*field,
+                               double value, const char *name) {
+        compile::ScheduleConfig c;
+        c.chips = 2;
+        c.chipSpecs.resize(2);
+        c.chipSpecs[1].*field = value;
+        EXPECT_DEATH(compile::Schedule::partition(g, c),
+                     std::string("ScheduleConfig::chipSpecs\\[1\\]\\.") +
+                         name);
+    };
+    for (double bad : {nan, inf, -1.0, 0.0}) {
+        spec_dies(&compile::ChipSpec::capacity, bad, "capacity");
+        spec_dies(&compile::ChipSpec::adcScale, bad, "adcScale");
+        spec_dies(&compile::ChipSpec::linkIn, bad, "linkIn");
+    }
+
+    for (double bad : {nan, inf, -0.5}) {
+        compile::ScheduleConfig c;
+        c.chips = 2;
+        c.replicateThreshold = bad;
+        EXPECT_DEATH(compile::Schedule::partition(g, c),
+                     "ScheduleConfig::replicateThreshold");
+    }
 }
 
 TEST(Schedule, ReplicatedPartitionIsDeterministic)

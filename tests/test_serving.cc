@@ -30,7 +30,6 @@
 #include "obs/metrics.hh"
 #include "serve/backends.hh"
 #include "serve/server.hh"
-#include "sim/graph_runtime.hh"
 #include "sim/pipeline_runtime.hh"
 #include "stats_testutil.hh"
 
@@ -129,7 +128,7 @@ TEST(Serving, GraphForwardRequestsIsBatchInvariant)
     TinyModel m;
     ThreadPool ref_pool(2);
     sim::RuntimeConfig cfg = noisyCfg(&ref_pool);
-    sim::GraphRuntime rt(m.graph, m.states, cfg);
+    sim::PipelineRuntime rt(m.graph, m.states, cfg);
 
     Rng rng(77);
     const int64_t n = 6;
@@ -159,8 +158,8 @@ TEST(Serving, GraphForwardRequestsIsBatchInvariant)
         SCOPED_TRACE("trial " + std::to_string(trial));
         ThreadPool tp(1 + static_cast<int>(trial_rng.below(4)));
         sim::RuntimeConfig tcfg = noisyCfg(&tp);
-        sim::GraphRuntime fresh(m.graph, m.states, tcfg);
-        sim::GraphRuntime &use = trial % 2 == 0 ? rt : fresh;
+        sim::PipelineRuntime fresh(m.graph, m.states, tcfg);
+        sim::PipelineRuntime &use = trial % 2 == 0 ? rt : fresh;
 
         // Random subset in random order (Fisher-Yates).
         std::vector<int64_t> order;
@@ -207,7 +206,7 @@ TEST(Serving, PipelineForwardRequestsMatchesGraphSingleRequest)
     TinyModel m;
     ThreadPool ref_pool(1);
     sim::RuntimeConfig cfg = noisyCfg(&ref_pool);
-    sim::GraphRuntime ref_rt(m.graph, m.states, cfg);
+    sim::PipelineRuntime ref_rt(m.graph, m.states, cfg);
 
     Rng rng(101);
     const int64_t n = 5;
@@ -263,7 +262,7 @@ TEST(Serving, OfflineForwardUnchangedByKeyedStreams)
     TinyModel m;
     ThreadPool pool(2);
     sim::RuntimeConfig cfg = noisyCfg(&pool);
-    sim::GraphRuntime rt(m.graph, m.states, cfg);
+    sim::PipelineRuntime rt(m.graph, m.states, cfg);
 
     Rng rng(55);
     Tensor batch({2, 3, kHw, kHw});
@@ -290,8 +289,8 @@ TEST(Serving, ServerMatchesSingleRequestReference)
     TinyModel m;
     ThreadPool srv_pool(4);
     sim::RuntimeConfig cfg = noisyCfg(&srv_pool);
-    sim::GraphRuntime rt(m.graph, m.states, cfg);
-    serve::GraphBackend backend(rt);
+    sim::PipelineRuntime rt(m.graph, m.states, cfg);
+    serve::PipelineBackend backend(rt);
 
     obs::MetricsRegistry metrics;
     serve::ServerConfig sc;
@@ -304,7 +303,7 @@ TEST(Serving, ServerMatchesSingleRequestReference)
     // must match it bitwise anyway.
     ThreadPool ref_pool(1);
     sim::RuntimeConfig rcfg = noisyCfg(&ref_pool);
-    sim::GraphRuntime ref_rt(m.graph, m.states, rcfg);
+    sim::PipelineRuntime ref_rt(m.graph, m.states, rcfg);
 
     constexpr int kThreads = 4, kPerThread = 6;
     constexpr int kReq = kThreads * kPerThread;

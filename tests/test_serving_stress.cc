@@ -28,7 +28,7 @@
 #include "obs/metrics.hh"
 #include "serve/backends.hh"
 #include "serve/server.hh"
-#include "sim/graph_runtime.hh"
+#include "sim/pipeline_runtime.hh"
 
 namespace forms {
 namespace {
@@ -404,10 +404,10 @@ TEST(ServingStress, ChipDeathMidStormFailsOverBitExactly)
     Tensor all({kWave * kWaves, 3, 12, 12});
     all.fillUniform(rng, 0.0f, 1.0f);
 
-    // Request-keyed offline reference on a single-chip GraphRuntime:
+    // Request-keyed offline reference on a single-chip PipelineRuntime:
     // the serving contract makes fleet size and batching invisible.
     ThreadPool ref_pool(4);
-    sim::GraphRuntime ref_rt(c.graph, c.states, noisyConfig(&ref_pool));
+    sim::PipelineRuntime ref_rt(c.graph, c.states, noisyConfig(&ref_pool));
     std::vector<uint64_t> ids(kWave * kWaves);
     for (size_t i = 0; i < ids.size(); ++i)
         ids[i] = static_cast<uint64_t>(i);

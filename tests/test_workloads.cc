@@ -12,15 +12,6 @@
 namespace forms::sim {
 namespace {
 
-TEST(Workloads, LeNetGeometry)
-{
-    Workload w = lenet5Mnist();
-    EXPECT_EQ(w.layers.size(), 5u);
-    EXPECT_EQ(w.layers[0].outH(), 28);   // 5x5 pad 2 keeps 28
-    EXPECT_EQ(w.layers[1].outH(), 10);   // 14 - 5 + 1
-    EXPECT_EQ(w.layers[2].rows(), 400);
-}
-
 TEST(Workloads, Vgg16CifarShapes)
 {
     Workload w = vgg16Cifar();
@@ -31,15 +22,6 @@ TEST(Workloads, Vgg16CifarShapes)
     EXPECT_EQ(last_conv.rows(), 512 * 9);
     // VGG16-CIFAR has ~14.7M conv weights + ~0.5M fc.
     EXPECT_NEAR(static_cast<double>(w.totalWeights()) / 1e6, 15.2, 0.8);
-}
-
-TEST(Workloads, Vgg16ImagenetOps)
-{
-    Workload w = vgg16Imagenet();
-    // Published: ~15.5 GMACs => ~31 GOPs per frame.
-    EXPECT_NEAR(w.gopsPerFrame(), 31.0, 1.5);
-    // ~138M weights.
-    EXPECT_NEAR(static_cast<double>(w.totalWeights()) / 1e6, 138.0, 5.0);
 }
 
 TEST(Workloads, Resnet18ImagenetOps)
