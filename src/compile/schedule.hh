@@ -15,8 +15,8 @@
  *     anchored on exactly one matrix node (it may also carry cheap
  *     functional neighbors — graph input, relu, pooling — so trivial
  *     prefix work never strands a chip). Every replica chip programs
- *     the anchor's weights into its own arch::EnginePool and
- *     processes a deterministic, presentation-index-keyed slice of
+ *     its own engine from the anchor's weights and processes a
+ *     deterministic, presentation-index-keyed slice of
  *     each micro-batch (replica r of R takes the contiguous
  *     presentation range [floor(P*r/R), floor(P*(r+1)/R)) — see
  *     sim/stage_kernels.hh), so an early layer that would otherwise

@@ -1,5 +1,7 @@
 #include "reram/faults.hh"
 
+#include <utility>
+
 #include "common/logging.hh"
 #include "common/rng.hh"
 
@@ -37,6 +39,20 @@ constexpr uint64_t kColumnStream = 0xC01DEAD5ULL;
 constexpr uint64_t kCellStream = 0xCE11FA17ULL;
 
 } // namespace
+
+void
+FaultConfig::validate() const
+{
+    const std::pair<const char *, double> rates[] = {
+        {"stuckLrsRate", stuckLrsRate},
+        {"stuckHrsRate", stuckHrsRate},
+        {"columnKillRate", columnKillRate},
+        {"driftRate", driftRate}};
+    for (const auto &[name, rate] : rates)
+        if (!(rate >= 0.0 && rate <= 1.0))
+            fatal("FaultConfig::%s = %g, need a finite value in [0, 1]",
+                  name, rate);
+}
 
 int
 CrossbarFaults::firstDeadColumn(int limit) const

@@ -52,6 +52,13 @@ struct FaultConfig
     double driftRate = 0.0;       //!< per-cell P(drifted)
     uint64_t seed = 2024;         //!< fleet-wide fault seed
 
+    /**
+     * fatal()s, naming the field, unless every rate is a finite
+     * probability in [0, 1] (a NaN rate would fail every `rate > 0`
+     * test and leave the map silently inert).
+     */
+    void validate() const;
+
     /** True when any rate is non-zero (a map worth drawing). */
     bool
     any() const
@@ -111,7 +118,7 @@ class FaultMap
 {
   public:
     FaultMap() = default;
-    explicit FaultMap(const FaultConfig &cfg) : cfg_(cfg) {}
+    explicit FaultMap(const FaultConfig &cfg) : cfg_(cfg) { cfg_.validate(); }
 
     const FaultConfig &config() const { return cfg_; }
 

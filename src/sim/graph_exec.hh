@@ -2,8 +2,8 @@
  * @file
  * DAG-execution core of sim::PipelineRuntime.
  *
- * buildNodeExecs() programs every node of a compiled graph into the
- * engine pools of the chips a compile::Schedule assigns it, and
+ * buildNodeExecs() programs every node of a compiled graph onto the
+ * chips a compile::Schedule assigns it, and
  * runGraph() streams one (micro-)batch through the DAG: the op
  * dispatch, the refcounted buffer walk and the Add-join accumulation
  * order live here, apart from the pipeline's partition and timing
@@ -21,9 +21,8 @@
 #ifndef FORMS_SIM_GRAPH_EXEC_HH
 #define FORMS_SIM_GRAPH_EXEC_HH
 
-#include <functional>
+#include <memory>
 
-#include "arch/chip.hh"
 #include "arch/remap.hh"
 #include "compile/schedule.hh"
 #include "sim/runtime.hh"
@@ -32,9 +31,10 @@
 namespace forms::sim {
 
 /**
- * One executable node of a compiled DAG. Engines and mappings are
- * owned by the arch::EnginePool the node was programmed into; the
- * exec only points at them, so it is freely movable/copyable.
+ * One executable node of a compiled DAG. A matrix node owns its
+ * mapping and its programmed engines (each engine reads the mapping
+ * by reference, so both live behind unique_ptr and never move after
+ * programming); the exec itself is move-only.
  */
 struct NodeExec
 {
@@ -44,15 +44,14 @@ struct NodeExec
     std::string name;
     std::vector<int> inputs;   //!< producer node ids
 
-    // Conv / Dense: the programmed hardware, owned by each hosting
-    // chip's pool. `engine` is the primary replica (== replicas[0]);
-    // a replicated matrix node (compile::Schedule stage width > 1)
-    // carries one engine per replica chip, all programmed from the
-    // same weights (see sim::StageEngines for the slicing contract).
-    arch::CrossbarEngine *engine = nullptr;
-    std::vector<arch::CrossbarEngine *> replicas;
-    std::vector<int> replicaChips;   //!< parallel to replicas
-    const arch::MappedLayer *mapped = nullptr;
+    // Conv / Dense: the programmed hardware. A replicated matrix node
+    // (compile::Schedule stage width > 1) carries one engine per
+    // replica chip, primary first, all programmed from the one
+    // shared mapping (see sim::StageEngines for the slicing
+    // contract). Empty for functional nodes.
+    std::unique_ptr<arch::MappedLayer> mapped;
+    std::vector<std::unique_ptr<arch::CrossbarEngine>> replicas;
+    std::vector<int> replicaChips;   //!< the stage's chips, primary first
     arch::RemapReport remap;   //!< spare-remap outcome (empty w/o faults)
     int outC = 0, k = 0, stride = 0, pad = 0;
     std::vector<float> bias;
@@ -67,24 +66,12 @@ struct NodeExec
 };
 
 /**
- * Per-phase timing callback of runGraph, fired once per (programmed
- * node, replica) in execution order: exec index, replica index, and
- * the slice's PhaseSample (sim/stage_kernels.hh) — the ADC-limited
- * model-time delta, values quantized, and the presented/skipped input
- * bit-cycle counters. The pipeline runtime's intra-chip tile pipeline
- * model (sim/perf_model.hh) turns these into per-phase busy intervals
- * and per-phase measured EIC fractions.
- */
-using PhaseSink =
-    std::function<void(size_t, int, const PhaseSample &)>;
-
-/**
- * Build the executable form of every node in `topo`: map and program
- * matrix nodes into the pools of every chip of the node's `sched`
- * stage — one chip for ordinary stages, R consecutive chips for a
- * replicated stage, primary first (device variation draws at program
- * time from a stream seeded only by the engine config, so replicas
- * program identical conductances),
+ * Build the executable form of every node in `topo`: map each matrix
+ * node once and program one engine for every chip of the node's
+ * `sched` stage — one chip for ordinary stages, R consecutive chips
+ * for a replicated stage, primary first (device variation draws at
+ * program time from a stream seeded only by the engine config, so
+ * replicas program identical conductances),
  * snapshot eval-mode BN affines, copy conv/pool geometry and the
  * digital output stage, and resolve each matrix node's
  * input-quantization scale (in arch::ScaleMode::Static, from the
@@ -93,15 +80,12 @@ using PhaseSink =
  *
  * @param layers per-layer compression state, matched to matrix nodes
  *        by weight-tensor identity; fatal()s when a node has none
- * @param sched stage partition of `g`; `pools` holds one pool per
- *        sched.chips()
+ * @param sched stage partition of `g`
  */
 std::vector<NodeExec>
 buildNodeExecs(const compile::Graph &g, const std::vector<int> &topo,
                std::vector<admm::LayerState> &layers,
-               const RuntimeConfig &cfg,
-               std::vector<arch::EnginePool> &pools,
-               const compile::Schedule &sched);
+               const RuntimeConfig &cfg, const compile::Schedule &sched);
 
 /**
  * Stream one NCHW batch through the DAG in `execs` order (a
@@ -115,8 +99,10 @@ buildNodeExecs(const compile::Graph &g, const std::vector<int> &topo,
  *        replica slices in ascending replica (= presentation) order
  *        into the same slot — so reusing the same vector across
  *        calls reproduces one serial fold over all the calls
- * @param on_phase per-(node, replica) timing sink (may be empty); see
- *        PhaseSink
+ * @param phases per-(programmed exec, replica) timing samples (may be
+ *        null): one PhaseSample (sim/stage_kernels.hh) per replica
+ *        slice, written in exec then replica order, so it needs room
+ *        for the sum of every exec's replica count
  * @param image_ids stable per-image stream ids, one per batch image
  *        (required): every programmed node keys its per-presentation
  *        RNG streams by image id (sim::StageEngines::imageIds).
@@ -134,14 +120,15 @@ buildNodeExecs(const compile::Graph &g, const std::vector<int> &topo,
 Tensor runGraph(const compile::Graph &g, const std::vector<NodeExec> &execs,
                 const Tensor &batch, ThreadPool &tp, int input_bits,
                 std::vector<arch::EngineStats> &stats,
-                const PhaseSink &on_phase, const uint64_t *image_ids,
+                PhaseSample *phases, const uint64_t *image_ids,
                 arch::EngineStats *per_image = nullptr,
                 int64_t per_image_stride = 0);
 
 /**
  * Merge every programmed exec's stats into `report` rows (one row per
- * programmed node, topological order; existing rows merge, as
- * recordLayer does). Exec `idx`'s stats are stats[idx * stride]:
+ * programmed node, topological order; rows already present merge by
+ * position, so one report can span several forwards). Exec `idx`'s
+ * stats are stats[idx * stride]:
  * stride 1 reads a flat per-exec accumulator vector, and stride
  * `images` at offset i reads image i of runGraph's `per_image`
  * channel — bitwise-identical to a single-image forward's rows under

@@ -15,10 +15,9 @@ PipelineRuntime::PipelineRuntime(const compile::Graph &graph,
                                  std::vector<admm::LayerState> &layers,
                                  PipelineRuntimeConfig cfg)
     : graph_(graph), sched_(std::move(sched)), topo_(graph.topoOrder()),
-      pools_(static_cast<size_t>(sched_.chips())), cfg_(cfg)
+      cfg_(cfg)
 {
-    execs_ = buildNodeExecs(graph_, topo_, layers, cfg_.runtime, pools_,
-                            sched_);
+    execs_ = buildNodeExecs(graph_, topo_, layers, cfg_.runtime, sched_);
 }
 
 PipelineRuntime::PipelineRuntime(const compile::Graph &graph,
@@ -41,8 +40,10 @@ int64_t
 PipelineRuntime::totalCrossbars() const
 {
     int64_t n = 0;
-    for (const auto &p : pools_)
-        n += p.totalCrossbars();
+    for (const NodeExec &e : execs_)
+        if (e.mapped)
+            n += e.mapped->numCrossbars() *
+                static_cast<int64_t>(e.replicas.size());
     return n;
 }
 
@@ -51,7 +52,7 @@ PipelineRuntime::allocation() const
 {
     std::vector<GraphNodeAlloc> out;
     for (const NodeExec &e : execs_) {
-        if (!e.engine)
+        if (!e.mapped)
             continue;
         GraphNodeAlloc a;
         a.nodeId = e.nodeId;
@@ -150,6 +151,12 @@ PipelineRuntime::run(const Tensor &batch, const uint64_t *ids,
         static_cast<size_t>(n_chips),
         std::vector<std::vector<PhaseInterval>>(
             static_cast<size_t>(num_mb)));
+    // One PhaseSample per (programmed exec, replica), which every
+    // runGraph call rewrites in exec then replica order.
+    size_t n_samples = 0;
+    for (const NodeExec &e : execs_)
+        n_samples += e.replicas.size();
+    std::vector<PhaseSample> samples(n_samples);
 
     std::vector<Tensor> mb_out(static_cast<size_t>(num_mb));
     for (int m = 0; m < num_mb; ++m) {
@@ -164,10 +171,13 @@ PipelineRuntime::run(const Tensor &batch, const uint64_t *ids,
 
         mb_out[static_cast<size_t>(m)] = runGraph(
             graph_, execs_, micro, tp, cfg_.runtime.mapping.inputBits,
-            node_stats,
-            [&](size_t idx, int replica, const PhaseSample &ps) {
-                const int chip = execs_[idx].replicaChips
-                    [static_cast<size_t>(replica)];
+            node_stats, samples.data(), ids + lo,
+            per_request ? per_image.data() + lo : nullptr, images);
+
+        const PhaseSample *ps = samples.data();
+        for (const NodeExec &e : execs_) {
+            for (size_t r = 0; r < e.replicas.size(); ++r, ++ps) {
+                const int chip = e.replicaChips[r];
                 // Heterogeneous fleets: a chip's modeled phase times
                 // shrink by its relative throughput (and ADC rate for
                 // the conversion phase). All-default specs divide by
@@ -177,16 +187,15 @@ PipelineRuntime::run(const Tensor &batch, const uint64_t *ids,
                     sched_.chipSpecs()[static_cast<size_t>(chip)];
                 PhaseInterval pi;
                 pi.quantNs =
-                    cfg_.tile.quantNs(ps.quantValues) / spec.capacity;
+                    cfg_.tile.quantNs(ps->quantValues) / spec.capacity;
                 pi.computeNs =
-                    ps.adcNs / (spec.capacity * spec.adcScale);
-                pi.bitCycles = ps.bitCycles;
-                pi.skippedCycles = ps.skippedCycles;
+                    ps->adcNs / (spec.capacity * spec.adcScale);
+                pi.bitCycles = ps->bitCycles;
+                pi.skippedCycles = ps->skippedCycles;
                 phases[static_cast<size_t>(chip)][static_cast<size_t>(m)]
                     .push_back(pi);
-            },
-            ids + lo,
-            per_request ? per_image.data() + lo : nullptr, images);
+            }
+        }
     }
     if (per_request) {
         // One report per image, resized/merged in batch order.
@@ -321,26 +330,24 @@ PipelineRuntime::run(const Tensor &batch, const uint64_t *ids,
                 c.replicas = width;
                 c.nodes =
                     sched_.chipNodes()[static_cast<size_t>(chip)].size();
-                c.programmedNodes =
-                    pools_[static_cast<size_t>(chip)].size();
-                c.crossbars =
-                    pools_[static_cast<size_t>(chip)].totalCrossbars();
                 // Per-chip stats: node accumulators merged in
                 // topological (presentation) order — deterministic
                 // for any thread count and micro-batch size. A
                 // replicated node's accumulator spans all replicas
                 // and lands on its primary chip.
                 for (size_t idx = 0; idx < execs_.size(); ++idx) {
-                    if (execs_[idx].engine && execs_[idx].chip == chip)
+                    if (execs_[idx].mapped && execs_[idx].chip == chip)
                         c.stats.merge(node_stats[idx]);
                 }
-                // Fault exposure of the engines this chip programs
-                // (every replica counts — each chip holds its own
-                // faulted copy).
+                // Crossbars and fault exposure of the engines this
+                // chip programs (every replica counts — each chip
+                // holds its own programmed, faulted copy).
                 for (const NodeExec &e : execs_) {
                     for (size_t ri = 0; ri < e.replicas.size(); ++ri) {
                         if (e.replicaChips[ri] != chip)
                             continue;
+                        ++c.programmedNodes;
+                        c.crossbars += e.mapped->numCrossbars();
                         c.faultyCrossbars +=
                             e.replicas[ri]->faultyCrossbars();
                         c.remappedCrossbars +=
@@ -459,14 +466,14 @@ PipelineRuntime::emitTrace(
                    static_cast<uint64_t>(c.remappedCrossbars)}});
     }
 
-    // Hosted programmed-node names per chip, in the order the
-    // PhaseSink pushed their PhaseIntervals: nodes execute in
-    // topological order and each hosting chip receives exactly one
-    // interval per node per micro-batch.
+    // Hosted programmed-node names per chip, in the order run()
+    // pushed their PhaseIntervals: phase samples are read in exec
+    // (topological) then replica order, and each hosting chip
+    // receives exactly one interval per node per micro-batch.
     std::vector<std::vector<const char *>> chip_names(
         static_cast<size_t>(n_chips));
     for (const NodeExec &e : execs_) {
-        if (!e.engine)
+        if (!e.mapped)
             continue;
         for (int c : e.replicaChips)
             chip_names[static_cast<size_t>(c)].push_back(e.name.c_str());

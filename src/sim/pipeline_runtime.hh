@@ -6,9 +6,9 @@
  * forward) is the plain DAG executor.
  *
  * PipelineRuntime takes a compile::Graph plus a compile::Schedule
- * (the stage partition), programs each matrix node's engine into the
- * arch::EnginePool of every chip hosting it — one chip for ordinary
- * stages, R consecutive chips for a replicated stage — and streams
+ * (the stage partition), programs one engine for each matrix node on
+ * every chip hosting it — one chip for ordinary stages, R consecutive
+ * chips for a replicated stage — and streams
  * batches through the DAG as a micro-batch pipeline: while stage k
  * computes its nodes on micro-batch b, stage k-1 computes micro-batch
  * b+1. The DAG walk (sim/graph_exec) releases a node's output as
@@ -224,9 +224,9 @@ class PipelineRuntime
                     RuntimeConfig cfg);
 
     /**
-     * Map and program every Conv/Dense node of `graph` into the
-     * engine pool of each chip hosting it (replicated stages program
-     * one identical engine per replica chip).
+     * Map every Conv/Dense node of `graph` and program it onto each
+     * chip hosting it (replicated stages program one identical engine
+     * per replica chip).
      *
      * @param graph the compiled DAG; borrowed (with its backing
      *        nn::Network) — both must outlive the runtime
@@ -310,7 +310,6 @@ class PipelineRuntime
     const compile::Graph &graph_;
     compile::Schedule sched_;
     std::vector<int> topo_;               //!< fixed node schedule
-    std::vector<arch::EnginePool> pools_; //!< one per chip
     std::vector<NodeExec> execs_;         //!< parallel to topo_
     PipelineRuntimeConfig cfg_;
     uint64_t nextImageId_ = 0;            //!< forward()'s id counter

@@ -156,11 +156,11 @@ replicatedMvm(const StageEngines &eng, const PresentationBlock &blk,
               size_t ext)
 {
     const size_t p = static_cast<size_t>(blk.count);
-    // The per-phase sink needs model-time deltas even when the caller
+    // The phase samples need model-time deltas even when the caller
     // passes no accumulator.
     arch::EngineStats scratch;
     arch::EngineStats *acc =
-        stats ? stats : (eng.onPhase ? &scratch : nullptr);
+        stats ? stats : (eng.phases ? &scratch : nullptr);
 
     // Presentation j's RNG key is imageIds[j/ppi]*ppi + j%ppi, so an
     // image's draws depend only on its own id — not on batch
@@ -190,13 +190,12 @@ replicatedMvm(const StageEngines &eng, const PresentationBlock &blk,
                                   static_cast<size_t>(blk.rows), lo, hi,
                                   keys.data(), out.get(), ext, acc,
                                   per_out, &tp);
-        if (eng.onPhase) {
-            PhaseSample ps;
+        if (eng.phases) {
+            PhaseSample &ps = eng.phases[r];
             ps.adcNs = acc->timeNs - before.timeNs;
             ps.quantValues = (hi - lo) * static_cast<uint64_t>(blk.rows);
             ps.bitCycles = acc->bitCycles - before.bitCycles;
             ps.skippedCycles = acc->skippedCycles - before.skippedCycles;
-            eng.onPhase(static_cast<int>(r), ps);
         }
     }
 
@@ -381,19 +380,6 @@ batchNormStage(const Tensor &in, const std::vector<float> &scale,
             dst[i] = src[i] * s + b;
     });
     return out;
-}
-
-void
-recordLayer(RuntimeReport &report, size_t stage_idx,
-            const std::string &name, const arch::EngineStats &stats,
-            int64_t crossbars, uint64_t presentations)
-{
-    if (stage_idx < report.layers.size()) {
-        report.layers[stage_idx].stats.merge(stats);
-    } else {
-        report.layers.push_back({name, stats, crossbars});
-    }
-    report.presentations += presentations;
 }
 
 admm::LayerState *

@@ -28,7 +28,6 @@
 namespace forms::sim {
 
 struct RuntimeConfig;
-struct RuntimeReport;
 
 /**
  * How one programmed stage quantizes its input presentations — the
@@ -96,9 +95,8 @@ quantizePresentations(ThreadPool &tp, int64_t count, int64_t rows,
                       arch::EngineStats *per_image = nullptr);
 
 /**
- * One replica-slice's worth of modeled work, reported through the
- * per-phase timing sinks (StageEngines::onPhase here, PhaseSink in
- * sim/graph_exec.hh): the ADC-limited model-time delta the slice
+ * One replica-slice's worth of modeled work, written to
+ * StageEngines::phases: the ADC-limited model-time delta the slice
  * added, the activation scalars it quantized, and the engine's input
  * bit-cycle counters — presented vs zero-skip-elided — so the
  * pipeline timing layer can report each ADC phase's measured EIC
@@ -136,13 +134,13 @@ struct StageEngines
     std::vector<arch::CrossbarEngine *> replicas;  //!< size >= 1
 
     /**
-     * Optional per-phase timing sink, fired once per replica in
-     * ascending replica order with (replica index, the slice's
-     * PhaseSample). The pipeline runtime turns these into per-phase
-     * busy intervals for the intra-chip tile pipeline model
-     * (sim/perf_model.hh); plain inference leaves it unset.
+     * Optional per-replica timing samples, parallel to `replicas`:
+     * replica r's slice writes phases[r]. The pipeline runtime turns
+     * these into per-phase busy intervals for the intra-chip tile
+     * pipeline model (sim/perf_model.hh); plain inference leaves it
+     * null.
      */
-    std::function<void(int, const PhaseSample &)> onPhase;
+    PhaseSample *phases = nullptr;
 
     /**
      * Stable per-image stream ids, one per image of the incoming batch
@@ -207,16 +205,6 @@ Tensor denseStage(const Tensor &act, const StageEngines &engines,
  */
 Tensor batchNormStage(const Tensor &in, const std::vector<float> &scale,
                       const std::vector<float> &shift, ThreadPool &tp);
-
-/**
- * Accumulate one programmed stage's batch stats into a report that may
- * span several forward() calls: rows merge by stage position, so
- * reusing one report across minibatches sums per-layer stats instead
- * of appending duplicate rows.
- */
-void recordLayer(RuntimeReport &report, size_t stage_idx,
-                 const std::string &name, const arch::EngineStats &stats,
-                 int64_t crossbars, uint64_t presentations);
 
 /** Flatten a tensor (e.g. a bias vector) into a plain float vector. */
 std::vector<float> tensorToVector(const Tensor &t);

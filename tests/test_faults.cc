@@ -13,6 +13,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "arch/remap.hh"
 #include "compile/passes.hh"
 #include "nn/zoo.hh"
@@ -282,6 +284,24 @@ TEST(Remap, ReportCountsFaultyAndRemappedTiles)
     (void)rt.forward(batch, &rep2);
     EXPECT_EQ(rep2.faultyCrossbars, rep.faultyCrossbars);
     EXPECT_EQ(rep2.remappedCrossbars, rep.remappedCrossbars);
+}
+
+TEST(FaultConfigValidate, EachBadRateDiesNamingIt)
+{
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const auto dies = [](double reram::FaultConfig::*field, double value,
+                         const char *name) {
+        reram::FaultConfig fc;
+        fc.*field = value;
+        EXPECT_DEATH(reram::FaultMap map(fc),
+                     std::string("FaultConfig::") + name);
+    };
+    for (double bad : {nan, -0.1, 1.5}) {
+        dies(&reram::FaultConfig::stuckLrsRate, bad, "stuckLrsRate");
+        dies(&reram::FaultConfig::stuckHrsRate, bad, "stuckHrsRate");
+        dies(&reram::FaultConfig::columnKillRate, bad, "columnKillRate");
+        dies(&reram::FaultConfig::driftRate, bad, "driftRate");
+    }
 }
 
 using RemapDeathTest = ::testing::Test;

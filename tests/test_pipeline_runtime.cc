@@ -201,9 +201,9 @@ TEST(PipelineRuntime, ReplicatedStagesStayBitIdenticalToGraphRuntime)
     const Tensor ref = gr.forward(batch, &grep);
 
     // The stem dwarfs the ideal share, so the DP replicates it.
-    auto sched = partitionFor(c.graph, 4, 1.0, 3);
+    const auto sched = partitionFor(c.graph, 4, 1.0, 3);
     ASSERT_TRUE(sched.replicated());
-    sim::PipelineRuntime pr(c.graph, std::move(sched), c.states,
+    sim::PipelineRuntime pr(c.graph, sched, c.states,
                             noisyConfig(&pool, 2));
     sim::PipelineReport prep;
     const Tensor got = pr.forward(batch, &prep);
@@ -227,6 +227,37 @@ TEST(PipelineRuntime, ReplicatedStagesStayBitIdenticalToGraphRuntime)
             wide_seen = true;
     }
     EXPECT_TRUE(wide_seen);
+
+    // Crossbar accounting counts every replica: the per-chip sums, the
+    // runtime total and the allocation times each node's stage width
+    // agree, and every chip of a wide stage holds the anchor's copy.
+    int64_t chip_crossbars = 0;
+    size_t chip_programmed = 0;
+    for (const auto &ch : prep.chips) {
+        chip_crossbars += ch.crossbars;
+        chip_programmed += ch.programmedNodes;
+    }
+    int64_t alloc_crossbars = 0;
+    size_t widths = 0;
+    for (const sim::GraphNodeAlloc &a : pr.allocation()) {
+        const int s = sched.stageOf(a.nodeId);
+        const int width = sched.stageWidth(s);
+        alloc_crossbars += a.crossbars * width;
+        widths += static_cast<size_t>(width);
+        if (width == 1)
+            continue;
+        for (int chip = sched.stageFirstChip(s);
+             chip < sched.stageFirstChip(s) + width; ++chip) {
+            const auto &ch = prep.chips[static_cast<size_t>(chip)];
+            ASSERT_EQ(ch.chip, chip);
+            EXPECT_EQ(ch.crossbars, a.crossbars) << a.name;
+            EXPECT_EQ(ch.programmedNodes, 1u) << a.name;
+        }
+    }
+    EXPECT_EQ(chip_crossbars, pr.totalCrossbars());
+    EXPECT_EQ(chip_crossbars, alloc_crossbars);
+    EXPECT_EQ(chip_programmed, widths);
+    EXPECT_GT(chip_programmed, pr.programmedNodes());
 
     // Replica engines advance through reset exactly like one engine:
     // a reset replays the noisy run bit for bit.
