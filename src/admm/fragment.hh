@@ -59,8 +59,6 @@ class WeightView
     Tensor &tensor() { return *w_; }
     const Tensor &tensor() const { return *w_; }
 
-    bool isConv() const { return conv_; }
-
   private:
     Tensor *w_ = nullptr;
     bool conv_ = false;

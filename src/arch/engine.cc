@@ -334,7 +334,8 @@ EngineConfig::validate() const
 
 CrossbarEngine::CrossbarEngine(const MappedLayer &layer, EngineConfig cfg)
     // The mapping is validated before adc_ sizes a lossless ADC from it.
-    : layer_((layer.cfg.validate(), layer)), cfg_(cfg),
+    : map_((layer.cfg.validate(), layer.cfg)), weightScale_(layer.scale),
+      cfg_(cfg),
       adc_({cfg.adcBits > 0
                 ? cfg.adcBits
                 : reram::AdcModel::losslessBits(layer.cfg.fragSize,
@@ -356,8 +357,7 @@ CrossbarEngine::CrossbarEngine(const MappedLayer &layer, EngineConfig cfg)
     // the resolution affords more codes than that (the lossless
     // setting), stretch the scale to the code count so the step is
     // exactly one level and integer sums convert exactly.
-    const int frag_max =
-        layer_.cfg.fragSize * ((1 << layer_.cfg.cellBits) - 1);
+    const int frag_max = map_.fragSize * ((1 << map_.cellBits) - 1);
     fullScale_ = static_cast<double>(
         std::max(frag_max, adc_.config().codes() - 1));
 
@@ -370,20 +370,25 @@ CrossbarEngine::CrossbarEngine(const MappedLayer &layer, EngineConfig cfg)
     // per-fragment read energy, the output extent, the slowest
     // crossbar's ADC-limited per-step time and the worst-case samples
     // per presentation: the hot path then touches only dense arrays.
-    const int cells = layer_.cfg.cellsPerWeight();
+    const int cells = map_.cellsPerWeight();
     const int max_level = cfg_.cell.maxLevel();
     // Nibble-plane entries are uint8_t sums of up to 4 levels.
     const bool planes_fit = 4 * max_level <= 255;
-    groups_ = (layer_.cfg.fragSize + 3) / 4;
+    groups_ = (map_.fragSize + 3) / 4;
     uint64_t max_samples = 0;
     const double sample_ns = adc_.sampleTimeNs();
     Rng rng(cfg_.variationSeed);
     // Program into scratch: a non-exact tile takes it over, an exact
     // one leaves it for the next crossbar.
     std::vector<double> lvl;
-    tiles_.reserve(layer_.crossbars.size());
-    for (size_t xi = 0; xi < layer_.crossbars.size(); ++xi) {
-        const auto &xb = layer_.crossbars[xi];
+    tiles_.reserve(layer.crossbars.size());
+    xbs_.reserve(layer.crossbars.size());
+    for (size_t xi = 0; xi < layer.crossbars.size(); ++xi) {
+        const auto &xb = layer.crossbars[xi];
+        // Magnitudes stay out of the copy: they live on as levels.
+        xbs_.push_back({xb.rows, xb.weightCols, xb.inputIndex,
+                        xb.outputIndex, {}, xb.fragSign, xb.fragsUsed,
+                        xb.physId});
         XbarTile tile;
         tile.cellCols = xb.weightCols * cells;
         lvl.resize(static_cast<size_t>(xb.rows) *
@@ -396,7 +401,7 @@ CrossbarEngine::CrossbarEngine(const MappedLayer &layer, EngineConfig cfg)
                 const uint32_t mag = xb.mag(r, wc);
                 for (int s = 0; s < cells; ++s)
                     row[wc * cells + s] = reram::programLevel(
-                        static_cast<int>((mag >> (s * layer_.cfg.cellBits)) &
+                        static_cast<int>((mag >> (s * map_.cellBits)) &
                                          static_cast<uint32_t>(max_level)),
                         cfg_.cell, &rng);
             }
@@ -409,8 +414,7 @@ CrossbarEngine::CrossbarEngine(const MappedLayer &layer, EngineConfig cfg)
             const int phys = xb.physId >= 0 ? xb.physId
                                             : static_cast<int>(xi);
             const reram::CrossbarFaults f = cfg_.faults->draw(
-                cfg_.faultKey, phys, layer_.cfg.xbarRows,
-                layer_.cfg.xbarCols);
+                cfg_.faultKey, phys, map_.xbarRows, map_.xbarCols);
             const double lrs =
                 static_cast<double>(cfg_.cell.maxLevel());
             bool any_here = false;
@@ -448,7 +452,7 @@ CrossbarEngine::CrossbarEngine(const MappedLayer &layer, EngineConfig cfg)
         tile.fragReadEpj.resize(static_cast<size_t>(xb.fragsUsed));
         for (int f = 0; f < xb.fragsUsed; ++f) {
             const int rows_here =
-                std::min(layer_.cfg.fragSize, xb.rows - f * layer_.cfg.fragSize);
+                std::min(map_.fragSize, xb.rows - f * map_.fragSize);
             tile.fragReadEpj[static_cast<size_t>(f)] = reram::readEnergyPj(
                 rows_here, std::max(1, tile.cellCols), sample_ns);
         }
@@ -481,7 +485,7 @@ CrossbarEngine::CrossbarEngine(const MappedLayer &layer, EngineConfig cfg)
             tile.lvl = std::move(lvl);
         }
         max_samples += static_cast<uint64_t>(xb.fragsUsed) *
-            static_cast<uint64_t>(layer_.cfg.inputBits) *
+            static_cast<uint64_t>(map_.inputBits) *
             static_cast<uint64_t>(tile.cellCols);
         for (int idx : xb.outputIndex)
             outputExtent_ = std::max(outputExtent_, idx + 1);
@@ -491,13 +495,13 @@ CrossbarEngine::CrossbarEngine(const MappedLayer &layer, EngineConfig cfg)
         worstStepNs_ = std::max(worstStepNs_, per_step);
         tiles_.push_back(std::move(tile));
     }
-    bitWeight_.resize(static_cast<size_t>(layer_.cfg.inputBits));
-    for (int p = 0; p < layer_.cfg.inputBits; ++p)
+    bitWeight_.resize(static_cast<size_t>(map_.inputBits));
+    for (int p = 0; p < map_.inputBits; ++p)
         bitWeight_[static_cast<size_t>(p)] = std::pow(2.0, p);
     cellWeight_.resize(static_cast<size_t>(cells));
     for (int s = 0; s < cells; ++s)
         cellWeight_[static_cast<size_t>(s)] =
-            std::pow(2.0, s * layer_.cfg.cellBits);
+            std::pow(2.0, s * map_.cellBits);
 
     // ADC code table of the exact path: the converted column sum s at
     // input bit p, the same double expression mvmOne's general column
@@ -522,7 +526,7 @@ CrossbarEngine::buildPlanes(const MappedCrossbar &xb,
                             const std::vector<double> &lvl,
                             XbarTile &tile) const
 {
-    const int m = layer_.cfg.fragSize;
+    const int m = map_.fragSize;
     const size_t cols = static_cast<size_t>(tile.cellCols);
     tile.nib.resize(static_cast<size_t>(xb.fragsUsed) *
                     static_cast<size_t>(groups_) * 16 * cols);
@@ -579,9 +583,9 @@ void
 CrossbarEngine::mvmOne(const uint32_t *inputs, uint64_t key, double *out,
                        EngineStats &stats) const
 {
-    const int m = layer_.cfg.fragSize;
-    const int cells = layer_.cfg.cellsPerWeight();
-    const int in_bits = layer_.cfg.inputBits;
+    const int m = map_.fragSize;
+    const int cells = map_.cellsPerWeight();
+    const int in_bits = map_.inputBits;
     LazyAdc::Stream noise(presentationSeed(cfg_.variationSeed, key));
 
     // Per-thread scratch: mvmOne runs concurrently on pool workers and
@@ -600,8 +604,8 @@ CrossbarEngine::mvmOne(const uint32_t *inputs, uint64_t key, double *out,
     EngineStats local;
     local.presentations = 1;
 
-    for (size_t xi = 0; xi < layer_.crossbars.size(); ++xi) {
-        const auto &xb = layer_.crossbars[xi];
+    for (size_t xi = 0; xi < tiles_.size(); ++xi) {
+        const MappedCrossbar &xb = xbs_[xi];
         const XbarTile &tile = tiles_[xi];
         const int cell_cols = tile.cellCols;
 
@@ -725,7 +729,7 @@ CrossbarEngine::mvmOne(const uint32_t *inputs, uint64_t key, double *out,
     // cell_cols columns on adcsPerCrossbar parallel ADCs. Crossbars
     // operate in parallel, so charge the slowest one.
     local.timeNs = worstStepNs_ * static_cast<double>(local.bitCycles) /
-        std::max<double>(1.0, static_cast<double>(layer_.crossbars.size()));
+        std::max<double>(1.0, static_cast<double>(tiles_.size()));
     // Every conversion costs the same energy, so the presentation's
     // ADC energy is the n-fold sum of it, looked up instead of chained.
     local.adcEnergyPj = adcEnergy_.at(local.adcSamples);
@@ -733,23 +737,11 @@ CrossbarEngine::mvmOne(const uint32_t *inputs, uint64_t key, double *out,
     stats.merge(local);
 }
 
-std::vector<double>
-CrossbarEngine::mvm(const std::vector<uint32_t> &inputs,
-                    EngineStats *stats, uint64_t key)
-{
-    std::vector<double> out(static_cast<size_t>(outputExtent_));
-    EngineStats local;
-    mvmOne(inputs.data(), key, out.data(), local);
-    if (stats)
-        stats->merge(local);
-    return out;
-}
-
 void
 CrossbarEngine::mvmBlock(const uint32_t *in, size_t in_stride, size_t lo,
                          size_t hi, const uint64_t *keys, double *out,
                          size_t out_stride, EngineStats *stats,
-                         EngineStats *per_out, ThreadPool *pool)
+                         EngineStats *per_out, ThreadPool *pool) const
 {
     FORMS_ASSERT(lo <= hi && out_stride >= static_cast<size_t>(outputExtent_),
                  "mvmBlock: slice [%zu, %zu), out stride %zu < extent %d",
@@ -768,7 +760,7 @@ CrossbarEngine::mvmBlock(const uint32_t *in, size_t in_stride, size_t lo,
         });
 
     // Merge per-presentation stats in presentation order: identical
-    // floating-point accumulation order to the serial mvm() loop.
+    // floating-point accumulation order to a serial loop of blocks.
     if (stats)
         for (const auto &s : per)
             stats->merge(s);
@@ -781,7 +773,7 @@ std::vector<std::vector<double>>
 CrossbarEngine::mvmKeyed(const std::vector<std::vector<uint32_t>> &batch,
                          size_t lo, size_t hi, const uint64_t *keys,
                          EngineStats *stats, EngineStats *per_out,
-                         ThreadPool *pool)
+                         ThreadPool *pool) const
 {
     FORMS_ASSERT(lo <= hi && hi <= batch.size(),
                  "mvmKeyed: slice [%zu, %zu) outside batch of %zu", lo,

@@ -251,46 +251,35 @@ class CrossbarEngine
 {
   public:
     /**
-     * Program the mapped layer into per-crossbar conductance tiles.
+     * Program the mapped layer into per-crossbar tiles the engine owns.
      * Device variation (if configured) is drawn once here, at
-     * program time, as on real hardware.
+     * program time, as on real hardware; afterwards the engine reads
+     * nothing of `layer` or of cfg.faults.
      */
     CrossbarEngine(const MappedLayer &layer, EngineConfig cfg);
 
     /**
-     * One matrix-vector product. `inputs` is indexed by the layer's
-     * natural input indices and quantized to cfg.inputBits; its
-     * read-noise RNG is keyed by (variationSeed, `key`). Equivalent to
-     * mvmBlock() on a block of one with that key: both run the
-     * mvmOne() core and merge stats the same way.
-     *
-     * @return signed outputs in integer level units, indexed by the
-     *         natural output index (same convention as referenceMvm),
-     *         outputExtent() of them.
-     */
-    std::vector<double> mvm(const std::vector<uint32_t> &inputs,
-                            EngineStats *stats = nullptr,
-                            uint64_t key = 0);
-
-    /**
-     * mvm() on presentations j in [lo, hi) of a contiguous block,
-     * sharded across `pool` (null = the process-wide pool): j reads its
-     * inputs at in + j * in_stride, draws read noise from stream key
-     * keys[j] and writes its outputExtent() outputs to
+     * Run presentations j in [lo, hi) of a contiguous block, sharded
+     * across `pool` (null = the process-wide pool). j reads its inputs,
+     * quantized to the mapping's inputBits and indexed by natural input
+     * index, at in + j * in_stride; draws read noise from stream key
+     * keys[j]; and writes outputExtent() signed outputs in integer level
+     * units, indexed by natural output index (as referenceMvm), to
      * out + j * out_stride. The engine holds no presentation state, so
      * engines programmed from one config give bit-identical outputs for
      * one key whatever they ran before: the mechanism behind replica
      * slicing (sim/stage_kernels.hh) and serving's batch-invariance
-     * contract (docs/SERVING.md). Stats merge into `stats` in
-     * ascending j order, so outputs and stats equal a serial loop of
-     * mvm(inputs_j, stats, keys[j]) bit for bit on any thread count.
-     * When `per` is non-null, j's stats also merge into per[j] — the
+     * contract (docs/SERVING.md). Stats merge into `stats` in ascending
+     * j order, so outputs and stats equal a serial loop of
+     * one-presentation blocks bit for bit on any thread count. When
+     * `per` is non-null, j's stats also merge into per[j] — the
      * per-request stats channel.
      */
     void mvmBlock(const uint32_t *in, size_t in_stride, size_t lo,
                   size_t hi, const uint64_t *keys, double *out,
                   size_t out_stride, EngineStats *stats = nullptr,
-                  EngineStats *per = nullptr, ThreadPool *pool = nullptr);
+                  EngineStats *per = nullptr,
+                  ThreadPool *pool = nullptr) const;
 
     /**
      * mvmBlock() on the slice [lo, hi) of equal-length vectors, packed
@@ -299,7 +288,7 @@ class CrossbarEngine
     std::vector<std::vector<double>>
     mvmKeyed(const std::vector<std::vector<uint32_t>> &batch, size_t lo,
              size_t hi, const uint64_t *keys, EngineStats *stats = nullptr,
-             EngineStats *per = nullptr, ThreadPool *pool = nullptr);
+             EngineStats *per = nullptr, ThreadPool *pool = nullptr) const;
 
     /** Outputs per presentation: 1 + the largest natural output index. */
     int outputExtent() const { return outputExtent_; }
@@ -310,7 +299,11 @@ class CrossbarEngine
     /** Effective ADC resolution in use (lossless when cfg was 0). */
     int adcBitsInUse() const { return adc_.config().bits; }
 
-    const MappedLayer &layer() const { return layer_; }
+    /** The mapping's weight grid spacing (MappedLayer::scale). */
+    float weightScale() const { return weightScale_; }
+
+    /** Programmed crossbars. */
+    int64_t crossbars() const { return static_cast<int64_t>(tiles_.size()); }
 
     /** Crossbars whose used window carries at least one fault. */
     int64_t faultyCrossbars() const { return faultyCrossbars_; }
@@ -356,11 +349,13 @@ class CrossbarEngine
     void buildPlanes(const MappedCrossbar &xb,
                      const std::vector<double> &lvl, XbarTile &tile) const;
 
-    const MappedLayer &layer_;
+    MappingConfig map_;            //!< the mapping's geometry
+    float weightScale_;            //!< the mapping's weight grid spacing
     EngineConfig cfg_;
     reram::AdcModel adc_;
     double fullScale_;             //!< ADC full-scale in level units
     std::vector<XbarTile> tiles_;
+    std::vector<MappedCrossbar> xbs_;  //!< per tile, without magnitudes
     int groups_ = 0;               //!< 4-row groups per fragment
     size_t codeStride_ = 0;        //!< groups * 4 * maxLevel + 1 codes
     std::vector<double> codeW_;    //!< adcRead(s) * 2^p, [p][s] rows

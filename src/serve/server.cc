@@ -28,13 +28,23 @@ usSince(std::chrono::steady_clock::time_point t0,
 
 } // namespace
 
+void
+ServerConfig::validate() const
+{
+    FORMS_ASSERT(maxBatch >= 1,
+                 "ServerConfig::maxBatch = %d, need at least 1", maxBatch);
+    FORMS_ASSERT(maxDelayUs >= 0,
+                 "ServerConfig::maxDelayUs = %lld, need a value >= 0 "
+                 "(0 = flush at once)", static_cast<long long>(maxDelayUs));
+    FORMS_ASSERT(maxRequeues >= 0,
+                 "ServerConfig::maxRequeues = %d, need a value >= 0",
+                 maxRequeues);
+}
+
 Server::Server(Backend &backend, ServerConfig cfg)
     : backend_(backend), cfg_(cfg)
 {
-    if (cfg_.maxBatch < 1)
-        cfg_.maxBatch = 1;
-    if (cfg_.maxDelayUs < 0)
-        cfg_.maxDelayUs = 0;
+    cfg_.validate();
     batcher_ = std::thread([this] { batcherLoop(); });
 }
 

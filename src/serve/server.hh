@@ -177,6 +177,12 @@ struct ServerConfig
      * observer: responses are bit-identical with or without it.
      */
     obs::MetricsRegistry *metrics = nullptr;
+
+    /**
+     * Abort, naming the field, unless maxBatch >= 1, maxDelayUs >= 0
+     * and maxRequeues >= 0. The Server constructor calls it.
+     */
+    void validate() const;
 };
 
 /** Dynamic micro-batching request server over one Backend. */

@@ -24,11 +24,7 @@ programReplicas(NodeExec &e, int id, admm::LayerState &st,
     // FORMS_TRACE_SCOPE macro would pay the concatenation always).
     obs::TraceScope trace_scope(
         obs::traceEnabled() ? "program " + e.name : std::string());
-    // Engines read a copy allocated just before them, as each
-    // replica's own copy used to be: reading mapLayer's result in
-    // place measured 3.5% fewer benchmark images/s on resnet_ideal.
-    const arch::MappedLayer mapped = arch::mapLayer(st, cfg.mapping);
-    e.mapped = std::make_unique<arch::MappedLayer>(mapped);
+    arch::MappedLayer mapped = arch::mapLayer(st, cfg.mapping);
     arch::EngineConfig ecfg = cfg.engine;
     if (cfg.faults) {
         // Fault identity is the graph node id: stable across
@@ -37,11 +33,10 @@ programReplicas(NodeExec &e, int id, admm::LayerState &st,
         ecfg.faultKey = static_cast<uint64_t>(id);
         if (cfg.remapFaults)
             e.remap = arch::remapFaultyCrossbars(
-                *e.mapped, *cfg.faults, ecfg.faultKey, e.name.c_str());
+                mapped, *cfg.faults, ecfg.faultKey, e.name.c_str());
     }
     for (size_t r = 0; r < e.replicaChips.size(); ++r)
-        e.replicas.push_back(
-            std::make_unique<arch::CrossbarEngine>(*e.mapped, ecfg));
+        e.replicas.emplace_back(mapped, ecfg);
 }
 
 } // namespace
@@ -172,8 +167,8 @@ runGraph(const compile::Graph &g, const std::vector<NodeExec> &execs,
     // ids, per-image accumulators and the next free phase samples.
     auto stageEngines = [&](size_t idx) {
         StageEngines se;
-        for (const auto &eng : execs[idx].replicas)
-            se.replicas.push_back(eng.get());
+        for (const arch::CrossbarEngine &eng : execs[idx].replicas)
+            se.replicas.push_back(&eng);
         se.imageIds = image_ids;
         if (per_image)
             se.perImage =
@@ -202,15 +197,13 @@ runGraph(const compile::Graph &g, const std::vector<NodeExec> &execs,
             out.ref = &batch;
             break;
         case compile::Op::Conv:
-            out.owned = convStage(in(0), stageEngines(idx), *e.mapped,
-                                  e.bias, e.chanScale, e.outC, e.k,
-                                  e.stride, e.pad, input_bits, e.scale,
-                                  tp, &stats[idx]);
+            out.owned = convStage(in(0), stageEngines(idx), {}, e.bias,
+                                  e.chanScale, e.outC, e.k, e.stride, e.pad,
+                                  input_bits, e.scale, tp, &stats[idx]);
             break;
         case compile::Op::Dense:
-            out.owned = denseStage(in(0), stageEngines(idx), *e.mapped,
-                                   e.bias, e.outC, input_bits, e.scale,
-                                   tp, &stats[idx]);
+            out.owned = denseStage(in(0), stageEngines(idx), e.bias, e.outC,
+                                   input_bits, e.scale, tp, &stats[idx]);
             break;
         case compile::Op::BatchNorm:
             out.owned = batchNormStage(in(0), e.bnScale, e.bnShift, tp);
@@ -267,14 +260,14 @@ recordNodeRows(const std::vector<NodeExec> &execs,
     size_t programmed_idx = 0;
     for (size_t idx = 0; idx < execs.size(); ++idx) {
         const NodeExec &e = execs[idx];
-        if (!e.mapped)
+        if (e.replicas.empty())
             continue;
         const arch::EngineStats &s =
             stats[static_cast<int64_t>(idx) * stride];
         if (programmed_idx < report.layers.size())
             report.layers[programmed_idx].stats.merge(s);
         else
-            report.layers.push_back({e.name, s, e.mapped->numCrossbars()});
+            report.layers.push_back({e.name, s, e.replicas[0].crossbars()});
         report.presentations += s.presentations;
         ++programmed_idx;
     }

@@ -21,8 +21,6 @@
 #ifndef FORMS_SIM_GRAPH_EXEC_HH
 #define FORMS_SIM_GRAPH_EXEC_HH
 
-#include <memory>
-
 #include "arch/remap.hh"
 #include "compile/schedule.hh"
 #include "sim/runtime.hh"
@@ -31,10 +29,10 @@
 namespace forms::sim {
 
 /**
- * One executable node of a compiled DAG. A matrix node owns its
- * mapping and its programmed engines (each engine reads the mapping
- * by reference, so both live behind unique_ptr and never move after
- * programming); the exec itself is move-only.
+ * One executable node of a compiled DAG. A matrix node holds its
+ * programmed engines by value: each engine owns its program (copied
+ * from the node's mapping at construction), so no mapping outlives
+ * programming.
  */
 struct NodeExec
 {
@@ -46,11 +44,10 @@ struct NodeExec
 
     // Conv / Dense: the programmed hardware. A replicated matrix node
     // (compile::Schedule stage width > 1) carries one engine per
-    // replica chip, primary first, all programmed from the one
-    // shared mapping (see sim::StageEngines for the slicing
-    // contract). Empty for functional nodes.
-    std::unique_ptr<arch::MappedLayer> mapped;
-    std::vector<std::unique_ptr<arch::CrossbarEngine>> replicas;
+    // replica chip, primary first, all programmed from one mapping
+    // (see sim::StageEngines for the slicing contract). Empty for
+    // functional nodes.
+    std::vector<arch::CrossbarEngine> replicas;
     std::vector<int> replicaChips;   //!< the stage's chips, primary first
     arch::RemapReport remap;   //!< spare-remap outcome (empty w/o faults)
     int outC = 0, k = 0, stride = 0, pad = 0;

@@ -41,9 +41,8 @@ PipelineRuntime::totalCrossbars() const
 {
     int64_t n = 0;
     for (const NodeExec &e : execs_)
-        if (e.mapped)
-            n += e.mapped->numCrossbars() *
-                static_cast<int64_t>(e.replicas.size());
+        for (const arch::CrossbarEngine &eng : e.replicas)
+            n += eng.crossbars();
     return n;
 }
 
@@ -52,13 +51,13 @@ PipelineRuntime::allocation() const
 {
     std::vector<GraphNodeAlloc> out;
     for (const NodeExec &e : execs_) {
-        if (!e.mapped)
+        if (e.replicas.empty())
             continue;
         GraphNodeAlloc a;
         a.nodeId = e.nodeId;
         a.name = e.name;
         a.outShape = graph_.node(e.nodeId).outShape;
-        a.crossbars = e.mapped->numCrossbars();
+        a.crossbars = e.replicas[0].crossbars();
         out.push_back(std::move(a));
     }
     return out;
@@ -144,19 +143,17 @@ PipelineRuntime::run(const Tensor &batch, const uint64_t *ids,
     if (per_request)
         per_image.resize(execs_.size() * static_cast<size_t>(images));
 
-    // Per-(chip, micro-batch) phase intervals, one per hosted
-    // programmed node in topological order: the digital quantization
-    // phase and the ADC-limited phase each replica's slice added.
-    std::vector<std::vector<std::vector<PhaseInterval>>> phases(
-        static_cast<size_t>(n_chips),
-        std::vector<std::vector<PhaseInterval>>(
-            static_cast<size_t>(num_mb)));
-    // One PhaseSample per (programmed exec, replica), which every
-    // runGraph call rewrites in exec then replica order.
+    // The modeled timeline feeds three consumers: the caller's
+    // report, the trace session (per-chip slices) and the metrics
+    // sink. Observers are pure, so with none no timing sample is taken.
+    const bool observed = report || cfg_.trace || cfg_.runtime.metrics;
+    // One PhaseSample per (programmed exec, replica) per micro-batch,
+    // written by runGraph in exec then replica order.
     size_t n_samples = 0;
     for (const NodeExec &e : execs_)
         n_samples += e.replicas.size();
-    std::vector<PhaseSample> samples(n_samples);
+    std::vector<PhaseSample> samples(
+        observed ? n_samples * static_cast<size_t>(num_mb) : 0);
 
     std::vector<Tensor> mb_out(static_cast<size_t>(num_mb));
     for (int m = 0; m < num_mb; ++m) {
@@ -171,31 +168,11 @@ PipelineRuntime::run(const Tensor &batch, const uint64_t *ids,
 
         mb_out[static_cast<size_t>(m)] = runGraph(
             graph_, execs_, micro, tp, cfg_.runtime.mapping.inputBits,
-            node_stats, samples.data(), ids + lo,
-            per_request ? per_image.data() + lo : nullptr, images);
-
-        const PhaseSample *ps = samples.data();
-        for (const NodeExec &e : execs_) {
-            for (size_t r = 0; r < e.replicas.size(); ++r, ++ps) {
-                const int chip = e.replicaChips[r];
-                // Heterogeneous fleets: a chip's modeled phase times
-                // shrink by its relative throughput (and ADC rate for
-                // the conversion phase). All-default specs divide by
-                // exactly 1.0, so homogeneous timing is bit-identical
-                // to the historical model.
-                const compile::ChipSpec &spec =
-                    sched_.chipSpecs()[static_cast<size_t>(chip)];
-                PhaseInterval pi;
-                pi.quantNs =
-                    cfg_.tile.quantNs(ps->quantValues) / spec.capacity;
-                pi.computeNs =
-                    ps->adcNs / (spec.capacity * spec.adcScale);
-                pi.bitCycles = ps->bitCycles;
-                pi.skippedCycles = ps->skippedCycles;
-                phases[static_cast<size_t>(chip)][static_cast<size_t>(m)]
-                    .push_back(pi);
-            }
-        }
+            node_stats,
+            observed ? samples.data() + static_cast<size_t>(m) * n_samples
+                     : nullptr,
+            ids + lo, per_request ? per_image.data() + lo : nullptr,
+            images);
     }
     if (per_request) {
         // One report per image, resized/merged in batch order.
@@ -226,11 +203,40 @@ PipelineRuntime::run(const Tensor &batch, const uint64_t *ids,
         rows->wallMs += wall_ms;
     }
 
-    // The modeled timeline feeds three consumers: the caller's
-    // report, the trace session (per-chip slices) and the metrics
-    // sink. Observers are pure, so skipping all of this when nobody
-    // is looking changes nothing about the computation above.
-    if (report || cfg_.trace || cfg_.runtime.metrics) {
+    if (observed) {
+        // Per-(chip, micro-batch) phase intervals, one per hosted
+        // programmed node in topological order: the digital
+        // quantization phase and the ADC-limited phase each replica's
+        // slice added.
+        std::vector<std::vector<std::vector<PhaseInterval>>> phases(
+            static_cast<size_t>(n_chips),
+            std::vector<std::vector<PhaseInterval>>(
+                static_cast<size_t>(num_mb)));
+        const PhaseSample *ps = samples.data();
+        for (int m = 0; m < num_mb; ++m) {
+            for (const NodeExec &e : execs_) {
+                for (size_t r = 0; r < e.replicas.size(); ++r, ++ps) {
+                    const int chip = e.replicaChips[r];
+                    // Heterogeneous fleets: a chip's modeled phase
+                    // times shrink by its relative throughput (and ADC
+                    // rate for the conversion phase). All-default specs
+                    // divide by exactly 1.0, so homogeneous timing is
+                    // bit-identical to the historical model.
+                    const compile::ChipSpec &spec =
+                        sched_.chipSpecs()[static_cast<size_t>(chip)];
+                    PhaseInterval pi;
+                    pi.quantNs =
+                        cfg_.tile.quantNs(ps->quantValues) / spec.capacity;
+                    pi.computeNs =
+                        ps->adcNs / (spec.capacity * spec.adcScale);
+                    pi.bitCycles = ps->bitCycles;
+                    pi.skippedCycles = ps->skippedCycles;
+                    phases[static_cast<size_t>(chip)]
+                          [static_cast<size_t>(m)].push_back(pi);
+                }
+            }
+        }
+
         PipelineReport fwd;   // this forward alone
         // Per-chip busy intervals under the intra-chip tile pipeline
         // model, and the serial (no-overlap) reference for the
@@ -336,7 +342,8 @@ PipelineRuntime::run(const Tensor &batch, const uint64_t *ids,
                 // replicated node's accumulator spans all replicas
                 // and lands on its primary chip.
                 for (size_t idx = 0; idx < execs_.size(); ++idx) {
-                    if (execs_[idx].mapped && execs_[idx].chip == chip)
+                    if (!execs_[idx].replicas.empty() &&
+                        execs_[idx].chip == chip)
                         c.stats.merge(node_stats[idx]);
                 }
                 // Crossbars and fault exposure of the engines this
@@ -347,9 +354,9 @@ PipelineRuntime::run(const Tensor &batch, const uint64_t *ids,
                         if (e.replicaChips[ri] != chip)
                             continue;
                         ++c.programmedNodes;
-                        c.crossbars += e.mapped->numCrossbars();
+                        c.crossbars += e.replicas[ri].crossbars();
                         c.faultyCrossbars +=
-                            e.replicas[ri]->faultyCrossbars();
+                            e.replicas[ri].faultyCrossbars();
                         c.remappedCrossbars +=
                             e.remap.remappedCrossbars;
                     }
@@ -473,7 +480,7 @@ PipelineRuntime::emitTrace(
     std::vector<std::vector<const char *>> chip_names(
         static_cast<size_t>(n_chips));
     for (const NodeExec &e : execs_) {
-        if (!e.mapped)
+        if (e.replicas.empty())
             continue;
         for (int c : e.replicaChips)
             chip_names[static_cast<size_t>(c)].push_back(e.name.c_str());

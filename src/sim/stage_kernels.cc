@@ -157,7 +157,7 @@ replicatedMvm(const StageEngines &eng, const PresentationBlock &blk,
 {
     const size_t p = static_cast<size_t>(blk.count);
     // The phase samples need model-time deltas even when the caller
-    // passes no accumulator.
+    // passes no accumulator; without phase samples none are taken.
     arch::EngineStats scratch;
     arch::EngineStats *acc =
         stats ? stats : (eng.phases ? &scratch : nullptr);
@@ -185,7 +185,8 @@ replicatedMvm(const StageEngines &eng, const PresentationBlock &blk,
     for (size_t r = 0; r < r_count; ++r) {
         const size_t lo = p * r / r_count;
         const size_t hi = p * (r + 1) / r_count;
-        const arch::EngineStats before = acc ? *acc : arch::EngineStats{};
+        const arch::EngineStats before =
+            eng.phases ? *acc : arch::EngineStats{};
         eng.replicas[r]->mvmBlock(blk.q.get(),
                                   static_cast<size_t>(blk.rows), lo, hi,
                                   keys.data(), out.get(), ext, acc,
@@ -220,7 +221,7 @@ template <class Patch>
 Tensor
 matrixStage(const Shape &shape, int64_t count, int64_t rows, int64_t ppi,
             const Patch &patch, const StageEngines &engines,
-            const arch::MappedLayer &mapped, const std::vector<float> &bias,
+            const std::vector<float> &bias,
             const std::vector<float> &chan_scale, int input_bits,
             const StageScale &sc, ThreadPool &tp, arch::EngineStats *stats)
 {
@@ -232,6 +233,7 @@ matrixStage(const Shape &shape, int64_t count, int64_t rows, int64_t ppi,
                  "matrix stage needs an engine and per-image stream ids");
     const size_t ext =
         static_cast<size_t>(engines.replicas[0]->outputExtent());
+    const float w_scale = engines.replicas[0]->weightScale();
     std::vector<float> scales;
     std::unique_ptr<double[]> raw;
     {
@@ -257,7 +259,7 @@ matrixStage(const Shape &shape, int64_t count, int64_t rows, int64_t ppi,
         const size_t j0 = static_cast<size_t>(plane / out_c * ppi);
         for (size_t j = j0; j < j0 + static_cast<size_t>(ppi); ++j) {
             const float deq = u < ext
-                ? arch::dequantize(raw[j * ext + u], mapped.scale, scales[j])
+                ? arch::dequantize(raw[j * ext + u], w_scale, scales[j])
                 : 0.0f;
             po[plane * ppi + static_cast<int64_t>(j - j0)] = s * deq + bias[u];
         }
@@ -301,8 +303,7 @@ quantizePresentations(ThreadPool &tp, int64_t count, int64_t rows,
 
 Tensor
 convStage(const Tensor &act, const StageEngines &engines,
-          const arch::MappedLayer &mapped,
-          const std::vector<float> &bias,
+          const arch::MappedLayer &, const std::vector<float> &bias,
           const std::vector<float> &chan_scale, int out_c, int k,
           int stride, int pad, int input_bits, const StageScale &sc,
           ThreadPool &tp, arch::EngineStats *stats, Tensor *)
@@ -339,13 +340,12 @@ convStage(const Tensor &act, const StageEngines &engines,
         return buf;
     };
     return matrixStage({n, out_c, oh, ow}, n * plane, c_in * k * k, plane,
-                       patch, engines, mapped, bias, chan_scale,
+                       patch, engines, bias, chan_scale,
                        input_bits, sc, tp, stats);
 }
 
 Tensor
 denseStage(const Tensor &act, const StageEngines &engines,
-           const arch::MappedLayer &mapped,
            const std::vector<float> &bias, int out_dim, int input_bits,
            const StageScale &sc, ThreadPool &tp,
            arch::EngineStats *stats)
@@ -358,7 +358,7 @@ denseStage(const Tensor &act, const StageEngines &engines,
     // empty chan_scale multiplies by 1.0f, which is exact.
     auto row = [&](int64_t j, float *) { return pi + j * feats; };
     return matrixStage({n, out_dim}, n, feats, /*ppi=*/1, row, engines,
-                       mapped, bias, {}, input_bits, sc, tp, stats);
+                       bias, {}, input_bits, sc, tp, stats);
 }
 
 Tensor

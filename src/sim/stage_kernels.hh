@@ -131,7 +131,7 @@ struct PhaseSample
  */
 struct StageEngines
 {
-    std::vector<arch::CrossbarEngine *> replicas;  //!< size >= 1
+    std::vector<const arch::CrossbarEngine *> replicas;  //!< size >= 1
 
     /**
      * Optional per-replica timing samples, parallel to `replicas`:
@@ -177,9 +177,11 @@ struct StageEngines
  * per-channel scale carries BN folded into the periphery
  * (compile::FoldMode::DigitalScale).
  *
- * `im2col_scratch` is unused: no im2col matrix is built. The
- * parameter stays for callers that still pass one (the benchmark's
- * kernel probe).
+ * `mapped` and `im2col_scratch` are unread: the engines own their
+ * program (the weight grid is CrossbarEngine::weightScale()) and no
+ * im2col matrix is built. Both stay only for the benchmark's kernel
+ * probe (benchmark/forms_bench.cc), which passes them, until ROADMAP
+ * item 11 drops them there; other callers pass `{}` and nothing.
  */
 Tensor convStage(const Tensor &act, const StageEngines &engines,
                  const arch::MappedLayer &mapped,
@@ -192,7 +194,6 @@ Tensor convStage(const Tensor &act, const StageEngines &engines,
 
 /** Run one dense stage on a flattened (N, features) batch. */
 Tensor denseStage(const Tensor &act, const StageEngines &engines,
-                  const arch::MappedLayer &mapped,
                   const std::vector<float> &bias, int out_dim,
                   int input_bits, const StageScale &sc, ThreadPool &tp,
                   arch::EngineStats *stats);

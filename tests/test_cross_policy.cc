@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "arch/engine.hh"
+#include "stats_testutil.hh"
 
 namespace forms {
 namespace {
@@ -79,7 +80,7 @@ TEST_P(CrossPolicyTest, MapAndExecuteExactly)
     for (auto &v : inputs)
         v = static_cast<uint32_t>(rng.below(1u << 12));
 
-    auto analog = engine.mvm(inputs);
+    auto analog = presentOne(engine, inputs);
     auto reference = arch::referenceMvm(mapped, inputs);
     ASSERT_EQ(analog.size(), reference.size());
     for (size_t i = 0; i < analog.size(); ++i)

@@ -6,7 +6,8 @@
  * cycle savings, device-variation behaviour, the exact-integer and
  * general paths against a transcription of the double-panel column
  * loop, the lazy read-noise ADC decision against the literal chain,
- * config validation, and the ADC-energy ledger against the literal
+ * config validation, the engine's independence from the mapping it
+ * was programmed from, and the ADC-energy ledger against the literal
  * addition chain.
  */
 
@@ -15,6 +16,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <memory>
 
 #include "arch/engine.hh"
 #include "reram/faults.hh"
@@ -108,7 +110,7 @@ TEST_P(EngineExactnessTest, LosslessAdcIsIntegerExact)
     CrossbarEngine engine(mapped, ecfg);
 
     auto inputs = randomInputs(36, mcfg.inputBits, 7);
-    auto got = engine.mvm(inputs);
+    auto got = presentOne(engine, inputs);
     auto expect = referenceMvm(mapped, inputs);
     ASSERT_EQ(got.size(), expect.size());
     for (size_t i = 0; i < got.size(); ++i)
@@ -160,8 +162,8 @@ TEST(Engine, ZeroSkipDoesNotChangeResults)
 
     auto inputs = randomInputs(36, 12, 8);
     EngineStats s1, s2;
-    auto r1 = e1.mvm(inputs, &s1);
-    auto r2 = e2.mvm(inputs, &s2);
+    auto r1 = presentOne(e1, inputs, &s1);
+    auto r2 = presentOne(e2, inputs, &s2);
     ASSERT_EQ(r1.size(), r2.size());
     for (size_t i = 0; i < r1.size(); ++i)
         EXPECT_DOUBLE_EQ(r1[i], r2[i]);
@@ -182,7 +184,7 @@ TEST(Engine, SmallerFragmentsSkipMore)
         CrossbarEngine engine(mapped, cfg);
         auto inputs = randomInputs(72, 12, 9);
         EngineStats stats;
-        engine.mvm(inputs, &stats);
+        presentOne(engine, inputs, &stats);
         return stats.skipFraction();
     };
     const double f4 = skip_fraction(4);
@@ -200,7 +202,7 @@ TEST(Engine, PaperAdcResolutionErrorIsBounded)
     CrossbarEngine engine(mapped, paper);
 
     auto inputs = randomInputs(36, 12, 10);
-    auto got = engine.mvm(inputs);
+    auto got = presentOne(engine, inputs);
     auto expect = referenceMvm(mapped, inputs);
 
     double rel = 0.0;
@@ -225,8 +227,8 @@ TEST(Engine, VariationPerturbsOutputs)
     CrossbarEngine e_ideal(mapped, ideal), e_noisy(mapped, noisy);
 
     auto inputs = randomInputs(36, 12, 11, 0.0);
-    auto r_ideal = e_ideal.mvm(inputs);
-    auto r_noisy = e_noisy.mvm(inputs);
+    auto r_ideal = presentOne(e_ideal, inputs);
+    auto r_noisy = presentOne(e_noisy, inputs);
     double diff = 0.0, norm = 0.0;
     for (size_t i = 0; i < r_ideal.size(); ++i) {
         diff += std::fabs(r_ideal[i] - r_noisy[i]);
@@ -245,7 +247,7 @@ TEST(Engine, StatsAccounting)
     CrossbarEngine engine(mapped, cfg);
     auto inputs = randomInputs(36, 12, 12);
     EngineStats stats;
-    engine.mvm(inputs, &stats);
+    presentOne(engine, inputs, &stats);
 
     // Without skipping: bit cycles = sum over crossbars and fragments
     // of inputBits.
@@ -257,6 +259,66 @@ TEST(Engine, StatsAccounting)
     EXPECT_GT(stats.adcEnergyPj, 0.0);
     EXPECT_GT(stats.timeNs, 0.0);
     EXPECT_EQ(stats.presentations, 1u);
+}
+
+/**
+ * The engine owns its program: after construction it reads nothing of
+ * the mapping it was programmed from. A block run again after that
+ * mapping was cleared and reassigned another layer's, and again after
+ * it was destroyed, must give the first run's outputs and stats bit for
+ * bit, on exact tiles and on noisy ones.
+ */
+TEST(Engine, OwnsItsProgram)
+{
+    TestLayer layer(6, 5, 3, 8, 800);   // 45 rows: two crossbars
+    TestLayer other(4, 2, 3, 8, 801);   // 18 rows: one crossbar
+    EngineConfig noisy;
+    noisy.adcBits = 4;
+    noisy.cell.variationSigma = 0.1;
+    noisy.readNoiseSigma = 0.05;
+    for (const EngineConfig &ecfg : {EngineConfig{}, noisy}) {
+        SCOPED_TRACE(testing::Message()
+                     << "readNoise " << ecfg.readNoiseSigma);
+        auto mapped = std::make_unique<MappedLayer>(
+            mapLayer(layer.state, makeCfg(8)));
+        const CrossbarEngine engine(*mapped, ecfg);
+        EXPECT_EQ(engine.exactCrossbars(),
+                  ecfg.readNoiseSigma == 0.0 ? 2 : 0);
+
+        const size_t n = 5, rows = 45;
+        std::vector<uint32_t> block;
+        for (uint64_t j = 0; j < n; ++j) {
+            const auto v = randomInputs(rows, 12, 90 + j);
+            block.insert(block.end(), v.begin(), v.end());
+        }
+        const auto keys = keysUpTo(n);
+        const size_t ext = static_cast<size_t>(engine.outputExtent());
+        ThreadPool pool(3);
+        auto run = [&](EngineStats &stats) {
+            std::vector<double> out(n * ext);
+            engine.mvmBlock(block.data(), rows, 0, n, keys.data(),
+                            out.data(), ext, &stats, nullptr, &pool);
+            return out;
+        };
+        EngineStats first_stats;
+        const auto first = run(first_stats);
+
+        mapped->crossbars.clear();
+        *mapped = mapLayer(other.state, makeCfg(8));
+        EngineStats reassigned_stats;
+        const auto reassigned = run(reassigned_stats);
+        ASSERT_EQ(reassigned.size(), first.size());
+        EXPECT_EQ(std::memcmp(reassigned.data(), first.data(),
+                              first.size() * sizeof(double)), 0);
+        expectStatsIdentical(reassigned_stats, first_stats);
+
+        mapped.reset();
+        EngineStats destroyed_stats;
+        const auto destroyed = run(destroyed_stats);
+        EXPECT_EQ(std::memcmp(destroyed.data(), first.data(),
+                              first.size() * sizeof(double)), 0);
+        expectStatsIdentical(destroyed_stats, first_stats);
+    }
 }
 
 /**

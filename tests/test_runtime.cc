@@ -2,7 +2,7 @@
  * @file
  * Batched engine tests: the determinism contract. mvmBlock across
  * N threads must be bit-identical (outputs AND merged stats) to a
- * serial loop of mvm() calls keyed 0..n-1 — including with ADC
+ * serial loop of one-presentation blocks keyed 0..n-1 — including with ADC
  * quantization, device variation and transient read noise enabled —
  * and, because the engine holds no presentation state, repeating a
  * batch on one engine must reproduce it exactly. The conv and dense
@@ -104,8 +104,8 @@ blockMvm(arch::CrossbarEngine &engine,
 }
 
 /**
- * Serial mvm loop keyed 0..n-1 vs mvmBlock on `threads` threads:
- * bit-identical.
+ * Serial loop of one-presentation blocks keyed 0..n-1 vs one block on
+ * `threads` threads: bit-identical.
  */
 void
 checkBatchMatchesSerial(arch::EngineConfig ecfg, int threads)
@@ -124,7 +124,7 @@ checkBatchMatchesSerial(arch::EngineConfig ecfg, int threads)
     std::vector<std::vector<double>> serial_out;
     for (size_t j = 0; j < batch.size(); ++j)
         serial_out.push_back(
-            serial_engine.mvm(batch[j], &serial_stats, j));
+            presentOne(serial_engine, batch[j], &serial_stats, j));
 
     ThreadPool pool(threads);
     arch::EngineStats batch_stats;
@@ -186,10 +186,10 @@ TEST(MvmBatch, SerialMvmIsBatchOfOne)
     arch::CrossbarEngine a(mapped, {});
     arch::CrossbarEngine b(mapped, {});
     for (const auto &p : batch) {
-        const auto via_mvm = a.mvm(p);
-        const auto via_batch = blockMvm(b, {p});
-        ASSERT_EQ(via_batch.size(), 1u);
-        EXPECT_EQ(via_mvm, via_batch.front());
+        const auto tight = presentOne(a, p);
+        const auto padded = blockMvm(b, {p});
+        ASSERT_EQ(padded.size(), 1u);
+        EXPECT_EQ(tight, padded.front());
     }
 }
 
@@ -242,9 +242,9 @@ TEST(MvmBatch, PrivateRowsMatchSerialForAnyExtentAndThreadCount)
 {
     // Each presentation accumulates in a worker-private row and stores
     // [0, outputExtent) once. Extents from 1 to 16 doubles put 8 to 1/2
-    // rows on one cache line; every row must equal the serial mvm loop
-    // bit for bit and every stride-gap sentinel must survive, on exact
-    // and noisy tiles alike.
+    // rows on one cache line; every row must equal the serial loop of
+    // one-presentation blocks bit for bit and every stride-gap sentinel
+    // must survive, on exact and noisy tiles alike.
     for (int out_c : {1, 3, 8, 16}) {
         Tensor weight({out_c, 16, 3, 3}), grad({out_c, 16, 3, 3});
         const arch::MappedLayer mapped =
@@ -259,7 +259,8 @@ TEST(MvmBatch, PrivateRowsMatchSerialForAnyExtentAndThreadCount)
             arch::EngineStats serial_stats;
             std::vector<std::vector<double>> serial;
             for (size_t j = 0; j < batch.size(); ++j)
-                serial.push_back(engine.mvm(batch[j], &serial_stats, j));
+                serial.push_back(
+                    presentOne(engine, batch[j], &serial_stats, j));
             for (int threads : {1, 2, 3, 4, 8}) {
                 ThreadPool pool(threads);
                 arch::EngineStats stats;
@@ -301,7 +302,7 @@ struct StageCase
 {
     StageGeom g;
     Tensor act;
-    std::vector<arch::CrossbarEngine *> replicas;
+    std::vector<const arch::CrossbarEngine *> replicas;
     const arch::MappedLayer *mapped = nullptr;
     std::vector<float> bias, chan;
     std::vector<uint64_t> ids;
@@ -333,10 +334,10 @@ blockStage(const StageCase &c, int threads)
     se.imageIds = c.ids.data();
     se.perImage = r.perImage.data();
     r.out = c.g.k > 0
-        ? sim::convStage(c.act, se, *c.mapped, c.bias, c.chan, c.g.outC,
-                         c.g.k, c.g.stride, c.g.pad, 8, sc, pool, &r.stats)
-        : sim::denseStage(c.act, se, *c.mapped, c.bias, c.g.outC, 8, sc,
-                          pool, &r.stats);
+        ? sim::convStage(c.act, se, {}, c.bias, c.chan, c.g.outC, c.g.k,
+                         c.g.stride, c.g.pad, 8, sc, pool, &r.stats)
+        : sim::denseStage(c.act, se, c.bias, c.g.outC, 8, sc, pool,
+                          &r.stats);
     return r;
 }
 

@@ -417,6 +417,33 @@ class EchoBackend : public serve::Backend
     std::vector<int> sizes_;
 };
 
+/**
+ * A bad batching knob stops the Server constructor with a message
+ * naming the field, instead of being silently rewritten.
+ */
+TEST(ServerConfigValidate, EachBadFieldDiesNamingIt)
+{
+    EchoBackend backend;
+    const auto dies = [&](void (*spoil)(serve::ServerConfig &),
+                          const char *name) {
+        serve::ServerConfig sc;
+        spoil(sc);
+        EXPECT_DEATH(serve::Server srv(backend, sc),
+                     std::string("ServerConfig::") + name);
+    };
+    dies([](serve::ServerConfig &c) { c.maxBatch = 0; }, "maxBatch");
+    dies([](serve::ServerConfig &c) { c.maxBatch = -3; }, "maxBatch");
+    dies([](serve::ServerConfig &c) { c.maxDelayUs = -1; }, "maxDelayUs");
+    dies([](serve::ServerConfig &c) { c.maxRequeues = -1; },
+         "maxRequeues");
+    // The boundary values are valid.
+    serve::ServerConfig edge;
+    edge.maxBatch = 1;
+    edge.maxDelayUs = 0;
+    edge.maxRequeues = 0;
+    serve::Server srv(backend, edge);
+}
+
 TEST(Serving, FlushesWhenBatchFills)
 {
     EchoBackend backend;
