@@ -12,6 +12,7 @@
 
 #include "admm/report.hh"
 #include "common/table.hh"
+#include "reram/device.hh"
 #include "sim/perf_model.hh"
 
 using namespace forms;
@@ -34,9 +35,9 @@ main()
         a.calibration = 1.0;
         const auto r = model.evaluate(a, wl, &prof);
         t.row().cell(static_cast<int64_t>(frag))
-            .cell(static_cast<int64_t>(a.adcBits))
-            .cell(static_cast<int64_t>(a.adcsPerCrossbar))
-            .cell(a.adcFreqGhz, 2)
+            .cell(static_cast<int64_t>(a.mcu.adcBits))
+            .cell(static_cast<int64_t>(a.mcu.adcsPerCrossbar))
+            .cell(a.mcu.adcFreqGhz, 2)
             .cell(a.chipPowerMw / 1000.0, 2)
             .cell(a.chipAreaMm2, 2)
             .cell(r.fpsRaw, 0);
@@ -52,11 +53,11 @@ main()
         const LayerSpec &layer = wl.layers[1];
         for (int cell_bits : {1, 2, 4}) {
             ArchModel a = ArchModel::formsFull(8, true);
-            a.cellBits = cell_bits;
+            a.mcu.cellBits = cell_bits;
             const auto lp = model.layerPerf(a, layer, &prof);
             c.row().cell(static_cast<int64_t>(cell_bits))
-                .cell(static_cast<int64_t>((8 + cell_bits - 1) /
-                                           cell_bits))
+                .cell(static_cast<int64_t>(
+                    reram::cellsPerWeight(8, cell_bits)))
                 .cell(lp.crossbars)
                 .cell(static_cast<int64_t>(
                     reram::AdcModel::losslessBits(8, cell_bits)));

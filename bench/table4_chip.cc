@@ -27,8 +27,10 @@ main()
         .cell(forms.mcuPowerMw, 2).cell(forms.mcuAreaMm2, 4)
         .cell(isaac.mcuPowerMw, 2).cell(isaac.mcuAreaMm2, 4);
     t.row().cell("12 MCUs per tile")
-        .cell(forms.mcuPowerMw * 12, 2).cell(forms.mcuAreaMm2 * 12, 4)
-        .cell(isaac.mcuPowerMw * 12, 2).cell(isaac.mcuAreaMm2 * 12, 4);
+        .cell(forms.mcuPowerMw * kMcusPerTile, 2)
+        .cell(forms.mcuAreaMm2 * kMcusPerTile, 4)
+        .cell(isaac.mcuPowerMw * kMcusPerTile, 2)
+        .cell(isaac.mcuAreaMm2 * kMcusPerTile, 4);
     t.row().cell("1 tile (12 MCUs + dig unit)")
         .cell(forms.tilePowerMw, 2).cell(forms.tileAreaMm2, 4)
         .cell(isaac.tilePowerMw, 2).cell(isaac.tileAreaMm2, 4);
@@ -36,8 +38,8 @@ main()
         .cell(forms.tilesPowerMw, 1).cell(forms.tilesAreaMm2, 2)
         .cell(isaac.tilesPowerMw, 1).cell(isaac.tilesAreaMm2, 2);
     t.row().cell("HyperTransport (4 @ 1.6 GHz)")
-        .cell(10400.0, 1).cell(22.88, 2)
-        .cell(10400.0, 1).cell(22.88, 2);
+        .cell(kHtPowerMw, 1).cell(kHtAreaMm2, 2)
+        .cell(kHtPowerMw, 1).cell(kHtAreaMm2, 2);
     t.row().cell("CHIP TOTAL")
         .cell(forms.chipPowerMw, 1).cell(forms.chipAreaMm2, 2)
         .cell(isaac.chipPowerMw, 1).cell(isaac.chipAreaMm2, 2);
@@ -49,8 +51,7 @@ main()
         .cell(ddn.edramAreaMm2, 2);
     d.row().cell("Global bus 128b").cell(ddn.busPowerMw, 1)
         .cell(ddn.busAreaMm2, 2);
-    d.row().cell("HyperTransport").cell(ddn.htPowerMw, 1)
-        .cell(ddn.htAreaMm2, 2);
+    d.row().cell("HyperTransport").cell(kHtPowerMw, 1).cell(kHtAreaMm2, 2);
     d.row().cell("CHIP TOTAL").cell(ddn.chipPowerMw(), 1)
         .cell(ddn.chipAreaMm2(), 2);
     d.print("DaDianNao (scaled to 32 nm)");

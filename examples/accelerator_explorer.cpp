@@ -34,8 +34,9 @@ main()
         const ArchModel a = ArchModel::formsFull(frag, true);
         const auto r = model.evaluate(a, wl, &prof);
         t.row().cell(static_cast<int64_t>(frag))
-            .cell(strfmt("%d-bit @ %.2f GHz", a.adcBits, a.adcFreqGhz))
-            .cell(static_cast<int64_t>(a.adcsPerCrossbar))
+            .cell(strfmt("%d-bit @ %.2f GHz", a.mcu.adcBits,
+                         a.mcu.adcFreqGhz))
+            .cell(static_cast<int64_t>(a.mcu.adcsPerCrossbar))
             .cell(a.chipPowerMw / 1000.0, 2)
             .cell(a.chipAreaMm2, 2)
             .cell(r.fpsRaw, 0)

@@ -146,7 +146,6 @@ AdmmCompressor::phasePrune()
     spec.filterKeep = cfg_.filterKeep;
     spec.shapeKeep = cfg_.shapeKeep;
     spec.xbarDim = cfg_.xbarDim;
-    spec.crossbarAware = cfg_.crossbarAware;
 
     admmEpochs(cfg_.admmEpochsPerPhase, [&spec](LayerState &st) {
         WeightView zv = st.param.isConvWeight

@@ -34,8 +34,7 @@ struct AdmmConfig
     // S: structured pruning.
     double filterKeep = 0.5;
     double shapeKeep = 0.5;
-    bool crossbarAware = true;
-    int64_t xbarDim = 128;
+    int64_t xbarDim = 128;   //!< keep-count snap extent (1 = no snap)
 
     // P: fragment polarization.
     int fragSize = 8;

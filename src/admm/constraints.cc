@@ -54,9 +54,10 @@ projectStructuredPrune(WeightView view, const PruneSpec &spec)
             row_norm[static_cast<size_t>(r)] += v * v;
         }
 
-    const int64_t xdim = spec.crossbarAware ? spec.xbarDim : 1;
-    const int64_t col_keep = crossbarAwareKeep(cols, spec.filterKeep, xdim);
-    const int64_t row_keep = crossbarAwareKeep(rows, spec.shapeKeep, xdim);
+    const int64_t col_keep =
+        crossbarAwareKeep(cols, spec.filterKeep, spec.xbarDim);
+    const int64_t row_keep =
+        crossbarAwareKeep(rows, spec.shapeKeep, spec.xbarDim);
 
     auto col_mask = topKMask(col_norm, col_keep);
     auto row_mask = topKMask(row_norm, row_keep);

@@ -30,8 +30,7 @@ struct PruneSpec
 {
     double filterKeep = 1.0;   //!< alpha: fraction of filters kept
     double shapeKeep = 1.0;    //!< beta: fraction of filter-shapes kept
-    int64_t xbarDim = 128;     //!< crossbar extent for aware rounding
-    bool crossbarAware = true;
+    int64_t xbarDim = 128;     //!< keep-count snap extent (1 = no snap)
 };
 
 /**

@@ -15,6 +15,7 @@
 #define FORMS_ADMM_REPORT_HH
 
 #include "admm/compressor.hh"
+#include "reram/device.hh"
 
 namespace forms::admm {
 
@@ -38,7 +39,7 @@ struct MappingSpec
     /** Crossbar columns occupied by one weight. */
     int cellsPerWeight() const
     {
-        return (weightBits + cellBits - 1) / cellBits;
+        return reram::cellsPerWeight(weightBits, cellBits);
     }
 
     /** Multiplier on crossbar count due to the sign scheme. */

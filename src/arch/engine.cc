@@ -317,12 +317,6 @@ EngineConfig::validate() const
     FORMS_ASSERT(adcBits >= 0 && adcBits <= 30,
                  "EngineConfig::adcBits = %d outside [0, 30] (0 = lossless)",
                  adcBits);
-    FORMS_ASSERT(std::isfinite(adcFreqGhz) && adcFreqGhz > 0.0,
-                 "EngineConfig::adcFreqGhz = %g, need a finite value > 0",
-                 adcFreqGhz);
-    FORMS_ASSERT(adcsPerCrossbar >= 1,
-                 "EngineConfig::adcsPerCrossbar = %d, need at least 1",
-                 adcsPerCrossbar);
     FORMS_ASSERT(std::isfinite(readNoiseSigma) && readNoiseSigma >= 0.0,
                  "EngineConfig::readNoiseSigma = %g, need a finite "
                  "value >= 0 (0 = noiseless reads)", readNoiseSigma);
@@ -340,24 +334,16 @@ CrossbarEngine::CrossbarEngine(const MappedLayer &layer, EngineConfig cfg)
                 ? cfg.adcBits
                 : reram::AdcModel::losslessBits(layer.cfg.fragSize,
                                                 layer.cfg.cellBits),
-            cfg.adcFreqGhz})
+            kAdcFreqGhz})
 {
     cfg_.validate();
-    // The mapper sliced magnitudes at the mapping's cell precision;
-    // programming them into a device model with a different precision
-    // would fail cell-by-cell deep in the program loop.
-    FORMS_ASSERT(cfg_.cell.bitsPerCell == layer.cfg.cellBits,
-                 "engine: device model stores %d bits/cell but the "
-                 "mapping sliced weights at %d bits/cell — set "
-                 "EngineConfig::cell.bitsPerCell to match the "
-                 "MappingConfig",
-                 cfg_.cell.bitsPerCell, layer.cfg.cellBits);
 
     // ADC full scale covers the worst-case fragment column sum; when
     // the resolution affords more codes than that (the lossless
     // setting), stretch the scale to the code count so the step is
     // exactly one level and integer sums convert exactly.
-    const int frag_max = map_.fragSize * ((1 << map_.cellBits) - 1);
+    const int max_level = (1 << map_.cellBits) - 1;
+    const int frag_max = map_.fragSize * max_level;
     fullScale_ = static_cast<double>(
         std::max(frag_max, adc_.config().codes() - 1));
 
@@ -371,13 +357,12 @@ CrossbarEngine::CrossbarEngine(const MappedLayer &layer, EngineConfig cfg)
     // crossbar's ADC-limited per-step time and the worst-case samples
     // per presentation: the hot path then touches only dense arrays.
     const int cells = map_.cellsPerWeight();
-    const int max_level = cfg_.cell.maxLevel();
     // Nibble-plane entries are uint8_t sums of up to 4 levels.
     const bool planes_fit = 4 * max_level <= 255;
     groups_ = (map_.fragSize + 3) / 4;
     uint64_t max_samples = 0;
     const double sample_ns = adc_.sampleTimeNs();
-    Rng rng(cfg_.variationSeed);
+    Rng rng(kVariationSeed);
     // Program into scratch: a non-exact tile takes it over, an exact
     // one leaves it for the next crossbar.
     std::vector<double> lvl;
@@ -403,7 +388,7 @@ CrossbarEngine::CrossbarEngine(const MappedLayer &layer, EngineConfig cfg)
                     row[wc * cells + s] = reram::programLevel(
                         static_cast<int>((mag >> (s * map_.cellBits)) &
                                          static_cast<uint32_t>(max_level)),
-                        cfg_.cell, &rng);
+                        max_level, cfg_.cell, &rng);
             }
         }
 
@@ -415,8 +400,7 @@ CrossbarEngine::CrossbarEngine(const MappedLayer &layer, EngineConfig cfg)
                                             : static_cast<int>(xi);
             const reram::CrossbarFaults f = cfg_.faults->draw(
                 cfg_.faultKey, phys, map_.xbarRows, map_.xbarCols);
-            const double lrs =
-                static_cast<double>(cfg_.cell.maxLevel());
+            const double lrs = static_cast<double>(max_level);
             bool any_here = false;
             for (int r = 0; r < xb.rows; ++r) {
                 for (int cc = 0; cc < tile.cellCols; ++cc) {
@@ -491,7 +475,7 @@ CrossbarEngine::CrossbarEngine(const MappedLayer &layer, EngineConfig cfg)
             outputExtent_ = std::max(outputExtent_, idx + 1);
         const double per_step = std::ceil(
             static_cast<double>(tile.cellCols) /
-            static_cast<double>(cfg_.adcsPerCrossbar)) * sample_ns;
+            static_cast<double>(kAdcsPerCrossbar)) * sample_ns;
         worstStepNs_ = std::max(worstStepNs_, per_step);
         tiles_.push_back(std::move(tile));
     }
@@ -586,7 +570,7 @@ CrossbarEngine::mvmOne(const uint32_t *inputs, uint64_t key, double *out,
     const int m = map_.fragSize;
     const int cells = map_.cellsPerWeight();
     const int in_bits = map_.inputBits;
-    LazyAdc::Stream noise(presentationSeed(cfg_.variationSeed, key));
+    LazyAdc::Stream noise(presentationSeed(kVariationSeed, key));
 
     // Per-thread scratch: mvmOne runs concurrently on pool workers and
     // a presentation must not pay heap allocations in the hot loop.
@@ -726,7 +710,7 @@ CrossbarEngine::mvmOne(const uint32_t *inputs, uint64_t key, double *out,
     std::copy(row.begin(), row.end(), out);
 
     // ADC-limited serial time: each (fragment, bit) step converts
-    // cell_cols columns on adcsPerCrossbar parallel ADCs. Crossbars
+    // cell_cols columns on kAdcsPerCrossbar parallel ADCs. Crossbars
     // operate in parallel, so charge the slowest one.
     local.timeNs = worstStepNs_ * static_cast<double>(local.bitCycles) /
         std::max<double>(1.0, static_cast<double>(tiles_.size()));

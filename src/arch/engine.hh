@@ -54,22 +54,34 @@ enum class ScaleMode
     Static,           //!< offline-calibrated fixed scale
 };
 
+/**
+ * The engine's ADC bank: four ADCs per crossbar at 2.1 GHz, the
+ * paper's fragment-8 MCU. The frequency is the literal 2.1, not
+ * reram::AdcModel::paperFreqGhz(4), which is not bit-exactly 2.1.
+ */
+constexpr double kAdcFreqGhz = 2.1;
+constexpr int kAdcsPerCrossbar = 4;
+
+/**
+ * Seed of the engine's random streams: device variation drawn at
+ * programming, and the per-presentation read-noise streams keyed by
+ * (kVariationSeed, presentation key).
+ */
+constexpr uint64_t kVariationSeed = 99;
+
 /** Engine knobs beyond the mapping geometry. */
 struct EngineConfig
 {
     int adcBits = 0;           //!< 0 = lossless (exact integer sums)
-    double adcFreqGhz = 2.1;
-    int adcsPerCrossbar = 4;
     bool zeroSkip = true;
     reram::CellConfig cell;    //!< device model (variation etc.)
-    uint64_t variationSeed = 99;
 
     /**
      * Transient read noise: multiplicative log-normal sigma applied to
      * every analog column sum at read time (0 = noiseless reads).
      * Unlike device variation (drawn once at program time), this is
      * per-presentation randomness; its stream is keyed by
-     * (variationSeed, presentation key) so batched execution is
+     * (kVariationSeed, presentation key) so batched execution is
      * bit-identical to serial regardless of thread count.
      */
     double readNoiseSigma = 0.0;
@@ -89,8 +101,7 @@ struct EngineConfig
     uint64_t faultKey = 0;
 
     /**
-     * Abort, naming the field, unless adcBits is in [0, 30],
-     * adcFreqGhz is finite and > 0, adcsPerCrossbar >= 1, and
+     * Abort, naming the field, unless adcBits is in [0, 30] and
      * readNoiseSigma and cell.variationSigma are finite and >= 0. The
      * CrossbarEngine constructor calls it.
      */

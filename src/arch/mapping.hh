@@ -49,12 +49,6 @@ struct MappingConfig
     void validate() const;
 };
 
-/** One weight's placement: magnitude plus indices. */
-struct MappedWeight
-{
-    uint32_t magnitude = 0;   //!< quantized |w| on the weight grid
-};
-
 /** One crossbar's worth of a layer. */
 struct MappedCrossbar
 {

@@ -85,13 +85,13 @@ buildMcuCost(const McuConfig &cfg)
     McuCost cost;
 
     const AdcModel adc({cfg.adcBits, cfg.adcFreqGhz});
-    const int n_adc = cfg.crossbarsPerMcu * cfg.adcsPerCrossbar;
+    const int n_adc = kCrossbarsPerMcu * cfg.adcsPerCrossbar;
     cost.components.push_back({
         "ADC",
         strfmt("%d-bit @ %.1f GHz", cfg.adcBits, cfg.adcFreqGhz),
         n_adc, adc.powerMw() * n_adc, adc.areaMm2() * n_adc});
 
-    const int n_dac = cfg.crossbarsPerMcu * cfg.xbarRows;
+    const int n_dac = kCrossbarsPerMcu * cfg.xbarRows;
     cost.components.push_back({
         "DAC", "1-bit", n_dac, k.dacPowerMw, k.dacAreaMm2});
 
@@ -102,7 +102,7 @@ buildMcuCost(const McuConfig &cfg)
         "crossbar array",
         strfmt("%dx%d, %d-bit cells", cfg.xbarRows, cfg.xbarCols,
                cfg.cellBits),
-        cfg.crossbarsPerMcu, k.xbarPowerMw, k.xbarAreaMm2});
+        kCrossbarsPerMcu, k.xbarPowerMw, k.xbarAreaMm2});
 
     cost.components.push_back({
         "S+A", "", 4, k.saPowerMw, k.saAreaMm2});
@@ -155,12 +155,12 @@ buildChipCost(const ChipConfig &cfg)
     const McuCost mcu = buildMcuCost(cfg.mcu);
     cost.mcuPowerMw = mcu.totalPowerMw + cfg.mcuOtherPowerMw;
     cost.mcuAreaMm2 = mcu.totalAreaMm2 + cfg.mcuOtherAreaMm2;
-    cost.tilePowerMw = cost.mcuPowerMw * cfg.mcusPerTile + cfg.digPowerMw;
-    cost.tileAreaMm2 = cost.mcuAreaMm2 * cfg.mcusPerTile + cfg.digAreaMm2;
-    cost.tilesPowerMw = cost.tilePowerMw * cfg.tiles;
-    cost.tilesAreaMm2 = cost.tileAreaMm2 * cfg.tiles;
-    cost.chipPowerMw = cost.tilesPowerMw + cfg.htPowerMw;
-    cost.chipAreaMm2 = cost.tilesAreaMm2 + cfg.htAreaMm2;
+    cost.tilePowerMw = cost.mcuPowerMw * kMcusPerTile + cfg.digPowerMw;
+    cost.tileAreaMm2 = cost.mcuAreaMm2 * kMcusPerTile + cfg.digAreaMm2;
+    cost.tilesPowerMw = cost.tilePowerMw * kTiles;
+    cost.tilesAreaMm2 = cost.tileAreaMm2 * kTiles;
+    cost.chipPowerMw = cost.tilesPowerMw + kHtPowerMw;
+    cost.chipAreaMm2 = cost.tilesAreaMm2 + kHtAreaMm2;
     return cost;
 }
 

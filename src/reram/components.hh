@@ -13,6 +13,7 @@
 #ifndef FORMS_RERAM_COMPONENTS_HH
 #define FORMS_RERAM_COMPONENTS_HH
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -37,11 +38,21 @@ enum class McuFlavor
     Isaac,   //!< coarse-grained, 1 large ADC/crossbar, offset encoding
 };
 
+/** Chip organization of Table IV, FORMS and ISAAC alike. */
+constexpr int kCrossbarsPerMcu = 8;
+constexpr int kMcusPerTile = 12;
+constexpr int kTiles = 168;
+/** Crossbars on one chip: tiles x MCUs per tile x crossbars per MCU. */
+constexpr int64_t kChipCrossbars =
+    static_cast<int64_t>(kTiles) * kMcusPerTile * kCrossbarsPerMcu;
+/** HyperTransport links (4 @ 1.6 GHz), on every chip of Table IV. */
+constexpr double kHtPowerMw = 10400.0;
+constexpr double kHtAreaMm2 = 22.88;
+
 /** MCU organization parameters. */
 struct McuConfig
 {
     McuFlavor flavor = McuFlavor::Forms;
-    int crossbarsPerMcu = 8;
     int xbarRows = 128;
     int xbarCols = 128;
     int cellBits = 2;
@@ -72,13 +83,9 @@ McuCost buildMcuCost(const McuConfig &cfg);
 struct ChipConfig
 {
     McuConfig mcu;
-    int mcusPerTile = 12;
-    int tiles = 168;
-    // Digital unit per tile and HyperTransport constants (Table IV).
+    // Digital unit per tile (Table IV).
     double digPowerMw = 53.05;
     double digAreaMm2 = 0.25;
-    double htPowerMw = 10400.0;
-    double htAreaMm2 = 22.88;
     // Registers/interconnect not itemized in Table III but present in
     // the Table IV MCU totals; kept explicit so the roll-up is honest.
     double mcuOtherPowerMw = 0.0;
@@ -112,17 +119,15 @@ struct DaDianNaoCost
     double edramAreaMm2 = 33.12;
     double busPowerMw = 12.8;
     double busAreaMm2 = 15.66;
-    double htPowerMw = 10400.0;
-    double htAreaMm2 = 22.88;
 
     double chipPowerMw() const
     {
-        return nfuPowerMw + edramPowerMw + busPowerMw + htPowerMw;
+        return nfuPowerMw + edramPowerMw + busPowerMw + kHtPowerMw;
     }
 
     double chipAreaMm2() const
     {
-        return nfuAreaMm2 + edramAreaMm2 + busAreaMm2 + htAreaMm2;
+        return nfuAreaMm2 + edramAreaMm2 + busAreaMm2 + kHtAreaMm2;
     }
 };
 

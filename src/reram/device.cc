@@ -5,9 +5,9 @@
 namespace forms::reram {
 
 double
-programLevel(int level, const CellConfig &cfg, Rng *rng)
+programLevel(int level, int max_level, const CellConfig &cfg, Rng *rng)
 {
-    FORMS_ASSERT(level >= 0 && level <= cfg.maxLevel(),
+    FORMS_ASSERT(level >= 0 && level <= max_level,
                  "cell level %d out of range", level);
     double factor = 1.0;
     if (rng && cfg.variationSigma > 0.0)

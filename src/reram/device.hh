@@ -2,10 +2,11 @@
  * @file
  * Behavioral ReRAM cell model.
  *
- * Cells store `bitsPerCell` bits as one of 2^bitsPerCell discrete
- * conductance levels between gMin and gMax (a VTEAM-flavored
- * linearized level map; the paper uses 2-bit cells). Device variation
- * is modeled as a multiplicative log-normal factor on the programmed
+ * Cells store b bits as one of 2^b discrete conductance levels
+ * between gMin and gMax (a VTEAM-flavored linearized level map; the
+ * paper uses 2-bit cells). The engine takes b from the mapping it
+ * programs (`arch::MappingConfig::cellBits`). Device variation is
+ * modeled as a multiplicative log-normal factor on the programmed
  * conductance (paper §V-E: log-normal, mean 0, sigma 0.1).
  *
  * Functional arithmetic uses "level units": a cell programmed to level
@@ -26,25 +27,20 @@ namespace forms::reram {
 /** Static parameters of the ReRAM cell technology. */
 struct CellConfig
 {
-    int bitsPerCell = 2;        //!< bits stored per cell
     double variationSigma = 0.0;//!< log-normal sigma (0 = ideal devices)
-
-    /** Number of programmable levels. */
-    int levels() const { return 1 << bitsPerCell; }
-
-    /** Maximum level value. */
-    int maxLevel() const { return levels() - 1; }
 };
 
 /**
- * Program one cell to a digital level and return its realized analog
- * level (level units): level x lognormal(0, variationSigma), the
- * factor drawn from `rng` once, at program time, whenever the sigma is
- * positive (also for level 0, so the draw sequence depends only on the
- * cell count). An off cell (level 0) reads 0 regardless of variation.
- * A null `rng` programs ideal devices.
+ * Program one cell to a digital level in [0, max_level] (max_level =
+ * 2^cellBits - 1) and return its realized analog level (level units):
+ * level x lognormal(0, variationSigma), the factor drawn from `rng`
+ * once, at program time, whenever the sigma is positive (also for
+ * level 0, so the draw sequence depends only on the cell count). An
+ * off cell (level 0) reads 0 regardless of variation. A null `rng`
+ * programs ideal devices.
  */
-double programLevel(int level, const CellConfig &cfg, Rng *rng);
+double programLevel(int level, int max_level, const CellConfig &cfg,
+                    Rng *rng);
 
 /**
  * Crossbar read energy for one bit-serial step over `active_rows` rows
@@ -56,7 +52,7 @@ double readEnergyPj(int active_rows, int cols, double step_ns);
 
 /**
  * Decompose a magnitude into per-cell levels, least-significant cell
- * first: value = sum_i levels[i] * (2^bitsPerCell)^i.
+ * first: value = sum_i levels[i] * (2^bits_per_cell)^i.
  */
 std::vector<int> sliceMagnitude(uint32_t magnitude, int weight_bits,
                                 int bits_per_cell);

@@ -38,7 +38,7 @@ namespace forms::reram {
 enum class FaultKind : uint8_t
 {
     None = 0,
-    StuckLrs,   //!< reads as CellConfig::maxLevel()
+    StuckLrs,   //!< reads as the mapping's maximum level, 2^cellBits - 1
     StuckHrs,   //!< reads as level 0
     Drift,      //!< programmed level times a lognormal(0, 0.1) factor
 };

@@ -15,20 +15,18 @@ reram::ChipCost
 pumaChipCost()
 {
     using namespace reram;
-    ChipConfig cfg = ChipConfig::isaac();
-    ChipCost base = buildChipCost(cfg);
     // Extra per-MCU analog block: 8 crossbars + 8*128 DACs + S&H.
     const double extra_p = 2.43 + 4.0 + 0.01;
     const double extra_a = 0.00023 + 0.00017 + 0.00004;
-    ChipCost c = base;
+    ChipCost c = buildChipCost(ChipConfig::isaac());
     c.mcuPowerMw += extra_p;
     c.mcuAreaMm2 += extra_a;
-    c.tilePowerMw += extra_p * cfg.mcusPerTile;
-    c.tileAreaMm2 += extra_a * cfg.mcusPerTile;
-    c.tilesPowerMw = c.tilePowerMw * cfg.tiles;
-    c.tilesAreaMm2 = c.tileAreaMm2 * cfg.tiles;
-    c.chipPowerMw = c.tilesPowerMw + cfg.htPowerMw;
-    c.chipAreaMm2 = c.tilesAreaMm2 + cfg.htAreaMm2;
+    c.tilePowerMw += extra_p * kMcusPerTile;
+    c.tileAreaMm2 += extra_a * kMcusPerTile;
+    c.tilesPowerMw = c.tilePowerMw * kTiles;
+    c.tilesAreaMm2 = c.tileAreaMm2 * kTiles;
+    c.chipPowerMw = c.tilesPowerMw + kHtPowerMw;
+    c.chipAreaMm2 = c.tilesAreaMm2 + kHtAreaMm2;
     return c;
 }
 
@@ -97,14 +95,10 @@ ArchModel::formsPolarizationOnly(int frag_size)
     a.name = strfmt("FORMS (polarization only, %d)", frag_size);
     a.scheme = admm::SignScheme::PolarizedForms;
     a.weightBits = 16;
-    a.fragSize = frag_size;
     a.zeroSkip = true;   // the skip logic is part of the architecture
-    const auto mcu = reram::McuConfig::forms(frag_size);
-    a.adcBits = mcu.adcBits;
-    a.adcFreqGhz = mcu.adcFreqGhz;
-    a.adcsPerCrossbar = mcu.adcsPerCrossbar;
-    const auto cost =
-        reram::buildChipCost(reram::ChipConfig::forms(frag_size));
+    const auto chip = reram::ChipConfig::forms(frag_size);
+    a.mcu = chip.mcu;
+    const auto cost = reram::buildChipCost(chip);
     a.chipPowerMw = cost.chipPowerMw;
     a.chipAreaMm2 = cost.chipAreaMm2;
     // Raw physics already lands near Table V for these rows (0.60 vs
@@ -145,7 +139,7 @@ PerfModel::effectiveBitsFor(const ArchModel &arch) const
 {
     if (!arch.zeroSkip)
         return static_cast<double>(arch.inputBits);
-    const std::pair<int, int> key{arch.fragSize, arch.inputBits};
+    const std::pair<int, int> key{arch.mcu.fragSize, arch.inputBits};
     {
         std::lock_guard<std::mutex> lock(eicMutex_);
         const auto it = eicCache_.find(key);
@@ -165,7 +159,7 @@ PerfModel::effectiveBitsFor(const ArchModel &arch) const
     // The Monte-Carlo estimate is deterministic (fixed seed), so two
     // threads racing to fill the same key compute the same value;
     // only the map insertion needs the lock.
-    const double eic = act.averageEic(arch.fragSize);
+    const double eic = act.averageEic(arch.mcu.fragSize);
     std::lock_guard<std::mutex> lock(eicMutex_);
     eicCache_.emplace(key, eic);
     return eic;
@@ -189,18 +183,17 @@ PerfModel::layerPerf(const ArchModel &arch, const LayerSpec &layer,
         1, static_cast<int64_t>(std::llround(
                keep * static_cast<double>(layer.cols()))));
 
-    const int cells = (wbits + arch.cellBits - 1) / arch.cellBits;
-    const int64_t grid_r = (kr + arch.xbarRows - 1) / arch.xbarRows;
-    const int64_t grid_c =
-        (kc * cells + arch.xbarCols - 1) / arch.xbarCols;
-    lp.crossbars = grid_r * grid_c * arch.signFactor();
+    const reram::McuConfig &mcu = arch.mcu;
+    lp.crossbars = admm::crossbarsForMatrix(
+        kr, kc,
+        {mcu.xbarRows, mcu.xbarCols, wbits, mcu.cellBits, arch.scheme});
 
-    const double row_groups = static_cast<double>(arch.xbarRows) /
-        static_cast<double>(arch.fragSize);
-    const double cols_per_adc = static_cast<double>(arch.xbarCols) /
-        static_cast<double>(arch.adcsPerCrossbar);
+    const double row_groups = static_cast<double>(mcu.xbarRows) /
+        static_cast<double>(mcu.fragSize);
+    const double cols_per_adc = static_cast<double>(mcu.xbarCols) /
+        static_cast<double>(mcu.adcsPerCrossbar);
     const double bits_eff = effectiveBitsFor(arch);
-    lp.tauNs = row_groups * bits_eff * cols_per_adc / arch.adcFreqGhz;
+    lp.tauNs = row_groups * bits_eff * cols_per_adc / mcu.adcFreqGhz;
 
     lp.presentations = layer.presentations();
     lp.workNs = static_cast<double>(lp.crossbars) *
@@ -219,7 +212,7 @@ PerfModel::evaluate(const ArchModel &arch, const Workload &workload,
         res.layers.push_back(lp);
     }
     FORMS_ASSERT(res.totalWorkNs > 0.0, "workload has no work");
-    res.fpsRaw = static_cast<double>(arch.totalCrossbars) /
+    res.fpsRaw = static_cast<double>(reram::kChipCrossbars) /
         res.totalWorkNs * 1e9;
     res.fps = res.fpsRaw * arch.calibration;
     res.effGops = res.fps * workload.gopsPerFrame();

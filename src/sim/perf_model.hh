@@ -4,11 +4,14 @@
  *
  * The model is explicit and bottom-up:
  *
- *   n_l  crossbars per layer copy after compression:
- *        ceil(keptRows/R) * ceil(keptCols*cellsPerWeight/C) * signFactor
+ *   n_l  crossbars per layer copy after compression, counted by
+ *        admm::crossbarsForMatrix on the design's MCU geometry:
+ *        ceil(keptRows/R) * ceil(keptCols*cellsPerWeight/C), doubled
+ *        under the splitting sign scheme
  *   tau_l per-presentation latency, ADC-limited:
  *        rowGroups * effectiveBits * (colsPerAdc / f_adc)
- *   FPS  balanced-pipeline replication over X total crossbars:
+ *   FPS  balanced-pipeline replication over the chip's X crossbars
+ *        (reram::kChipCrossbars):
  *        X / sum_l n_l * P_l * tau_l
  *
  * Effective throughput counts the *original* network's operations
@@ -44,33 +47,20 @@ struct ArchModel
 {
     std::string name;
     admm::SignScheme scheme = admm::SignScheme::OffsetIsaac;
+    /**
+     * The MCU the chip cost is built from (the default, ISAAC's, for
+     * the ISAAC and PUMA points): the one home of the design's crossbar geometry,
+     * cell precision, fragment size (rows activated per step; 128 =
+     * coarse) and ADC bank.
+     */
+    reram::McuConfig mcu = reram::McuConfig::isaac();
     int weightBits = 16;       //!< stored weight precision
-    int cellBits = 2;
     int inputBits = 16;
-    int fragSize = 128;        //!< activated rows per step (128=coarse)
     bool zeroSkip = false;
-    int adcBits = 8;
-    double adcFreqGhz = 1.2;
-    int adcsPerCrossbar = 1;
-    int xbarRows = 128;
-    int xbarCols = 128;
-    int64_t totalCrossbars = 168LL * 12 * 8;
     double chipPowerMw = 0.0;
     double chipAreaMm2 = 0.0;
     bool usesCompression = false;  //!< honours the eval case's profile
     double calibration = 1.0;      //!< documented efficiency factor
-
-    /** Cell columns per stored weight. */
-    int cellsPerWeight() const
-    {
-        return (weightBits + cellBits - 1) / cellBits;
-    }
-
-    /** Crossbar-count multiplier of the sign scheme. */
-    int signFactor() const
-    {
-        return scheme == admm::SignScheme::Splitting ? 2 : 1;
-    }
 
     // ---- factory design points -------------------------------------
     /** Non-pruned ISAAC with 32-bit weights (figure baseline). */

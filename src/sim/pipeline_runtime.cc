@@ -17,6 +17,9 @@ PipelineRuntime::PipelineRuntime(const compile::Graph &graph,
     : graph_(graph), sched_(std::move(sched)), topo_(graph.topoOrder()),
       cfg_(cfg)
 {
+    if (cfg_.microBatch < 1)
+        fatal("PipelineRuntimeConfig::microBatch = %d, need at least 1",
+              cfg_.microBatch);
     execs_ = buildNodeExecs(graph_, topo_, layers, cfg_.runtime, sched_);
 }
 
@@ -119,8 +122,7 @@ PipelineRuntime::run(const Tensor &batch, const uint64_t *ids,
 
     const int64_t images = batch.dim(0);
     FORMS_ASSERT(images > 0, "pipeline forward: empty batch");
-    const int64_t mb = std::max<int64_t>(
-        1, std::min<int64_t>(cfg_.microBatch, images));
+    const int64_t mb = std::min<int64_t>(cfg_.microBatch, images);
     const int num_mb = static_cast<int>((images + mb - 1) / mb);
     const int64_t sample_elems = batch.numel() / images;
     const int n_chips = sched_.chips();

@@ -96,7 +96,7 @@ namespace forms::sim {
 struct PipelineRuntimeConfig
 {
     RuntimeConfig runtime;  //!< geometry, engine knobs, host pool
-    int microBatch = 1;     //!< images per pipeline micro-batch
+    int microBatch = 1;     //!< images per pipeline micro-batch (>= 1)
     TilePipeline tile;      //!< intra-chip phase-overlap timing model
 
     /**
@@ -236,7 +236,9 @@ class PipelineRuntime
      *        nodes by weight-tensor identity — build *after*
      *        foldBatchNorm so projections see folded weights
      * @param cfg geometry, engine knobs, micro-batch size and the
-     *        tile-pipeline timing model
+     *        tile-pipeline timing model; fatal()s, naming the field,
+     *        on a micro-batch below 1 (one larger than a batch runs
+     *        that batch whole)
      */
     PipelineRuntime(const compile::Graph &graph,
                     compile::Schedule sched,

@@ -115,7 +115,7 @@ struct PhaseSample
  * the primary engine; additional entries are replica engines on other
  * chips, all programmed from the same weights with the same config
  * (so their programmed conductances are identical — device variation
- * draws from a stream seeded only by cfg.variationSeed).
+ * draws from a stream seeded only by arch::kVariationSeed).
  *
  * Replica r of R processes the contiguous presentation-index slice
  * [floor(P*r/R), floor(P*(r+1)/R)) of each micro-batch's P

@@ -42,7 +42,7 @@ TEST(StructuredPrune, KeepsTopNormColumns)
     PruneSpec spec;
     spec.filterKeep = 0.5;
     spec.shapeKeep = 1.0;
-    spec.crossbarAware = false;
+    spec.xbarDim = 1;
     WeightView v = WeightView::dense(w);
     auto [rk, ck] = projectStructuredPrune(v, spec);
     EXPECT_EQ(ck, 2);
@@ -63,7 +63,7 @@ TEST(StructuredPrune, RemainingStructureIsDense)
     PruneSpec spec;
     spec.filterKeep = 0.5;
     spec.shapeKeep = 0.5;
-    spec.crossbarAware = false;
+    spec.xbarDim = 1;
     WeightView v = WeightView::conv(w);
     projectStructuredPrune(v, spec);
     PruneMask m = extractMask(v);
@@ -87,7 +87,7 @@ TEST(StructuredPrune, ProjectionIsIdempotent)
     PruneSpec spec;
     spec.filterKeep = 0.6;
     spec.shapeKeep = 0.7;
-    spec.crossbarAware = false;
+    spec.xbarDim = 1;
     WeightView v = WeightView::conv(w);
     projectStructuredPrune(v, spec);
     Tensor once = w;

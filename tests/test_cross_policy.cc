@@ -40,7 +40,7 @@ struct PreparedLayer
             admm::PruneSpec spec;
             spec.filterKeep = 0.75;
             spec.shapeKeep = 0.6;
-            spec.crossbarAware = false;
+            spec.xbarDim = 1;
             projectStructuredPrune(v, spec);
             state.mask = admm::extractMask(v);
             state.plan = state.plan.restrictedToRows(state.mask->rowKept);

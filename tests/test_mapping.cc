@@ -1,15 +1,18 @@
 /**
  * @file
  * Tests for the weight-to-crossbar mapper: crossbar counts against the
- * closed form, fragment/sign integrity, pruning compaction, and the
- * integer reference MVM against a direct dense computation.
+ * closed form and the analytic count the paper's tables use,
+ * fragment/sign integrity, pruning compaction, and the integer
+ * reference MVM against a direct dense computation.
  */
 
 #include <gtest/gtest.h>
 
 #include <string>
 
+#include "admm/report.hh"
 #include "arch/mapping.hh"
+#include "sim/perf_model.hh"
 
 namespace forms::arch {
 namespace {
@@ -42,7 +45,7 @@ struct TestLayer
             admm::PruneSpec spec;
             spec.filterKeep = 0.5;
             spec.shapeKeep = 0.75;
-            spec.crossbarAware = false;
+            spec.xbarDim = 1;
             projectStructuredPrune(v, spec);
             state.mask = admm::extractMask(v);
             state.plan = state.plan.restrictedToRows(state.mask->rowKept);
@@ -78,6 +81,80 @@ TEST(Mapping, CrossbarCountMatchesClosedForm)
     EXPECT_EQ(mapped.numCrossbars(), 9);
     EXPECT_EQ(mapped.logicalRows, 36);
     EXPECT_EQ(mapped.logicalCols, 12);
+}
+
+/**
+ * The crossbar count behind Tables I/II and Figs. 13/14 —
+ * admm::crossbarsForMatrix, which sim::PerfModel::layerPerf prices —
+ * equals the crossbars the mapper programs, unpruned and structurally
+ * pruned, on every geometry where a weight's cells tile a crossbar's
+ * columns. Elsewhere the two rules differ by design (DESIGN.md §2).
+ */
+TEST(Crossbars, AnalyticCountEqualsMapper)
+{
+    const sim::PerfModel model;
+    const struct
+    {
+        int cout, cin, k;
+    } shapes[] = {{12, 4, 3}, {40, 16, 3}, {70, 30, 1}};
+    for (const auto &sh : shapes)
+        for (bool prune : {false, true}) {
+            const TestLayer layer(sh.cout, sh.cin, sh.k, 8, 5, prune);
+            const int64_t rows =
+                prune ? layer.state.mask->keptRows() : sh.cin * sh.k * sh.k;
+            const int64_t cols =
+                prune ? layer.state.mask->keptCols() : sh.cout;
+            sim::LayerSpec spec;
+            spec.conv = false;
+            spec.inC = rows;
+            spec.outC = cols;
+            for (int cell_bits : {1, 2, 4})
+                for (int weight_bits : {4, 8, 16})
+                    for (int xbar : {16, 64, 128}) {
+                        SCOPED_TRACE(testing::Message()
+                                     << sh.cout << "x" << sh.cin << "x"
+                                     << sh.k << " prune " << prune
+                                     << " cellBits " << cell_bits
+                                     << " weightBits " << weight_bits
+                                     << " xbar " << xbar);
+                        ASSERT_EQ(xbar % reram::cellsPerWeight(weight_bits,
+                                                               cell_bits),
+                                  0);
+                        MappingConfig cfg;
+                        cfg.xbarRows = cfg.xbarCols = xbar;
+                        cfg.cellBits = cell_bits;
+                        cfg.weightBits = weight_bits;
+                        cfg.fragSize = 8;
+                        const int64_t mapped =
+                            mapLayer(layer.state, cfg).numCrossbars();
+                        EXPECT_EQ(admm::crossbarsForMatrix(
+                                      rows, cols,
+                                      {xbar, xbar, weight_bits, cell_bits,
+                                       admm::SignScheme::PolarizedForms}),
+                                  mapped);
+
+                        sim::ArchModel a =
+                            sim::ArchModel::formsPolarizationOnly(8);
+                        a.zeroSkip = false;
+                        a.weightBits = weight_bits;
+                        a.mcu.xbarRows = a.mcu.xbarCols = xbar;
+                        a.mcu.cellBits = cell_bits;
+                        EXPECT_EQ(model.layerPerf(a, spec, nullptr).crossbars,
+                                  mapped);
+                    }
+        }
+
+    // Where cells do not tile the columns, the analytic rule packs a
+    // weight's cells across crossbars and the mapper fits whole
+    // weights: 128 weights of 3 cells on 128 columns make 3 against 4.
+    const TestLayer wide(128, 4, 3, 8, 6);
+    MappingConfig cfg;
+    cfg.cellBits = 3;
+    EXPECT_EQ(admm::crossbarsForMatrix(36, 128,
+                                       {128, 128, 8, 3,
+                                        admm::SignScheme::PolarizedForms}),
+              3);
+    EXPECT_EQ(mapLayer(wide.state, cfg).numCrossbars(), 4);
 }
 
 TEST(Mapping, PruningShrinksTheGrid)

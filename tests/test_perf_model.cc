@@ -57,7 +57,8 @@ TEST_F(PerfFixture, FormsAdcSlotMatchesPaper)
     // FORMS: 4 ADCs cover 128 columns at 2.1 GHz -> 15.2 ns per
     // (fragment, bit) step (paper §IV-C's 15 ns figure).
     ArchModel forms = ArchModel::formsFull(8, true);
-    const double slot = (128.0 / forms.adcsPerCrossbar) / forms.adcFreqGhz;
+    const double slot =
+        (128.0 / forms.mcu.adcsPerCrossbar) / forms.mcu.adcFreqGhz;
     EXPECT_NEAR(slot, 15.2, 0.3);
 }
 

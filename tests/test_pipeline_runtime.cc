@@ -442,6 +442,19 @@ TEST(PipelineRuntime, ResetPresentationStreamsReproducesNoisyRuns)
     EXPECT_TRUE(first.equals(replay));
 }
 
+TEST(PipelineRuntime, RejectsMicroBatchBelowOne)
+{
+    // A micro-batch larger than the batch is legal (the batch runs
+    // whole); one below 1 is refused at construction, by name.
+    CompiledStemHeavy c(161);
+    for (int bad : {0, -2}) {
+        EXPECT_DEATH(sim::PipelineRuntime(c.graph, partitionFor(c.graph, 1),
+                                          c.states,
+                                          noisyConfig(nullptr, bad)),
+                     "PipelineRuntimeConfig::microBatch");
+    }
+}
+
 TEST(PipelineRuntime, AccuracyRunsAndIsBounded)
 {
     CompiledResNet c(151);

@@ -59,11 +59,12 @@ TEST(ProgramLevel, IdealDevicesReturnTheLevel)
 {
     CellConfig cfg;
     Rng rng(4);
-    for (int level = 0; level <= cfg.maxLevel(); ++level) {
-        EXPECT_EQ(programLevel(level, cfg, nullptr),
+    const int max_level = 3;   // 2-bit cells
+    for (int level = 0; level <= max_level; ++level) {
+        EXPECT_EQ(programLevel(level, max_level, cfg, nullptr),
                   static_cast<double>(level));
         // Sigma 0 is ideal even with a variation source at hand.
-        EXPECT_EQ(programLevel(level, cfg, &rng),
+        EXPECT_EQ(programLevel(level, max_level, cfg, &rng),
                   static_cast<double>(level));
     }
 }
@@ -75,7 +76,7 @@ TEST(ProgramLevel, VariationPerturbsMultiplicatively)
     Rng rng(5);
     RunningStat ratio;
     for (int i = 0; i < 20000; ++i)
-        ratio.add(programLevel(2, cfg, &rng) / 2.0);
+        ratio.add(programLevel(2, 3, cfg, &rng) / 2.0);
     // Log-normal(0, 0.1): mean exp(0.005) ~ 1.005.
     EXPECT_NEAR(ratio.mean(), std::exp(0.005), 0.01);
     EXPECT_GT(ratio.stddev(), 0.05);
@@ -87,7 +88,7 @@ TEST(ProgramLevel, ZeroLevelImmuneToVariation)
     cfg.variationSigma = 0.5;
     Rng rng(6);
     for (int i = 0; i < 100; ++i)
-        EXPECT_EQ(programLevel(0, cfg, &rng), 0.0);
+        EXPECT_EQ(programLevel(0, 3, cfg, &rng), 0.0);
 }
 
 TEST(ReadEnergy, PositiveAndLinearInActiveRows)
