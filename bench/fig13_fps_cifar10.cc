@@ -7,10 +7,9 @@
  * raw-physics speedups are both printed.
  *
  * A second section compiles a CIFAR-10-geometry conv net
- * (compile::lowerNetwork) and measures it on the functional single-chip
- * PipelineRuntime: serial vs parallel host wall-time for the same batch
- * (bit-identical outputs), written to BENCH_runtime.json so the perf
- * trajectory is machine-trackable.
+ * (compile::lowerNetwork), runs it on the functional single-chip
+ * PipelineRuntime and writes its modeled cost to BENCH_runtime.json.
+ * Host speed is measured by benchmark/, not here.
  */
 
 #include <cstdio>
@@ -29,15 +28,14 @@ using namespace forms::sim;
 namespace {
 
 /**
- * Serial vs parallel wall-time of the batched runtime on a small
+ * Modeled latency / energy of the batched runtime on a small
  * CIFAR-10-geometry conv net (3x16x16 input keeps the functional
  * simulation affordable; the presentation count is what matters).
  */
 void
 runtimeBench()
 {
-    std::printf("\nBatched runtime: serial vs parallel wall-time "
-                "(functional engine)\n");
+    std::printf("\nBatched runtime: modeled cost (functional engine)\n");
 
     Rng rng(5);
     nn::Network net;
@@ -62,54 +60,18 @@ runtimeBench()
     rcfg.mapping.fragSize = 8;
     rcfg.mapping.inputBits = 8;
     rcfg.engine.adcBits = 4;
+    PipelineRuntime rt(graph, states, rcfg);
 
-    ThreadPool serial_pool(1);
-    ThreadPool parallel_pool(ThreadPool::defaultThreads());
+    RuntimeReport rep;
+    rt.forward(batch, &rep);
 
-    rcfg.pool = &serial_pool;
-    PipelineRuntime serial_rt(graph, states, rcfg);
-    rcfg.pool = &parallel_pool;
-    PipelineRuntime parallel_rt(graph, states, rcfg);
-
-    // Warm-up (page in the programmed tiles), then take the best of
-    // three timed runs per configuration — a single sample on a busy
-    // host is scheduling noise — using the wall-clock the runtime
-    // itself stamps into the report. The modeled stats are
-    // deterministic, so the last run's report serves for those.
-    serial_rt.forward(batch);
-    parallel_rt.forward(batch);
-
-    constexpr int repeats = 3;
-    RuntimeReport serial_rep, parallel_rep;
-    double serial_ms = 0.0, parallel_ms = 0.0;
-    for (int r = 0; r < repeats; ++r) {
-        RuntimeReport srep, prep;
-        serial_rt.forward(batch, &srep);
-        parallel_rt.forward(batch, &prep);
-        if (r == 0 || srep.wallMs < serial_ms)
-            serial_ms = srep.wallMs;
-        if (r == 0 || prep.wallMs < parallel_ms)
-            parallel_ms = prep.wallMs;
-        serial_rep = srep;
-        parallel_rep = prep;
-    }
-    const double speedup = parallel_ms > 0.0 ? serial_ms / parallel_ms
-                                             : 0.0;
-
-    Table t({"Threads", "Wall (ms)", "Presentations",
-             "Modeled time (us)", "Modeled energy (nJ)"});
-    t.row().cell(static_cast<int64_t>(1)).cell(serial_ms, 1)
-        .cell(static_cast<int64_t>(serial_rep.presentations))
-        .cell(serial_rep.modelTimeNs() / 1e3, 2)
-        .cell(serial_rep.modelEnergyPj() / 1e3, 2);
-    t.row().cell(static_cast<int64_t>(parallel_pool.threads()))
-        .cell(parallel_ms, 1)
-        .cell(static_cast<int64_t>(parallel_rep.presentations))
-        .cell(parallel_rep.modelTimeNs() / 1e3, 2)
-        .cell(parallel_rep.modelEnergyPj() / 1e3, 2);
-    t.print(strfmt("CIFAR-10-geometry conv net, batch %lld: %.2fx "
-                   "speedup",
-                   static_cast<long long>(images), speedup));
+    Table t({"Images", "Presentations", "Modeled time (us)",
+             "Modeled energy (nJ)"});
+    t.row().cell(images)
+        .cell(static_cast<int64_t>(rep.presentations))
+        .cell(rep.modelTimeNs() / 1e3, 2)
+        .cell(rep.modelEnergyPj() / 1e3, 2);
+    t.print("CIFAR-10-geometry conv net");
 
     FILE *json = std::fopen("BENCH_runtime.json", "w");
     if (!json) {
@@ -117,28 +79,19 @@ runtimeBench()
         return;
     }
     obs::RunManifest manifest = obs::RunManifest::collect("fig13_runtime");
-    manifest.set("images", static_cast<int64_t>(images))
-        .set("repeats", repeats)
-        .set("parallel_threads", parallel_pool.threads());
+    manifest.set("images", images);
     obs::JsonWriter w(json);
     w.beginObject();
     obs::writeBenchHeader(w, manifest);
     w.field("bench", "fig13_runtime");
     w.field("images", images);
-    w.field("presentations", parallel_rep.presentations);
-    w.field("threads", parallel_pool.threads());
-    w.field("serial_wall_ms", serial_ms);
-    w.field("parallel_wall_ms", parallel_ms);
-    w.field("speedup", speedup);
-    w.field("model_time_us", parallel_rep.modelTimeNs() / 1e3);
-    w.field("model_energy_nj", parallel_rep.modelEnergyPj() / 1e3);
+    w.field("presentations", rep.presentations);
+    w.field("model_time_us", rep.modelTimeNs() / 1e3);
+    w.field("model_energy_nj", rep.modelEnergyPj() / 1e3);
     w.endObject();
     std::fputc('\n', json);
     std::fclose(json);
-    std::printf("wrote BENCH_runtime.json (serial %.1f ms, parallel "
-                "%.1f ms on %d threads, %.2fx)\n",
-                serial_ms, parallel_ms, parallel_pool.threads(),
-                speedup);
+    std::printf("wrote BENCH_runtime.json\n");
 }
 
 } // namespace

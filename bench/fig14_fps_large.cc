@@ -7,9 +7,8 @@
  *
  * A second section runs the ResNet zoo (buildResNetSmall /
  * buildResNetDeep) end to end through a single-chip PipelineRuntime —
- * lower, fold BN, compress, map — and writes wall-time / fps and the
- * per-node breakdown to BENCH_graph.json so CI tracks the DAG
- * executor's perf alongside BENCH_runtime.json.
+ * lower, fold BN, compress, map — and writes the modeled per-node
+ * breakdown to BENCH_graph.json. Host speed is measured by benchmark/.
  */
 
 #include <cstdio>
@@ -74,26 +73,23 @@ runtimeBreakdown()
             .cell((l.stats.adcEnergyPj + l.stats.crossbarEnergyPj) / 1e3,
                   2);
     }
-    t.print(strfmt("Batched runtime breakdown (batch 4, %d threads): "
+    t.print(strfmt("Batched runtime breakdown (batch 4): "
                    "total %.2f us modeled, %.2f nJ",
-                   ThreadPool::global().threads(),
                    rep.modelTimeNs() / 1e3, rep.modelEnergyPj() / 1e3));
 }
 
-/** One network's single-chip runtime measurement. */
+/** One network's single-chip modeled run. */
 struct GraphBenchResult
 {
     std::string name;
     int64_t images = 0;
-    double wallMs = 0.0;
-    double fps = 0.0;
     RuntimeReport rep;
     int64_t crossbars = 0;
 };
 
 /**
  * Compile (lower + BN-fold), compress, map and execute one ResNet on
- * the DAG runtime; best wall-time of `repeats` runs.
+ * the DAG runtime for one forward.
  */
 GraphBenchResult
 runGraphNet(const std::string &name, nn::Network &net, int64_t images)
@@ -118,18 +114,7 @@ runGraphNet(const std::string &name, nn::Network &net, int64_t images)
     Tensor batch({images, 3, 32, 32});
     batch.fillUniform(rng, 0.0f, 1.0f);
 
-    rt.forward(batch);   // warm-up
-    constexpr int repeats = 3;
-    for (int i = 0; i < repeats; ++i) {
-        RuntimeReport rep;
-        rt.forward(batch, &rep);
-        if (i == 0 || rep.wallMs < r.wallMs) {
-            r.wallMs = rep.wallMs;
-            r.rep = rep;
-        }
-    }
-    r.fps = r.wallMs > 0.0
-        ? static_cast<double>(images) / (r.wallMs / 1e3) : 0.0;
+    rt.forward(batch, &r.rep);
 
     Table t({"Node", "Crossbars", "Presentations", "ADC samples",
              "Modeled time (us)", "Energy (nJ)"});
@@ -142,10 +127,9 @@ runGraphNet(const std::string &name, nn::Network &net, int64_t images)
             .cell((l.stats.adcEnergyPj + l.stats.crossbarEnergyPj) / 1e3,
                   2);
     }
-    t.print(strfmt("%s via GraphRuntime (batch %lld, %d BN folded): "
-                   "%.1f ms wall, %.1f fps, %lld crossbars",
+    t.print(strfmt("%s via PipelineRuntime (batch %lld, %d BN folded): "
+                   "%lld crossbars",
                    name.c_str(), static_cast<long long>(images), folded,
-                   r.wallMs, r.fps,
                    static_cast<long long>(r.crossbars)));
     return r;
 }
@@ -165,15 +149,12 @@ writeGraphJson(const std::vector<GraphBenchResult> &results)
     w.beginObject();
     obs::writeBenchHeader(w, manifest);
     w.field("bench", "fig14_graph_runtime");
-    w.field("threads", ThreadPool::global().threads());
     w.key("networks");
     w.beginArray();
     for (const GraphBenchResult &r : results) {
         w.beginObject();
         w.field("name", r.name);
         w.field("images", r.images);
-        w.field("wall_ms", r.wallMs);
-        w.field("fps", r.fps);
         w.field("presentations", r.rep.presentations);
         w.field("crossbars", r.crossbars);
         w.field("model_time_us", r.rep.modelTimeNs() / 1e3);
@@ -199,8 +180,8 @@ writeGraphJson(const std::vector<GraphBenchResult> &results)
     w.endObject();
     std::fputc('\n', json);
     std::fclose(json);
-    std::printf("wrote BENCH_graph.json (%zu networks, %d threads)\n",
-                results.size(), ThreadPool::global().threads());
+    std::printf("wrote BENCH_graph.json (%zu networks)\n",
+                results.size());
 }
 
 /** ResNetSmall / ResNetDeep end to end on the compiled DAG runtime. */

@@ -351,7 +351,6 @@ writePipelineJson(const std::vector<NetResult> &results)
     w.beginObject();
     obs::writeBenchHeader(w, manifest);
     w.field("bench", "fig15_multichip_pipeline");
-    w.field("threads", ThreadPool::global().threads());
     w.field("images", kImages);
     w.field("micro_batch", kMicroBatch);
     w.field("replicate_threshold", kReplicateThreshold);
@@ -393,8 +392,8 @@ writePipelineJson(const std::vector<NetResult> &results)
     w.endObject();
     std::fputc('\n', json);
     std::fclose(json);
-    std::printf("wrote BENCH_pipeline.json (%zu networks, %d threads)\n",
-                results.size(), ThreadPool::global().threads());
+    std::printf("wrote BENCH_pipeline.json (%zu networks)\n",
+                results.size());
 }
 
 /**

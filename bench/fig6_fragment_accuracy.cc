@@ -38,15 +38,20 @@ main()
              "ResNet50 acc (%)"});
     std::vector<std::vector<double>> acc(3);
     for (int c = 0; c < 3; ++c) {
-        nn::DatasetConfig data = nn::DatasetConfig::cifar100Like(
-            40 + cases[c].seed);
-        data.trainPerClass = 10;
-        data.testPerClass = 5;
-        auto pts = runFragmentAccuracySweep(
-            cases[c].net, data, frags, /*pretrain_epochs=*/5,
-            cases[c].seed);
-        for (const auto &p : pts)
-            acc[static_cast<size_t>(c)].push_back(p.accuracy * 100.0);
+        CompressionExperimentSpec spec;
+        spec.net = cases[c].net;
+        spec.data = nn::DatasetConfig::cifar100Like(40 + cases[c].seed);
+        spec.data.trainPerClass = 10;
+        spec.data.testPerClass = 5;
+        spec.fragSizes = frags;
+        spec.pretrainEpochs = 5;
+        spec.seed = cases[c].seed;
+        spec.admm.prune = false;
+        spec.admm.quantize = false;
+        spec.admm.admmEpochsPerPhase = 2;
+        spec.admm.finetuneEpochs = 2;
+        for (const auto &r : runCompressionExperiment(spec))
+            acc[static_cast<size_t>(c)].push_back(r.accuracy * 100.0);
     }
     for (size_t i = 0; i < frags.size(); ++i) {
         t.row().cell(static_cast<int64_t>(frags[i]))

@@ -289,7 +289,6 @@ main()
     w.beginObject();
     obs::writeBenchHeader(w, manifest);
     w.field("bench", "resilience");
-    w.field("threads", ThreadPool::global().threads());
     w.field("network", "resnet_small");
     w.field("test_images", static_cast<int64_t>(test.dim(0)));
     w.field("fp_accuracy", fp_acc);

@@ -245,7 +245,6 @@ main()
         w.beginObject();
         obs::writeBenchHeader(w, manifest);
         w.field("bench", "serving");
-        w.field("threads", ThreadPool::global().threads());
         w.field("max_batch", kMaxBatch);
         w.field("max_delay_us", kMaxDelayUs);
         w.field("queue_capacity",

@@ -55,13 +55,13 @@ main()
         spec.data = nn::DatasetConfig::mnistLike(11);
         spec.data.trainPerClass = 24;
         spec.data.testPerClass = 8;
-        spec.filterKeep = 0.5;
-        spec.shapeKeep = 0.6;
+        spec.admm.filterKeep = 0.5;
+        spec.admm.shapeKeep = 0.6;
         spec.fragSizes = {4, 8, 16};
-        spec.xbarDim = 8;
+        spec.admm.xbarDim = 8;
         spec.pretrainEpochs = 8;
-        spec.admmEpochsPerPhase = 1;
-        spec.finetuneEpochs = 3;
+        spec.admm.admmEpochsPerPhase = 1;
+        spec.admm.finetuneEpochs = 3;
         runCase("LeNet5 on MNIST-like data", spec,
                 "prune 23.18x, drops -0.02/-0.01/0.14 pp, "
                 "reduction 185.4x");
@@ -73,13 +73,13 @@ main()
         spec.data = nn::DatasetConfig::cifar10Like(12);
         spec.data.trainPerClass = 12;
         spec.data.testPerClass = 5;
-        spec.filterKeep = 0.7;
-        spec.shapeKeep = 0.7;
+        spec.admm.filterKeep = 0.7;
+        spec.admm.shapeKeep = 0.7;
         spec.fragSizes = {4, 8, 16};
-        spec.xbarDim = 16;
+        spec.admm.xbarDim = 16;
         spec.pretrainEpochs = 8;
-        spec.admmEpochsPerPhase = 1;
-        spec.finetuneEpochs = 3;
+        spec.admm.admmEpochsPerPhase = 1;
+        spec.admm.finetuneEpochs = 3;
         runCase("VGG16 (scaled) on CIFAR-10-like data", spec,
                 "prune 41.2x, drops 0.61/0.64/0.77 pp, "
                 "reduction 329.6x");
@@ -91,13 +91,13 @@ main()
         spec.data = nn::DatasetConfig::cifar10Like(13);
         spec.data.trainPerClass = 12;
         spec.data.testPerClass = 5;
-        spec.filterKeep = 0.7;
-        spec.shapeKeep = 0.7;
+        spec.admm.filterKeep = 0.7;
+        spec.admm.shapeKeep = 0.7;
         spec.fragSizes = {4, 8, 16};
-        spec.xbarDim = 16;
+        spec.admm.xbarDim = 16;
         spec.pretrainEpochs = 8;
-        spec.admmEpochsPerPhase = 1;
-        spec.finetuneEpochs = 3;
+        spec.admm.admmEpochsPerPhase = 1;
+        spec.admm.finetuneEpochs = 3;
         runCase("ResNet18 (scaled) on CIFAR-10-like data", spec,
                 "prune 50.85x, drops 0.35/0.47/0.92 pp, "
                 "reduction 406.8x");

@@ -41,13 +41,13 @@ baseSpec(NetKind net, nn::DatasetConfig data, double keep)
     spec.data = data;
     spec.data.trainPerClass = 8;
     spec.data.testPerClass = 4;
-    spec.filterKeep = keep;
-    spec.shapeKeep = keep;
+    spec.admm.filterKeep = keep;
+    spec.admm.shapeKeep = keep;
     spec.fragSizes = {4, 16};
-    spec.xbarDim = 16;
+    spec.admm.xbarDim = 16;
     spec.pretrainEpochs = 5;
-    spec.admmEpochsPerPhase = 1;
-    spec.finetuneEpochs = 2;
+    spec.admm.admmEpochsPerPhase = 1;
+    spec.admm.finetuneEpochs = 2;
     return spec;
 }
 

@@ -13,6 +13,15 @@ Arguments are artifact files or directories to glob BENCH_*.json in;
 with no arguments the current directory is globbed. Exits non-zero
 listing every violation. Files for benches not listed in SCHEMAS are
 still checked for the version + manifest envelope.
+
+Compare mode: python3 scripts/check_bench_schema.py --compare A B
+Two directories holding the same benches' outputs, run at different
+FORMS_THREADS. Every deterministic artifact must be equal between them:
+each BENCH_*.json apart from its `manifest` (which records the thread
+count), trace_fig15.json's modeled events (pid != 0; pid 0 holds the
+wall-clock host spans) and each captured `*.stdout` byte for byte.
+BENCH_serving.json is skipped: its sweep is wall-clock by design
+(docs/SERVING.md). Exits non-zero naming every file that differs.
 """
 
 import glob
@@ -30,27 +39,25 @@ MANIFEST_KEYS = ["bench", "git_sha", "build", "simd_dispatch",
 SCHEMAS = {
     "BENCH_runtime.json": {
         "bench": "fig13_runtime",
-        "keys": ["images", "presentations", "threads", "serial_wall_ms",
-                 "parallel_wall_ms", "speedup", "model_time_us",
+        "keys": ["images", "presentations", "model_time_us",
                  "model_energy_nj"],
     },
     "BENCH_graph.json": {
         "bench": "fig14_graph_runtime",
-        "keys": ["threads", "networks"],
+        "keys": ["networks"],
         "list": ("networks",
-                 ["name", "images", "wall_ms", "fps", "presentations",
-                  "crossbars", "model_time_us", "model_energy_nj",
-                  "layers"]),
+                 ["name", "images", "presentations", "crossbars",
+                  "model_time_us", "model_energy_nj", "layers"]),
     },
     "BENCH_pipeline.json": {
         "bench": "fig15_multichip_pipeline",
-        "keys": ["threads", "images", "micro_batch",
+        "keys": ["images", "micro_batch",
                  "replicate_threshold", "max_replicas", "networks"],
         "list": ("networks", ["name", "crossbars", "chip_counts"]),
     },
     "BENCH_calibration.json": {
         "bench": "fig16_calibration",
-        "keys": ["threads", "network", "test_images", "fp_accuracy",
+        "keys": ["network", "test_images", "fp_accuracy",
                  "idealized_accuracy", "points"],
         "list": ("points",
                  ["policy", "calib_images", "accuracy",
@@ -59,7 +66,7 @@ SCHEMAS = {
     },
     "BENCH_serving.json": {
         "bench": "serving",
-        "keys": ["threads", "max_batch", "max_delay_us",
+        "keys": ["max_batch", "max_delay_us",
                  "queue_capacity", "bit_identical", "knee_rps",
                  "sweep"],
         "list": ("sweep",
@@ -69,7 +76,7 @@ SCHEMAS = {
     },
     "BENCH_resilience.json": {
         "bench": "resilience",
-        "keys": ["threads", "network", "test_images", "fp_accuracy",
+        "keys": ["network", "test_images", "fp_accuracy",
                  "clean_accuracy", "recovery", "fault_points",
                  "stuck_points", "hetero_points"],
         "list": ("fault_points",
@@ -247,7 +254,64 @@ def collect_paths(args):
     return paths
 
 
+# Artifacts that are wall-clock by design, so compare mode skips them.
+WALL_CLOCK_ARTIFACTS = {"BENCH_serving.json"}
+
+
+def load_json(path):
+    with open(path, encoding="utf-8") as f:
+        return json.load(f)
+
+
+def comparable(path):
+    """The thread-invariant part of one artifact, or its raw bytes."""
+    name = os.path.basename(path)
+    if name.startswith("BENCH_"):
+        doc = load_json(path)
+        doc.pop("manifest", None)
+        return doc
+    if name.endswith(".json"):  # a trace: keep the modeled events
+        doc = load_json(path)
+        doc["traceEvents"] = [e for e in doc.get("traceEvents", [])
+                              if e.get("pid") != 0]
+        return doc
+    with open(path, "rb") as f:
+        return f.read()
+
+
+def compare_dirs(a, b):
+    names = set()
+    for d in (a, b):
+        for pattern in ("BENCH_*.json", "trace_*.json", "*.stdout"):
+            names.update(os.path.basename(p) for p in
+                         glob.glob(os.path.join(d, pattern)))
+    names -= WALL_CLOCK_ARTIFACTS
+    if not names:
+        print(f"no artifacts to compare in {a} or {b}")
+        return 1
+    failures = 0
+    for name in sorted(names):
+        pa, pb = os.path.join(a, name), os.path.join(b, name)
+        if not (os.path.isfile(pa) and os.path.isfile(pb)):
+            print(f"DIFFERS {name}: present in only one directory")
+            failures += 1
+        elif comparable(pa) != comparable(pb):
+            print(f"DIFFERS {name}")
+            failures += 1
+    if failures:
+        print(f"{failures} of {len(names)} artifact(s) differ between"
+              f" {a} and {b}")
+        return 1
+    print(f"{len(names)} artifact(s) identical between {a} and {b}")
+    return 0
+
+
 def main():
+    if sys.argv[1:2] == ["--compare"]:
+        if len(sys.argv) != 4:
+            print("usage: check_bench_schema.py --compare DIR_A DIR_B")
+            return 2
+        return compare_dirs(sys.argv[2], sys.argv[3])
     paths = collect_paths(sys.argv[1:])
     if not paths:
         print("no BENCH_*.json artifacts found")

@@ -17,11 +17,37 @@ LayerState::view() const
     return WeightView::dense(*param.value);
 }
 
+void
+AdmmConfig::validate() const
+{
+    if (fragSize < 1)
+        fatal("AdmmConfig::fragSize = %d, need at least 1", fragSize);
+    if (quantBits < 1 || quantBits > 16)
+        fatal("AdmmConfig::quantBits = %d, need a value in [1, 16]",
+              quantBits);
+    if (xbarDim < 1)
+        fatal("AdmmConfig::xbarDim = %lld, need at least 1",
+              static_cast<long long>(xbarDim));
+    const std::pair<const char *, double> keeps[] = {
+        {"filterKeep", filterKeep}, {"shapeKeep", shapeKeep}};
+    for (const auto &[name, keep] : keeps)
+        if (!(keep > 0.0 && keep <= 1.0))
+            fatal("AdmmConfig::%s = %g, need a finite value in (0, 1]",
+                  name, keep);
+    const std::pair<const char *, int> epochs[] = {
+        {"admmEpochsPerPhase", admmEpochsPerPhase},
+        {"finetuneEpochs", finetuneEpochs}};
+    for (const auto &[name, n] : epochs)
+        if (n < 0)
+            fatal("AdmmConfig::%s = %d, need at least 0", name, n);
+}
+
 AdmmCompressor::AdmmCompressor(nn::Network &net,
                                const nn::SyntheticImageDataset &data,
                                AdmmConfig cfg)
     : net_(net), data_(data), cfg_(cfg)
 {
+    cfg_.validate();
     for (auto &p : net_.params()) {
         if (!p.isConvWeight && !p.isDenseWeight)
             continue;

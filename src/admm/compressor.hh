@@ -49,6 +49,14 @@ struct AdmmConfig
 
     /** Inner SGD settings (its `epochs` field is ignored). */
     nn::TrainConfig train;
+
+    /**
+     * fatal(), naming the field, unless fragSize >= 1, quantBits is in
+     * [1, 16], xbarDim >= 1, filterKeep and shapeKeep are in (0, 1] and
+     * both epoch counts are >= 0. The AdmmCompressor constructor calls
+     * it first.
+     */
+    void validate() const;
 };
 
 /** Per-layer compression state exposed to the hardware mapper. */

@@ -75,6 +75,10 @@ Calibrator::table() const
             rank = std::max<size_t>(1, rank);
             range = sorted[std::min(sorted.size() - 1, rank - 1)];
         }
+        if (!std::isfinite(range))
+            fatal("calibrator: node '%s' saw a non-finite input range "
+                  "(%g); calibrate on finite inputs",
+                  name.c_str(), static_cast<double>(range));
         // A node whose calibration inputs were all non-positive (e.g.
         // dead channels) still needs a valid grid.
         if (range <= 0.0f)

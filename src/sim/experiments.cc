@@ -38,25 +38,6 @@ pretrain(NetKind kind, const nn::SyntheticImageDataset &data, int epochs,
     return {std::move(net), res.testAccuracy};
 }
 
-admm::AdmmConfig
-makeAdmmConfig(const CompressionExperimentSpec &spec, int frag)
-{
-    admm::AdmmConfig cfg;
-    cfg.prune = spec.prune;
-    cfg.polarize = spec.polarize;
-    cfg.quantize = spec.quantize;
-    cfg.filterKeep = spec.filterKeep;
-    cfg.shapeKeep = spec.shapeKeep;
-    cfg.xbarDim = spec.xbarDim;
-    cfg.fragSize = frag;
-    cfg.policy = spec.policy;
-    cfg.quantBits = spec.quantBits;
-    cfg.admmEpochsPerPhase = spec.admmEpochsPerPhase;
-    cfg.finetuneEpochs = spec.finetuneEpochs;
-    cfg.train.seed = spec.seed + 17;
-    return cfg;
-}
-
 } // namespace
 
 std::vector<CompressionExperimentRow>
@@ -69,19 +50,21 @@ runCompressionExperiment(const CompressionExperimentSpec &spec)
         auto [net, base_acc] =
             pretrain(spec.net, data, spec.pretrainEpochs, spec.seed);
 
-        admm::AdmmConfig cfg = makeAdmmConfig(spec, frag);
+        admm::AdmmConfig cfg = spec.admm;
+        cfg.fragSize = frag;
+        cfg.train.seed = spec.seed + 17;
         admm::AdmmCompressor comp(*net, data, cfg);
         auto outcome = comp.run();
 
         auto report = admm::buildReport(
             comp, outcome,
-            admm::baselineMapping32(spec.xbarDim, spec.xbarDim),
-            admm::formsMapping(spec.quantBits, spec.xbarDim,
-                               spec.xbarDim));
+            admm::baselineMapping32(cfg.xbarDim, cfg.xbarDim),
+            admm::formsMapping(cfg.quantBits, cfg.xbarDim, cfg.xbarDim));
 
         CompressionExperimentRow row;
         row.fragSize = frag;
         row.baselineAccuracy = base_acc;
+        row.accuracy = outcome.accuracyAfter;
         row.accuracyDropPct = (base_acc - outcome.accuracyAfter) * 100.0;
         row.pruneRatio = report.pruneRatio;
         row.crossbarReduction = report.crossbarReduction;
@@ -89,34 +72,6 @@ runCompressionExperiment(const CompressionExperimentSpec &spec)
         rows.push_back(row);
     }
     return rows;
-}
-
-std::vector<FragmentAccuracyPoint>
-runFragmentAccuracySweep(NetKind net, const nn::DatasetConfig &data_cfg,
-                         const std::vector<int> &frag_sizes,
-                         int pretrain_epochs, uint64_t seed)
-{
-    nn::SyntheticImageDataset data(data_cfg);
-    std::vector<FragmentAccuracyPoint> points;
-    for (int frag : frag_sizes) {
-        auto [network, base_acc] =
-            pretrain(net, data, pretrain_epochs, seed);
-        (void)base_acc;
-
-        admm::AdmmConfig cfg;
-        cfg.prune = false;
-        cfg.quantize = false;
-        cfg.polarize = true;
-        cfg.fragSize = frag;
-        cfg.admmEpochsPerPhase = 2;
-        cfg.finetuneEpochs = 2;
-        cfg.train.seed = seed + 17;
-        admm::AdmmCompressor comp(*network, data, cfg);
-        auto outcome = comp.run();
-
-        points.push_back({frag, outcome.accuracyAfter});
-    }
-    return points;
 }
 
 std::vector<VariationRow>

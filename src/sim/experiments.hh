@@ -3,7 +3,8 @@
  * High-level experiment drivers shared by the benchmark binaries:
  * pretrain a (scaled) network on a synthetic dataset, run the ADMM
  * compression pipeline at several fragment sizes, and report the
- * Tables I/II / Figure 6 style rows.
+ * Tables I/II / Figure 6 style rows (Figure 6 is the polarization-only
+ * spec: prune and quantize off).
  *
  * Scaled-geometry note: the trainable stand-in networks have tens of
  * filters per layer, so the crossbar-aware rounding runs against a
@@ -40,19 +41,16 @@ struct CompressionExperimentSpec
     std::string label;
     NetKind net = NetKind::VggSmall;
     nn::DatasetConfig data;
-    double filterKeep = 0.6;
-    double shapeKeep = 0.6;
     std::vector<int> fragSizes = {4, 8, 16};
-    int quantBits = 8;
-    admm::PolarizationPolicy policy = admm::PolarizationPolicy::CMajor;
-    int64_t xbarDim = 16;      //!< scaled crossbar extent (see header)
     int pretrainEpochs = 10;
-    int admmEpochsPerPhase = 3;
-    int finetuneEpochs = 3;
     uint64_t seed = 42;
-    bool prune = true;
-    bool polarize = true;
-    bool quantize = true;
+
+    /**
+     * The compression run at every fragment size, which overrides its
+     * fragSize and train.seed (seed + 17). Its xbarDim, the scaled
+     * crossbar extent (see header), also sizes the reported crossbars.
+     */
+    admm::AdmmConfig admm;
 };
 
 /** One row of a Tables I/II style result. */
@@ -60,6 +58,7 @@ struct CompressionExperimentRow
 {
     int fragSize = 0;
     double baselineAccuracy = 0.0;
+    double accuracy = 0.0;           //!< test accuracy after compression
     double accuracyDropPct = 0.0;    //!< vs. the pretrained model
     double pruneRatio = 1.0;
     double crossbarReduction = 1.0;
@@ -69,18 +68,6 @@ struct CompressionExperimentRow
 /** Run the pipeline once per fragment size (fresh net each time). */
 std::vector<CompressionExperimentRow>
 runCompressionExperiment(const CompressionExperimentSpec &spec);
-
-/** Figure 6 style: polarization-only accuracy vs fragment size. */
-struct FragmentAccuracyPoint
-{
-    int fragSize = 0;
-    double accuracy = 0.0;   //!< test accuracy after polarization
-};
-
-std::vector<FragmentAccuracyPoint>
-runFragmentAccuracySweep(NetKind net, const nn::DatasetConfig &data,
-                         const std::vector<int> &frag_sizes,
-                         int pretrain_epochs, uint64_t seed);
 
 /** Table VI style: variation robustness of four model variants. */
 struct VariationRow

@@ -27,7 +27,6 @@ recordPipelineMetrics(obs::MetricsRegistry &m, const PipelineReport &r)
     m.gaugeSet("engine.time_ns", total.timeNs);
     m.gaugeSet("model.time_ns", r.nodes.modelTimeNs());
     m.gaugeSet("model.energy_pj", r.nodes.modelEnergyPj());
-    m.gaugeSet("host.wall_ms", r.nodes.wallMs);
     m.gaugeSet("pipeline.chips", static_cast<double>(r.chips.size()));
     m.gaugeSet("pipeline.stages", static_cast<double>(r.stages));
     m.gaugeSet("pipeline.micro_batches",

@@ -15,9 +15,18 @@ reram::ChipCost
 pumaChipCost()
 {
     using namespace reram;
-    // Extra per-MCU analog block: 8 crossbars + 8*128 DACs + S&H.
-    const double extra_p = 2.43 + 4.0 + 0.01;
-    const double extra_a = 0.00023 + 0.00017 + 0.00004;
+    // Extra per-MCU analog block: ISAAC's crossbars, DACs and S&H
+    // again, summed in that order.
+    const McuCost isaac = buildMcuCost(McuConfig::isaac());
+    double extra_p = 0.0, extra_a = 0.0;
+    for (const char *part : {"crossbar array", "DAC", "S&H"}) {
+        for (const ComponentSpec &comp : isaac.components) {
+            if (comp.name == part) {
+                extra_p += comp.powerMw;
+                extra_a += comp.areaMm2;
+            }
+        }
+    }
     ChipCost c = buildChipCost(ChipConfig::isaac());
     c.mcuPowerMw += extra_p;
     c.mcuAreaMm2 += extra_a;

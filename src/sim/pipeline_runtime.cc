@@ -1,6 +1,5 @@
 #include "sim/pipeline_runtime.hh"
 
-#include <chrono>
 #include <cstring>
 #include <limits>
 
@@ -114,7 +113,6 @@ PipelineRuntime::run(const Tensor &batch, const uint64_t *ids,
                      RuntimeReport *rows, PipelineReport *report)
 {
     FORMS_TRACE_SCOPE("PipelineRuntime::forward");
-    const auto t0 = std::chrono::steady_clock::now();
     ThreadPool &tp = pool();
     // Route the shared tensor kernels (relu, pooling, im2col) through
     // this runtime's pool too: every node shards on one pool.
@@ -197,12 +195,9 @@ PipelineRuntime::run(const Tensor &batch, const uint64_t *ids,
         row += part.dim(0);
     }
 
-    const double wall_ms = std::chrono::duration<double, std::milli>(
-        std::chrono::steady_clock::now() - t0).count();
     if (rows) {
         // Per-node rows in topological order, whatever the schedule.
         recordNodeRows(execs_, node_stats.data(), 1, *rows);
-        rows->wallMs += wall_ms;
     }
 
     if (observed) {
@@ -410,7 +405,6 @@ PipelineRuntime::run(const Tensor &batch, const uint64_t *ids,
             // Counters accumulate per-call deltas, so they read this
             // forward's rows, never a report the caller reuses.
             recordNodeRows(execs_, node_stats.data(), 1, fwd.nodes);
-            fwd.nodes.wallMs = wall_ms;
             recordPipelineMetrics(*cfg_.runtime.metrics, fwd);
         }
         if (report) {

@@ -54,7 +54,7 @@ struct RuntimeConfig
      * every programmed stage's graph node to carry a scale calibrated
      * at mapping.inputBits, attached by
      * compile::CalibrationTable::attachTo. Construction fatal()s on a
-     * programmed stage without one.
+     * programmed stage without a finite one > 0.
      */
     arch::ScaleMode scaleMode = arch::ScaleMode::PerPresentation;
 
@@ -97,15 +97,15 @@ struct RuntimeLayerReport
 };
 
 /**
- * End-to-end latency / energy / host-time report. One report may span
+ * End-to-end modeled latency / energy report. One report may span
  * several forward() calls (e.g. a minibatch loop): per-layer stats
- * merge into the same rows, and presentations/wallMs accumulate.
+ * merge into the same rows, and presentations accumulate. Host wall
+ * time is the `PipelineRuntime::forward` trace span, not a field.
  */
 struct RuntimeReport
 {
     std::vector<RuntimeLayerReport> layers;
     uint64_t presentations = 0;   //!< MVM presentations issued
-    double wallMs = 0.0;          //!< accumulated host wall-clock
 
     /** Modeled ADC-limited time, layers in sequence (ns). */
     double modelTimeNs() const;

@@ -1,6 +1,7 @@
 #include "sim/stage_kernels.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 
 #include "sim/runtime.hh"
@@ -15,12 +16,12 @@ resolveStageScale(const RuntimeConfig &cfg, const std::string &name,
     StageScale sc;
     sc.mode = cfg.scaleMode;
     if (cfg.scaleMode == arch::ScaleMode::Static) {
-        if (attached_scale <= 0.0f) {
+        if (!(std::isfinite(attached_scale) && attached_scale > 0.0f)) {
             fatal("runtime: ScaleMode::Static but stage '%s' has no "
-                  "calibrated scale — run sim::Calibrator and attach "
-                  "its table to the graph with "
-                  "CalibrationTable::attachTo",
-                  name.c_str());
+                  "finite calibrated scale > 0 (%g) — run "
+                  "sim::Calibrator on finite inputs and attach its "
+                  "table to the graph with CalibrationTable::attachTo",
+                  name.c_str(), static_cast<double>(attached_scale));
         }
         if (attached_bits != 0 && attached_bits != cfg.mapping.inputBits) {
             fatal("runtime: stage '%s' carries a scale calibrated at "

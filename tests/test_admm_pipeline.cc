@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "admm/report.hh"
 
 namespace forms::admm {
@@ -61,6 +63,47 @@ struct Fixture
         return cfg;
     }
 };
+
+TEST(AdmmConfigValidate, EachBadFieldDiesNamingIt)
+{
+    // Without the check, bad bits or extents trip asserts only inside
+    // the training hooks, after epochs of work, and bad keeps are
+    // silently clamped (NaN reaches llround).
+    const nn::DatasetConfig dcfg = Fixture::makeCfg();
+    nn::SyntheticImageDataset data(dcfg);
+    Rng rng(23);
+    auto net = nn::buildTinyConvNet(rng, dcfg.classes, 8, 1, 12);
+    const auto dies = [&](auto field, auto value, const char *name) {
+        AdmmConfig cfg;
+        cfg.*field = value;
+        EXPECT_DEATH(AdmmCompressor(*net, data, cfg),
+                     std::string("AdmmConfig::") + name);
+    };
+    for (int bad : {0, -2})
+        dies(&AdmmConfig::fragSize, bad, "fragSize");
+    for (int bad : {0, 17, -1})
+        dies(&AdmmConfig::quantBits, bad, "quantBits");
+    for (int64_t bad : {0, -128})
+        dies(&AdmmConfig::xbarDim, bad, "xbarDim");
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    for (double bad : {nan, inf, -0.5, 0.0, 1.5}) {
+        dies(&AdmmConfig::filterKeep, bad, "filterKeep");
+        dies(&AdmmConfig::shapeKeep, bad, "shapeKeep");
+    }
+    dies(&AdmmConfig::admmEpochsPerPhase, -1, "admmEpochsPerPhase");
+    dies(&AdmmConfig::finetuneEpochs, -1, "finetuneEpochs");
+
+    AdmmConfig edge;   // the inclusive bounds construct
+    edge.fragSize = 1;
+    edge.quantBits = 16;
+    edge.xbarDim = 1;
+    edge.filterKeep = 1.0;
+    edge.admmEpochsPerPhase = 0;
+    edge.finetuneEpochs = 0;
+    AdmmCompressor ok(*net, data, edge);
+    EXPECT_FALSE(ok.layers().empty());
+}
 
 TEST(AdmmPipeline, FullRunEstablishesAllInvariants)
 {

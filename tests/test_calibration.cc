@@ -9,11 +9,13 @@
  * quantization, device variation and read noise enabled. Also:
  * attachTo carries scales (and their input resolution) on the graph
  * itself, a second attach overwrites them, a scale calibrated at
- * another resolution is refused, and the clip counters are exact on
- * synthetic outliers.
+ * another resolution or a non-finite scale or input range is refused,
+ * and the clip counters are exact on synthetic outliers.
  */
 
 #include <gtest/gtest.h>
+
+#include <limits>
 
 #include "compile/calibration.hh"
 #include "compile/passes.hh"
@@ -310,6 +312,47 @@ TEST(CalibrationTable, MismatchedInputGridIsFatalAtConstruction)
     EXPECT_DEATH(sim::PipelineRuntime(c.graph, c.states, cfg),
                  "stage '.+' carries a scale calibrated at 8 input bits "
                  "but the mapping uses 4");
+}
+
+TEST(CalibrationTable, NonFiniteStaticScaleIsFatalAtConstruction)
+{
+    // A NaN scale would abort mid-batch on the quantizer's assert, and
+    // +inf would silently quantize the whole stage to 0.
+    CalibratedResNet c(581);
+    ThreadPool pool(2);
+    for (float bad : {std::numeric_limits<float>::quiet_NaN(),
+                      std::numeric_limits<float>::infinity()}) {
+        compile::CalibrationTable t = c.table;
+        compile::CalibEntry e = t.entries().front();
+        e.scale = bad;
+        t.set(e);
+        t.attachTo(c.graph);
+        EXPECT_DEATH(sim::PipelineRuntime(c.graph, c.states,
+                                          staticConfig(&pool)),
+                     "stage '" + e.node +
+                         "' has no finite calibrated scale");
+    }
+}
+
+TEST(Calibrator, NonFiniteCalibrationInputIsFatal)
+{
+    // One +inf pixel makes the first node's range +inf, so its scale
+    // would quantize every deployed presentation to 0.
+    Rng rng(591);
+    auto net = nn::buildResNetSmall(rng, 4, 8, 1);
+    auto graph = compile::lowerNetwork(*net);
+    graph.inferShapes({3, 32, 32});
+    compile::foldBatchNorm(graph);
+    auto states = sim::snapshotCompress(*net, 8, 8);
+
+    Tensor calib({2, 3, 32, 32});
+    calib.fillUniform(rng, 0.0f, 1.0f);
+    calib.data()[5] = std::numeric_limits<float>::infinity();
+    ThreadPool pool(2);
+    sim::Calibrator cal(graph, states, noisyConfig(&pool));
+    cal.observe(calib);
+    EXPECT_DEATH(cal.table(),
+                 "calibrator: node '.+' saw a non-finite input range");
 }
 
 TEST(SaturationCounters, ExactOnSyntheticOutliers)

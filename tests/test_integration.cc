@@ -143,11 +143,11 @@ TEST(EndToEnd, ExperimentDriverSmoke)
     spec.data.testPerClass = 4;
     spec.fragSizes = {4};
     spec.pretrainEpochs = 2;
-    spec.admmEpochsPerPhase = 1;
-    spec.finetuneEpochs = 1;
-    spec.filterKeep = 0.8;
-    spec.shapeKeep = 0.8;
-    spec.xbarDim = 8;
+    spec.admm.admmEpochsPerPhase = 1;
+    spec.admm.finetuneEpochs = 1;
+    spec.admm.filterKeep = 0.8;
+    spec.admm.shapeKeep = 0.8;
+    spec.admm.xbarDim = 8;
 
     auto rows = sim::runCompressionExperiment(spec);
     ASSERT_EQ(rows.size(), 1u);

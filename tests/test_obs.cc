@@ -258,10 +258,6 @@ metricsJsonAtThreads(int threads)
     batch.fillUniform(rng, 0.0f, 1.0f);
     rt.forward(batch);
 
-    // The wall-clock gauge is the one legitimately nondeterministic
-    // metric; pin it before comparing bytes.
-    metrics.gaugeSet("host.wall_ms", 0.0);
-
     obs::JsonWriter w(/*pretty=*/true);
     metrics.writeJson(w);
     return w.str();
