@@ -151,7 +151,6 @@ main()
         {
             RuntimeConfig cfg = benchConfig();
             cfg.faults = &map;
-            cfg.remapFaults = true;
             cfg.mapping.spareXbars = kSpares;
             PipelineRuntime rt(graph, states, cfg);
             p.remapped = rt.accuracy(test, labels);
@@ -184,7 +183,6 @@ main()
     PipelineRuntimeConfig pcfg;
     pcfg.runtime = benchConfig();
     pcfg.runtime.faults = &gate_map;
-    pcfg.runtime.remapFaults = true;
     pcfg.runtime.mapping.spareXbars = kSpares;
     pcfg.microBatch = 2;
     compile::ScheduleConfig gate_scfg;

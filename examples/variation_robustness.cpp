@@ -114,7 +114,6 @@ main()
         PipelineRuntime dead_rt(graph, states, dcfg_rt);
 
         RuntimeConfig rcfg_rt = dcfg_rt;
-        rcfg_rt.remapFaults = true;
         rcfg_rt.mapping.spareXbars = 32;
         PipelineRuntime remap_rt(graph, states, rcfg_rt);
 

@@ -20,7 +20,6 @@ baselineMapping32(int64_t xbar_rows, int64_t xbar_cols)
     m.xbarRows = xbar_rows;
     m.xbarCols = xbar_cols;
     m.weightBits = 32;
-    m.cellBits = 2;
     m.scheme = SignScheme::Splitting;
     return m;
 }
@@ -32,7 +31,6 @@ formsMapping(int weight_bits, int64_t xbar_rows, int64_t xbar_cols)
     m.xbarRows = xbar_rows;
     m.xbarCols = xbar_cols;
     m.weightBits = weight_bits;
-    m.cellBits = 2;
     m.scheme = SignScheme::PolarizedForms;
     return m;
 }

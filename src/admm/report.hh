@@ -33,7 +33,7 @@ struct MappingSpec
     int64_t xbarRows = 128;
     int64_t xbarCols = 128;
     int weightBits = 8;    //!< magnitude bits stored per weight
-    int cellBits = 2;      //!< bits per ReRAM cell
+    int cellBits = reram::kPaperCellBits; //!< bits per ReRAM cell
     SignScheme scheme = SignScheme::PolarizedForms;
 
     /** Crossbar columns occupied by one weight. */

@@ -326,7 +326,9 @@ EngineConfig::validate() const
                  "value >= 0 (0 = ideal devices)", cell.variationSigma);
 }
 
-CrossbarEngine::CrossbarEngine(const MappedLayer &layer, EngineConfig cfg)
+CrossbarEngine::CrossbarEngine(const MappedLayer &layer, EngineConfig cfg,
+                               const reram::FaultMap *faults,
+                               uint64_t fault_key)
     // The mapping is validated before adc_ sizes a lossless ADC from it.
     : map_((layer.cfg.validate(), layer.cfg)), weightScale_(layer.scale),
       cfg_(cfg),
@@ -392,14 +394,14 @@ CrossbarEngine::CrossbarEngine(const MappedLayer &layer, EngineConfig cfg)
             }
         }
 
-        // Hard-fault overlay: deterministic per (faultKey, physId),
+        // Hard-fault overlay: deterministic per (fault_key, physId),
         // applied to the programmed levels only — read energy keeps
         // the fault-free mid-range conductance model.
-        if (cfg_.faults && cfg_.faults->config().any()) {
+        if (faults && faults->config().any()) {
             const int phys = xb.physId >= 0 ? xb.physId
                                             : static_cast<int>(xi);
-            const reram::CrossbarFaults f = cfg_.faults->draw(
-                cfg_.faultKey, phys, map_.xbarRows, map_.xbarCols);
+            const reram::CrossbarFaults f = faults->draw(
+                fault_key, phys, map_.xbarRows, map_.xbarCols);
             const double lrs = static_cast<double>(max_level);
             bool any_here = false;
             for (int r = 0; r < xb.rows; ++r) {
@@ -555,12 +557,9 @@ CrossbarEngine::buildPlanes(const MappedCrossbar &xb,
 uint64_t
 CrossbarEngine::presentationSeed(uint64_t seed, uint64_t key)
 {
-    // splitmix64 finalizer over a golden-ratio combination: adjacent
+    // A golden-ratio combination through the seed mixer: adjacent
     // keys land in statistically independent streams.
-    uint64_t x = seed + 0x9e3779b97f4a7c15ULL * (key + 1);
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
+    return mix64(seed + 0x9e3779b97f4a7c15ULL * key);
 }
 
 void

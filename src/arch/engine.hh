@@ -87,20 +87,6 @@ struct EngineConfig
     double readNoiseSigma = 0.0;
 
     /**
-     * Optional hard-fault model (reram/faults.hh). When set, the
-     * realized conductance tiles are overlaid at construction with
-     * the deterministic fault pattern of (faults->config().seed,
-     * faultKey, crossbar physId): stuck-at-LRS cells read as the
-     * device's maximum level, stuck-at-HRS cells and dead columns as
-     * 0, drifted cells as programmed x factor. Borrowed pointer, not
-     * owned; null means fault-free. faultKey names this engine's
-     * logical owner (the graph node id in the compiled runtimes) so
-     * every runtime and replica draws an identical pattern.
-     */
-    const reram::FaultMap *faults = nullptr;
-    uint64_t faultKey = 0;
-
-    /**
      * Abort, naming the field, unless adcBits is in [0, 30] and
      * readNoiseSigma and cell.variationSigma are finite and >= 0. The
      * CrossbarEngine constructor calls it.
@@ -265,9 +251,19 @@ class CrossbarEngine
      * Program the mapped layer into per-crossbar tiles the engine owns.
      * Device variation (if configured) is drawn once here, at
      * program time, as on real hardware; afterwards the engine reads
-     * nothing of `layer` or of cfg.faults.
+     * nothing of `layer` or of `faults`.
+     *
+     * `faults` (reram/faults.hh; borrowed, null = fault-free) overlays
+     * the programmed tiles with the deterministic pattern of
+     * (faults->config().seed, fault_key, crossbar physId): stuck-at-LRS
+     * cells read as the maximum level, stuck-at-HRS cells and dead
+     * columns as 0, drifted cells as programmed x factor. `fault_key`
+     * names the engine's logical owner; the runtime passes the graph
+     * node id, so every schedule and replica draws the same pattern.
      */
-    CrossbarEngine(const MappedLayer &layer, EngineConfig cfg);
+    CrossbarEngine(const MappedLayer &layer, EngineConfig cfg,
+                   const reram::FaultMap *faults = nullptr,
+                   uint64_t fault_key = 0);
 
     /**
      * Run presentations j in [lo, hi) of a contiguous block, sharded

@@ -24,7 +24,7 @@ struct MappingConfig
 {
     int xbarRows = 128;
     int xbarCols = 128;     //!< cell columns
-    int cellBits = 2;
+    int cellBits = reram::kPaperCellBits;
     int weightBits = 8;     //!< magnitude bits
     int inputBits = 16;
     int fragSize = 8;

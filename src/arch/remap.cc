@@ -10,21 +10,25 @@ remapFaultyCrossbars(MappedLayer &layer, const reram::FaultMap &faults,
 {
     RemapReport rep;
     rep.sparesLeft = layer.cfg.spareXbars;
-    if (!faults.config().any() ||
-        faults.config().columnKillRate <= 0.0)
+    if (faults.config().columnKillRate <= 0.0)
         return rep;
 
     const int primaries = static_cast<int>(layer.crossbars.size());
     const int cells = layer.cfg.cellsPerWeight();
     int next_spare = 0;
+    // First dead column of a physical crossbar within [0, used_cols).
+    auto first_dead = [&](int phys, int used_cols) {
+        return reram::firstDeadColumn(
+            faults.deadColumns(fault_key, phys, layer.cfg.xbarCols),
+            used_cols);
+    };
 
     for (size_t xi = 0; xi < layer.crossbars.size(); ++xi) {
         MappedCrossbar &xb = layer.crossbars[xi];
         const int used_cols = xb.weightCols * cells;
         const int phys = xb.physId >= 0 ? xb.physId
                                         : static_cast<int>(xi);
-        const int dead = faults.firstDeadColumn(
-            fault_key, phys, layer.cfg.xbarCols, used_cols);
+        const int dead = first_dead(phys, used_cols);
         if (dead < 0)
             continue;
         ++rep.faultyCrossbars;
@@ -36,9 +40,7 @@ remapFaultyCrossbars(MappedLayer &layer, const reram::FaultMap &faults,
             const int spare_phys = primaries + next_spare;
             ++next_spare;
             ++rep.sparesUsed;
-            if (faults.firstDeadColumn(fault_key, spare_phys,
-                                       layer.cfg.xbarCols,
-                                       used_cols) < 0) {
+            if (first_dead(spare_phys, used_cols) < 0) {
                 target = spare_phys;
                 break;
             }

@@ -55,10 +55,9 @@ vstrfmt(const char *fmt, va_list ap)
 }
 
 void
-emit(const char *tag, const char *fmt, va_list ap)
+emit(const char *tag, const std::string &msg)
 {
-    // Format outside the lock; emit and flush atomically per message.
-    std::string msg = vstrfmt(fmt, ap);
+    // Callers format outside the lock; emit and flush atomically.
     std::lock_guard<std::mutex> lk(logMutex());
     std::fprintf(stderr, "%s: %s\n", tag, msg.c_str());
     std::fflush(stderr);
@@ -71,19 +70,9 @@ fatal(const char *fmt, ...)
 {
     va_list ap;
     va_start(ap, fmt);
-    emit("fatal", fmt, ap);
+    emit("fatal", vstrfmt(fmt, ap));
     va_end(ap);
     std::exit(1);
-}
-
-void
-panic(const char *fmt, ...)
-{
-    va_list ap;
-    va_start(ap, fmt);
-    emit("panic", fmt, ap);
-    va_end(ap);
-    std::abort();
 }
 
 void
@@ -99,8 +88,9 @@ panicAt(const char *expr, const char *file, int line, const char *fmt,
     va_start(ap, fmt);
     std::string msg = vstrfmt(fmt, ap);
     va_end(ap);
-    panic("assertion '%s' failed at %s:%d — %s", expr, file, line,
-          msg.c_str());
+    emit("panic", strfmt("assertion '%s' failed at %s:%d — %s", expr,
+                         file, line, msg.c_str()));
+    std::abort();
 }
 
 void
@@ -108,7 +98,7 @@ warn(const char *fmt, ...)
 {
     va_list ap;
     va_start(ap, fmt);
-    emit("warn", fmt, ap);
+    emit("warn", vstrfmt(fmt, ap));
     va_end(ap);
 }
 
@@ -119,7 +109,7 @@ inform(const char *fmt, ...)
         return;
     va_list ap;
     va_start(ap, fmt);
-    emit("info", fmt, ap);
+    emit("info", vstrfmt(fmt, ap));
     va_end(ap);
 }
 

@@ -1,13 +1,13 @@
 /**
  * @file
  * Status / error reporting in the gem5 spirit: fatal() for user error,
- * panic() for internal invariant violations, warn()/inform() for
+ * FORMS_ASSERT for internal invariant violations, warn()/inform() for
  * non-fatal status messages.
  *
  * inform() is silenced by FORMS_LOG=warn, read once from the
  * environment (info | warn; default info). warn(), fatal() and
- * panic() always print — terminating without saying why is never the
- * right verbosity.
+ * FORMS_ASSERT always print — terminating without saying why is never
+ * the right verbosity.
  */
 
 #ifndef FORMS_COMMON_LOGGING_HH
@@ -24,12 +24,6 @@ namespace forms {
  */
 [[noreturn]] void fatal(const char *fmt, ...);
 
-/**
- * Terminate because of an internal invariant violation (a FORMS bug,
- * never the user's fault). Calls std::abort().
- */
-[[noreturn]] void panic(const char *fmt, ...);
-
 /** Alert the user that something may be wrong but execution continues. */
 void warn(const char *fmt, ...);
 
@@ -39,7 +33,11 @@ void inform(const char *fmt, ...);
 /** printf-style formatting into a std::string. */
 std::string strfmt(const char *fmt, ...);
 
-/** FORMS_ASSERT backend: panic with expression/location context. */
+/**
+ * FORMS_ASSERT backend: report an internal invariant violation (a
+ * FORMS bug, never the user's fault) with expression/location context
+ * and std::abort().
+ */
 [[noreturn]] void panicAt(const char *expr, const char *file, int line,
                           const char *fmt, ...);
 

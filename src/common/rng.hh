@@ -16,24 +16,34 @@
 
 namespace forms {
 
+/**
+ * splitmix64: add the golden-ratio increment, then finalize. The one
+ * seed mixer of the library: Rng expands its state with it, and keyed
+ * streams (read noise, fault patterns) derive their seeds from it.
+ */
+constexpr uint64_t
+mix64(uint64_t x)
+{
+    x += 0x9e3779b97f4a7c15ULL;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+    return x ^ (x >> 31);
+}
+
 /** xoshiro256** PRNG with convenience distributions. */
 class Rng
 {
   public:
     explicit Rng(uint64_t seed = 0x9e3779b97f4a7c15ULL) { reseed(seed); }
 
-    /** Re-seed the generator (state expanded via splitmix64). */
+    /** Re-seed the generator: word i of the state is
+     *  mix64(seed + i * golden), the splitmix64 sequence. */
     void
     reseed(uint64_t seed)
     {
-        uint64_t x = seed;
         for (auto &word : state_) {
-            // splitmix64 step
-            x += 0x9e3779b97f4a7c15ULL;
-            uint64_t z = x;
-            z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-            z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-            word = z ^ (z >> 31);
+            word = mix64(seed);
+            seed += 0x9e3779b97f4a7c15ULL;
         }
         haveSpare_ = false;
     }

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "reram/adc.hh"
+#include "reram/device.hh"
 
 namespace forms::reram {
 
@@ -55,7 +56,7 @@ struct McuConfig
     McuFlavor flavor = McuFlavor::Forms;
     int xbarRows = 128;
     int xbarCols = 128;
-    int cellBits = 2;
+    int cellBits = kPaperCellBits;
     int fragSize = 8;        //!< FORMS sub-array rows (ignored for ISAAC)
     int adcBits = 4;         //!< per-design ADC resolution
     double adcFreqGhz = 2.1;

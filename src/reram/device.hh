@@ -24,6 +24,9 @@
 
 namespace forms::reram {
 
+/** The paper's cell precision: 2 bits (4 conductance levels) per cell. */
+constexpr int kPaperCellBits = 2;
+
 /** Static parameters of the ReRAM cell technology. */
 struct CellConfig
 {

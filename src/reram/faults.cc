@@ -12,20 +12,10 @@ namespace {
 /** Log-normal sigma of a drifted cell's factor. */
 constexpr double kDriftSigma = 0.1;
 
-/** splitmix64 finalizer, the same mixer the engine seeds streams with. */
-uint64_t
-mix64(uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-}
-
 /**
  * Stream seed for one (faultKey, physId, stream) triple. Columns and
  * cells draw from distinct streams so the remap pass can probe the
- * column stream without replaying per-cell draws.
+ * column stream without the per-cell draws.
  */
 uint64_t
 faultSeed(uint64_t seed, uint64_t key, int phys_id, uint64_t stream)
@@ -55,12 +45,26 @@ FaultConfig::validate() const
 }
 
 int
-CrossbarFaults::firstDeadColumn(int limit) const
+firstDeadColumn(const std::vector<uint8_t> &col_dead, int limit)
 {
     for (int c = 0; c < limit; ++c)
-        if (colDead[static_cast<size_t>(c)] != 0)
+        if (col_dead[static_cast<size_t>(c)] != 0)
             return c;
     return -1;
+}
+
+std::vector<uint8_t>
+FaultMap::deadColumns(uint64_t fault_key, int phys_id, int cols) const
+{
+    // One Bernoulli per physical column, in column order.
+    std::vector<uint8_t> dead(static_cast<size_t>(cols), 0);
+    if (cfg_.columnKillRate <= 0.0)
+        return dead;
+    Rng col_rng(faultSeed(cfg_.seed, fault_key, phys_id, kColumnStream));
+    for (int c = 0; c < cols; ++c)
+        dead[static_cast<size_t>(c)] =
+            col_rng.bernoulli(cfg_.columnKillRate) ? 1 : 0;
+    return dead;
 }
 
 CrossbarFaults
@@ -75,17 +79,7 @@ FaultMap::draw(uint64_t fault_key, int phys_id, int rows, int cols) const
     f.kind.assign(static_cast<size_t>(rows) * cols,
                   static_cast<uint8_t>(FaultKind::None));
     f.drift.assign(static_cast<size_t>(rows) * cols, 1.0);
-    f.colDead.assign(static_cast<size_t>(cols), 0);
-    if (!cfg_.any())
-        return f;
-
-    // Column stream first: one Bernoulli per physical column, in
-    // column order, so firstDeadColumn() can replay it independently.
-    Rng col_rng(faultSeed(cfg_.seed, fault_key, phys_id, kColumnStream));
-    for (int c = 0; c < cols; ++c)
-        if (cfg_.columnKillRate > 0.0 &&
-            col_rng.bernoulli(cfg_.columnKillRate))
-            f.colDead[static_cast<size_t>(c)] = 1;
+    f.colDead = deadColumns(fault_key, phys_id, cols);
 
     // Cell stream: fixed draw order (row-major; stuck-LRS, stuck-HRS,
     // drift trial, drift factor) over the FULL physical grid, so the
@@ -121,22 +115,6 @@ FaultMap::draw(uint64_t fault_key, int phys_id, int rows, int cols) const
         }
     }
     return f;
-}
-
-int
-FaultMap::firstDeadColumn(uint64_t fault_key, int phys_id,
-                          int cols, int used_cols) const
-{
-    if (cfg_.columnKillRate <= 0.0)
-        return -1;
-    Rng col_rng(faultSeed(cfg_.seed, fault_key, phys_id, kColumnStream));
-    int first = -1;
-    for (int c = 0; c < cols; ++c) {
-        const bool dead = col_rng.bernoulli(cfg_.columnKillRate);
-        if (dead && c < used_cols && first < 0)
-            first = c;
-    }
-    return first;
 }
 
 } // namespace forms::reram

@@ -13,7 +13,10 @@
  * same physical crossbar therefore see bit-identical faults, which is
  * what lets the cross-runtime fuzz harness treat faulted runs exactly
  * like clean ones (logits + stats bitwise equal across threads, chips
- * and micro-batches).
+ * and micro-batches). A runtime takes its map from
+ * sim::RuntimeConfig::faults and hands it to each CrossbarEngine with
+ * the graph node id as faultKey. Column kills come from one stream,
+ * FaultMap::deadColumns, which draw() and the remap probe share.
  *
  * Fault kinds (paper-adjacent taxonomy, §V-E extended):
  *  - stuck-at-LRS: cell reads as the maximum conductance level,
@@ -98,10 +101,10 @@ struct CrossbarFaults
     {
         return colDead[static_cast<size_t>(c)] != 0;
     }
-
-    /** First dead column in [0, limit), or -1 when none. */
-    int firstDeadColumn(int limit) const;
 };
+
+/** First dead column of per-column kill flags in [0, limit), or -1. */
+int firstDeadColumn(const std::vector<uint8_t> &col_dead, int limit);
 
 /**
  * Deterministic fleet fault model: hands out the CrossbarFaults of
@@ -127,12 +130,12 @@ class FaultMap
                         int rows, int cols) const;
 
     /**
-     * Cheap column-kill-only probe used by the remap pass: the first
-     * dead physical column of (faultKey, physId) within [0, usedCols),
-     * or -1. Matches draw()'s column stream bit-for-bit.
+     * The column-kill stream of one physical crossbar: one dead flag
+     * per column. draw() takes its colDead from here, and the remap
+     * pass probes it alone, without drawing the cell grid.
      */
-    int firstDeadColumn(uint64_t fault_key, int phys_id,
-                        int cols, int used_cols) const;
+    std::vector<uint8_t> deadColumns(uint64_t fault_key, int phys_id,
+                                     int cols) const;
 
   private:
     FaultConfig cfg_;

@@ -15,12 +15,16 @@
 
 namespace forms::reram {
 
+/**
+ * Precision of the perturbed weights: 8-bit magnitudes sliced onto
+ * the paper's 2-bit cells (kPaperCellBits).
+ */
+constexpr int kVariationWeightBits = 8;
+
 /** Variation study parameters. */
 struct VariationConfig
 {
     double sigma = 0.1;     //!< log-normal sigma (paper: 0.1, mean 0)
-    int weightBits = 8;     //!< magnitude precision
-    int cellBits = 2;       //!< per-cell precision
     float quantScale = 0.0f;//!< level spacing; 0 = derive from maxAbs
 };
 

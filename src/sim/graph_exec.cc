@@ -25,18 +25,14 @@ programReplicas(NodeExec &e, int id, admm::LayerState &st,
     obs::TraceScope trace_scope(
         obs::traceEnabled() ? "program " + e.name : std::string());
     arch::MappedLayer mapped = arch::mapLayer(st, cfg.mapping);
-    arch::EngineConfig ecfg = cfg.engine;
-    if (cfg.faults) {
-        // Fault identity is the graph node id: stable across
-        // runtimes, replicas and partitionings.
-        ecfg.faults = cfg.faults;
-        ecfg.faultKey = static_cast<uint64_t>(id);
-        if (cfg.remapFaults)
-            e.remap = arch::remapFaultyCrossbars(
-                mapped, *cfg.faults, ecfg.faultKey, e.name.c_str());
-    }
+    // Fault identity is the graph node id: stable across runtimes,
+    // replicas and partitionings. A spare budget turns on remapping.
+    const auto fault_key = static_cast<uint64_t>(id);
+    if (cfg.faults && cfg.mapping.spareXbars > 0)
+        e.remap = arch::remapFaultyCrossbars(mapped, *cfg.faults,
+                                             fault_key, e.name.c_str());
     for (size_t r = 0; r < e.replicaChips.size(); ++r)
-        e.replicas.emplace_back(mapped, ecfg);
+        e.replicas.emplace_back(mapped, cfg.engine, cfg.faults, fault_key);
 }
 
 } // namespace

@@ -49,7 +49,7 @@ struct NodeExec
     // functional nodes.
     std::vector<arch::CrossbarEngine> replicas;
     std::vector<int> replicaChips;   //!< the stage's chips, primary first
-    arch::RemapReport remap;   //!< spare-remap outcome (empty w/o faults)
+    arch::RemapReport remap;   //!< spare-remap outcome (empty w/o spares)
     int outC = 0, k = 0, stride = 0, pad = 0;
     std::vector<float> bias;
     std::vector<float> chanScale;  //!< digital BN fold (may be empty)

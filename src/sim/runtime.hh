@@ -70,22 +70,19 @@ struct RuntimeConfig
     obs::MetricsRegistry *metrics = nullptr;
 
     /**
-     * Hard-fault model (reram/faults.hh; borrowed, may be null). The
-     * runtime keys each node's fault pattern by its graph node id, so
-     * every schedule — and every replica of a node — draws
-     * bit-identical faults. Faults are deterministic state, not
-     * noise: the cross-schedule determinism contracts hold under a
-     * fault map exactly as they do without one.
+     * Hard-fault model (reram/faults.hh; borrowed, may be null), the
+     * one place a runtime takes faults from. The runtime keys each
+     * node's fault pattern by its graph node id, so every schedule —
+     * and every replica of a node — draws bit-identical faults.
+     * Faults are deterministic state, not noise: the cross-schedule
+     * determinism contracts hold under a fault map exactly as they do
+     * without one. With mapping.spareXbars > 0 the spare-crossbar
+     * remap pass (arch/remap.hh) runs before programming: tiles whose
+     * used cell columns land on a dead physical column move to
+     * spares, and construction fatal()s when the budget runs out.
+     * With no spares, faults stay unrepaired.
      */
     const reram::FaultMap *faults = nullptr;
-
-    /**
-     * Run the spare-crossbar remap pass (arch/remap.hh) before
-     * programming: tiles whose used cell columns land on a dead
-     * physical column are rerouted to spares budgeted by
-     * mapping.spareXbars. fatal()s when the budget runs out.
-     */
-    bool remapFaults = false;
 };
 
 /** Per-programmed-layer slice of a runtime report. */

@@ -26,16 +26,13 @@ runVariationStudy(nn::Network &net, const nn::SyntheticImageDataset &data,
         saved.push_back(*p.value);
     }
 
-    Rng rng(cfg.seed);
+    Rng rng(2024);
+    reram::VariationConfig vc;
+    vc.sigma = cfg.sigma;
     RunningStat acc_stat;
     for (int run = 0; run < cfg.runs; ++run) {
-        for (size_t i = 0; i < params.size(); ++i) {
-            reram::VariationConfig vc;
-            vc.sigma = cfg.sigma;
-            vc.weightBits = cfg.weightBits;
-            vc.cellBits = cfg.cellBits;
+        for (size_t i = 0; i < params.size(); ++i)
             reram::perturbWeights(*params[i].value, vc, rng);
-        }
         acc_stat.add(evaluator.evalTest());
         for (size_t i = 0; i < params.size(); ++i)
             *params[i].value = saved[i];

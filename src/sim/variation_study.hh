@@ -18,9 +18,6 @@ struct VariationStudyConfig
 {
     double sigma = 0.1;   //!< log-normal sigma (paper: 0.1)
     int runs = 50;        //!< paper: average of 50 runs
-    int weightBits = 8;
-    int cellBits = 2;
-    uint64_t seed = 2024;
 };
 
 /** Outcome of one variation experiment. */
@@ -39,8 +36,9 @@ struct VariationStudyResult
 
 /**
  * Run the variation study on a network: repeatedly perturb all conv /
- * dense weights through the per-cell log-normal model, evaluate test
- * accuracy, and restore the original weights.
+ * dense weights through the per-cell log-normal model
+ * (reram::perturbWeights, 8-bit weights on 2-bit cells; draws seeded
+ * with 2024), evaluate test accuracy, and restore the original weights.
  */
 VariationStudyResult runVariationStudy(
     nn::Network &net, const nn::SyntheticImageDataset &data,

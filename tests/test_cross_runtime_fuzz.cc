@@ -330,7 +330,6 @@ TEST(CrossRuntimeFuzz, GraphAndPipelineRuntimesAgreeBitwise)
 
             sim::RuntimeConfig fcfg = rcfg;
             fcfg.faults = &fmap;
-            fcfg.remapFaults = true;
             fcfg.mapping.spareXbars = 12;
             sim::PipelineRuntime fgr(graph, states, fcfg);
             sim::RuntimeReport fgrep;
@@ -340,7 +339,6 @@ TEST(CrossRuntimeFuzz, GraphAndPipelineRuntimesAgreeBitwise)
             auto fsched = compile::Schedule::partition(graph, scfg);
             sim::PipelineRuntimeConfig fpcfg = pcfg;
             fpcfg.runtime.faults = &fmap;
-            fpcfg.runtime.remapFaults = true;
             fpcfg.runtime.mapping.spareXbars = 12;
             sim::PipelineRuntime fpr(graph, std::move(fsched), states,
                                      fpcfg);
@@ -508,7 +506,6 @@ TEST(CrossRuntimeFuzz, IdealDevicesAgreeBitwise)
             sim::RuntimeConfig cfg = rcfg;
             if (faulted) {
                 cfg.faults = &fmap;
-                cfg.remapFaults = true;
                 cfg.mapping.spareXbars = 12;
             }
             sim::PipelineRuntime gr(graph, states, cfg);

@@ -333,7 +333,8 @@ TEST(Engine, OwnsItsProgram)
 class PanelReference
 {
   public:
-    PanelReference(const MappedLayer &layer, const EngineConfig &cfg)
+    PanelReference(const MappedLayer &layer, const EngineConfig &cfg,
+                   const reram::FaultMap *faults, uint64_t fault_key)
         : layer_(layer), cfg_(cfg),
           adc_({cfg.adcBits > 0
                     ? cfg.adcBits
@@ -363,10 +364,10 @@ class PanelReference
                                 levels[static_cast<size_t>(s)], max_level,
                                 cfg.cell, &rng);
                 }
-            if (cfg.faults && cfg.faults->config().any()) {
-                const reram::CrossbarFaults f = cfg.faults->draw(
-                    cfg.faultKey, xb.physId >= 0 ? xb.physId
-                                                 : static_cast<int>(xi),
+            if (faults && faults->config().any()) {
+                const reram::CrossbarFaults f = faults->draw(
+                    fault_key, xb.physId >= 0 ? xb.physId
+                                              : static_cast<int>(xi),
                     layer.cfg.xbarRows, layer.cfg.xbarCols);
                 for (int r = 0; r < xb.rows; ++r)
                     for (int cc = 0; cc < cols; ++cc) {
@@ -488,15 +489,18 @@ class PanelReference
 
 /**
  * Run three random presentations through the engine (batched, on
- * several threads) and through PanelReference, and require the outputs
- * and the merged stats to match bit for bit.
+ * several threads) and through PanelReference, both programmed with
+ * `faults` under `fault_key`, and require the outputs and the merged
+ * stats to match bit for bit.
  */
 void
 expectMatchesPanelReference(const MappedLayer &mapped,
-                            const EngineConfig &ecfg, uint64_t seed)
+                            const EngineConfig &ecfg, uint64_t seed,
+                            const reram::FaultMap *faults = nullptr,
+                            uint64_t fault_key = 0)
 {
-    CrossbarEngine engine(mapped, ecfg);
-    PanelReference ref(mapped, ecfg);
+    CrossbarEngine engine(mapped, ecfg, faults, fault_key);
+    PanelReference ref(mapped, ecfg, faults, fault_key);
     int n_inputs = 0;
     for (const auto &xb : mapped.crossbars)
         for (int idx : xb.inputIndex)
@@ -547,16 +551,15 @@ TEST(Engine, ExactPathMatchesPanelLoopBitwise)
                     EngineConfig ecfg;
                     ecfg.adcBits = adc_bits;
                     ecfg.zeroSkip = skip;
-                    ecfg.faults = &fmap;
-                    ecfg.faultKey = 3;
-                    CrossbarEngine engine(mapped, ecfg);
+                    CrossbarEngine engine(mapped, ecfg, &fmap, 3);
                     EXPECT_EQ(engine.exactCrossbars(),
                               static_cast<int64_t>(mapped.crossbars.size()));
                     if (fk != Fault::None) {
                         EXPECT_GT(engine.faultyCrossbars(), 0);
                     }
                     expectMatchesPanelReference(mapped, ecfg,
-                                                40 + frag + adc_bits);
+                                                40 + frag + adc_bits,
+                                                &fmap, 3);
                 }
     }
 }
@@ -581,14 +584,16 @@ TEST(Engine, GeneralPathMatchesPanelLoopBitwise)
         if (cell_bits == 3) {
             EXPECT_EQ(mapped.crossbars[0].weightCols * 3 % 2, 1);
         }
-        std::vector<EngineConfig> cfgs(2);
-        cfgs[0].cell.variationSigma = 0.1;
-        cfgs[1].faults = &drift_map;
+        // Each case: an engine config and the fault map it runs under.
+        std::vector<std::pair<EngineConfig, const reram::FaultMap *>>
+            cases(2);
+        cases[0].first.cell.variationSigma = 0.1;
+        cases[1].second = &drift_map;
         for (double sigma : {0.02, 0.05, 0.5, 60.0}) {
-            cfgs.emplace_back();
-            cfgs.back().readNoiseSigma = sigma;
+            cases.emplace_back();
+            cases.back().first.readNoiseSigma = sigma;
         }
-        for (EngineConfig c : cfgs)
+        for (auto [c, faults] : cases)
             for (int adc_bits : {3, 4, 0})
                 for (bool skip : {true, false}) {
                     c.adcBits = adc_bits;
@@ -596,12 +601,14 @@ TEST(Engine, GeneralPathMatchesPanelLoopBitwise)
                     SCOPED_TRACE(testing::Message()
                                  << "cellBits " << cell_bits
                                  << " variation " << c.cell.variationSigma
-                                 << " drift " << (c.faults != nullptr)
+                                 << " drift " << (faults != nullptr)
                                  << " readNoise " << c.readNoiseSigma
                                  << " adcBits " << adc_bits
                                  << " zeroSkip " << skip);
-                    EXPECT_EQ(CrossbarEngine(mapped, c).exactCrossbars(), 0);
-                    expectMatchesPanelReference(mapped, c, 70);
+                    EXPECT_EQ(CrossbarEngine(mapped, c, faults)
+                                  .exactCrossbars(),
+                              0);
+                    expectMatchesPanelReference(mapped, c, 70, faults);
                 }
     }
 }

@@ -106,8 +106,7 @@ TEST(FaultMap, ColumnStreamIsIndependentOfCellRates)
         EXPECT_EQ(a.draw(9, phys, 32, 32).colDead,
                   b.draw(9, phys, 32, 32).colDead)
             << "phys " << phys;
-        EXPECT_EQ(a.firstDeadColumn(9, phys, 32, 32),
-                  b.firstDeadColumn(9, phys, 32, 32))
+        EXPECT_EQ(a.deadColumns(9, phys, 32), b.deadColumns(9, phys, 32))
             << "phys " << phys;
     }
 }
@@ -119,15 +118,23 @@ TEST(FaultMap, FirstDeadColumnMatchesTheFullDraw)
     fc.seed = 21;
     reram::FaultMap map(fc);
 
+    // The remap pass probes deadColumns() alone; it must equal the
+    // full draw's dead columns, and the first-dead search must find
+    // the first column the full draw kills.
     int probed_dead = 0;
     for (int phys = 0; phys < 32; ++phys) {
         const auto full = map.draw(2, phys, 64, 64);
+        const auto probe = map.deadColumns(2, phys, 64);
+        EXPECT_EQ(probe, full.colDead) << "phys " << phys;
         for (int used : {16, 48, 64}) {
-            EXPECT_EQ(map.firstDeadColumn(2, phys, 64, used),
-                      full.firstDeadColumn(used))
+            int want = -1;
+            for (int col = 0; col < used && want < 0; ++col)
+                if (full.columnDead(col))
+                    want = col;
+            EXPECT_EQ(reram::firstDeadColumn(probe, used), want)
                 << "phys " << phys << " used " << used;
         }
-        if (map.firstDeadColumn(2, phys, 64, 64) >= 0)
+        if (reram::firstDeadColumn(probe, 64) >= 0)
             ++probed_dead;
     }
     EXPECT_GT(probed_dead, 0) << "rate 0.08 over 32x64 columns drew "
@@ -217,7 +224,6 @@ TEST(Remap, ColumnKillWithSparesRecoversCleanLogitsExactly)
 
     sim::RuntimeConfig rcfg = noisyConfig(&pool);
     rcfg.faults = &map;
-    rcfg.remapFaults = true;
     rcfg.mapping.spareXbars = 16;
     sim::PipelineRuntime repaired(c.graph, c.states, rcfg);
     sim::RuntimeReport rep;
@@ -234,11 +240,37 @@ TEST(Remap, ColumnKillWithSparesRecoversCleanLogitsExactly)
     // Without remapping the same map must hurt — otherwise this test
     // proved nothing (no crossbar actually drew a dead used column).
     sim::RuntimeConfig broken = rcfg;
-    broken.remapFaults = false;
     broken.mapping.spareXbars = 0;
     sim::PipelineRuntime unrepaired(c.graph, c.states, broken);
     EXPECT_FALSE(unrepaired.forward(batch).equals(clean_logits))
         << "fault map killed no used column; raise the rate or reseed";
+}
+
+TEST(Remap, SparesAloneTurnOnRemap)
+{
+    // A spare budget is the remap switch: a column-kill map plus
+    // spareXbars > 0, with nothing else set, repairs every tile.
+    CompiledResNet c(351);
+    Rng rng(352);
+    Tensor batch({1, 3, 32, 32});
+    batch.fillUniform(rng, 0.0f, 1.0f);
+
+    ThreadPool pool(2);
+    sim::RuntimeConfig rcfg = noisyConfig(&pool);
+    sim::PipelineRuntime clean(c.graph, c.states, rcfg);
+    const Tensor clean_logits = clean.forward(batch);
+
+    reram::FaultConfig fc;
+    fc.columnKillRate = 0.002;
+    fc.seed = 353;
+    reram::FaultMap map(fc);
+    rcfg.faults = &map;
+    rcfg.mapping.spareXbars = 16;
+    sim::PipelineRuntime spared(c.graph, c.states, rcfg);
+    sim::PipelineReport rep;
+    EXPECT_TRUE(spared.forward(batch, &rep).equals(clean_logits))
+        << "spares were budgeted but the dead columns stayed";
+    EXPECT_GT(rep.remappedCrossbars, 0);
 }
 
 TEST(Remap, ReportCountsFaultyAndRemappedTiles)
@@ -257,7 +289,6 @@ TEST(Remap, ReportCountsFaultyAndRemappedTiles)
     sim::PipelineRuntimeConfig pcfg;
     pcfg.runtime = noisyConfig(&pool);
     pcfg.runtime.faults = &map;
-    pcfg.runtime.remapFaults = true;
     pcfg.runtime.mapping.spareXbars = 16;
     pcfg.microBatch = 1;
 
@@ -318,7 +349,6 @@ TEST(RemapDeathTest, SpareExhaustionNamesNodeCrossbarAndColumn)
     ThreadPool pool(1);
     sim::RuntimeConfig rcfg = noisyConfig(&pool);
     rcfg.faults = &map;
-    rcfg.remapFaults = true;
     rcfg.mapping.spareXbars = 2;   // all spares are dead too
 
     EXPECT_DEATH(
